@@ -4,7 +4,7 @@
 // regression beyond the tolerance or on any allocs/op increase.
 //
 //	go test -run '^$' -bench 'EngineSchedule|NetworkSend|SimulatorThroughput' \
-//	    -benchmem . | tee bench.txt
+//	    -benchmem -cpu 1 . | tee bench.txt
 //	benchgate -baseline BENCH_baseline.json bench.txt   # gate
 //	benchgate -baseline BENCH_baseline.json -update bench.txt  # refresh baseline
 //
@@ -58,7 +58,7 @@ func run() int {
 
 	if *update {
 		note := "tier-1 microbenchmark baseline; regenerate with: " +
-			"go test -run '^$' -bench 'EngineSchedule|NetworkSend|SimulatorThroughput' -benchmem . | go run ./cmd/benchgate -update"
+			"go test -run '^$' -bench 'EngineSchedule|NetworkSend|SimulatorThroughput' -benchmem -cpu 1 . | go run ./cmd/benchgate -update"
 		enc, err := benchcmp.EncodeBaseline(note, results)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)

@@ -52,7 +52,7 @@ var goroutinePkgs = []string{"sim", "runner", "serve"}
 // orderSinks are call names whose argument order is observable:
 // scheduling events, sending messages, and writing or encoding output.
 var orderSinks = map[string]bool{
-	"Schedule": true, "ScheduleArg": true, "ScheduleCancelable": true,
+	"Schedule": true, "ScheduleArg": true, "ScheduleCancelable": true, "ScheduleCancelableArg": true,
 	"After": true, "AfterArg": true, "Post": true, "Send": true,
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Fprintf": true, "Fprint": true, "Fprintln": true,

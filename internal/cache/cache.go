@@ -4,6 +4,15 @@
 // logging (paper §3.3). Block data is a single uint64 token; the simulator
 // verifies value coherence by token equality while charging bandwidth and
 // storage for the configured block size.
+//
+// An array is one flat slice of 32-byte frames, allocated up front and
+// indexed directly by set, so Lookup is a handful of loads and compares
+// that the compiler inlines into the controllers. Most frames never hold
+// a line during a run, and lazily allocated set storage was tried to
+// avoid paying for them: it made the Table 2 OLTP run 4-7% slower
+// (speedup_vs_ref 0.93-0.96 on perfbench's oltp-steady), because the
+// indirection it adds to every access costs more than the smaller
+// footprint saves. Frames therefore stay eager.
 package cache
 
 import (
@@ -14,7 +23,7 @@ import (
 
 // State is a MOSI stable coherence state. Transient states live in the
 // protocol controllers (MSHRs), not in the array.
-type State int
+type State uint8
 
 const (
 	// Invalid: no valid copy.
@@ -47,7 +56,9 @@ func (s State) String() string {
 // respond with data and write back on eviction).
 func (s State) IsOwner() bool { return s == Owned || s == Modified }
 
-// Line is one cache frame.
+// Line is one cache frame: 32 bytes, with State and CN packed into one
+// word. A frame that never held a line is the zero Line, which is
+// Invalid, so validity is State alone.
 type Line struct {
 	Addr  uint64
 	State State
@@ -57,15 +68,19 @@ type Line struct {
 	CN   msg.CN
 	Data uint64
 	lru  uint64
-	used bool
 }
 
 // Array is one set-associative cache level.
 type Array struct {
-	sets, ways int
-	blockBits  uint
-	lines      []Line // sets*ways, row-major by set
-	tick       uint64
+	ways      int
+	sets      uint64
+	blockBits uint
+	// pow2 marks a power-of-two set count, whose modulo is the mask
+	// setMask.
+	pow2    bool
+	setMask uint64
+	lines   []Line // sets*ways, row-major by set
+	tick    uint64
 }
 
 // NewArray builds an array with the given geometry. blockBytes must be a
@@ -81,27 +96,35 @@ func NewArray(sets, ways, blockBytes int) *Array {
 	for 1<<bits != blockBytes {
 		bits++
 	}
-	return &Array{sets: sets, ways: ways, blockBits: bits, lines: make([]Line, sets*ways)}
+	a := &Array{ways: ways, sets: uint64(sets), blockBits: bits, lines: make([]Line, sets*ways)}
+	if sets&(sets-1) == 0 {
+		a.pow2, a.setMask = true, uint64(sets-1)
+	}
+	return a
 }
 
 // Sets and Ways return the geometry.
-func (a *Array) Sets() int { return a.sets }
+func (a *Array) Sets() int { return int(a.sets) }
 func (a *Array) Ways() int { return a.ways }
 
-func (a *Array) setOf(addr uint64) int {
-	return int((addr >> a.blockBits) % uint64(a.sets))
-}
-
+// set returns the frames of the set addr maps to: block number modulo
+// the set count.
 func (a *Array) set(addr uint64) []Line {
-	s := a.setOf(addr)
-	return a.lines[s*a.ways : (s+1)*a.ways]
+	b := addr >> a.blockBits
+	if a.pow2 {
+		b &= a.setMask
+	} else {
+		b %= a.sets
+	}
+	s := int(b) * a.ways
+	return a.lines[s : s+a.ways]
 }
 
 // Lookup returns the valid line holding addr, or nil.
 func (a *Array) Lookup(addr uint64) *Line {
 	set := a.set(addr)
 	for i := range set {
-		if set[i].used && set[i].State != Invalid && set[i].Addr == addr {
+		if set[i].Addr == addr && set[i].State != Invalid {
 			return &set[i]
 		}
 	}
@@ -123,7 +146,7 @@ func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 	var victim *Line
 	for i := range set {
 		l := &set[i]
-		if !l.used || l.State == Invalid {
+		if l.State == Invalid {
 			return l
 		}
 		if evictable != nil && !evictable(l) {
@@ -142,7 +165,7 @@ func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 func (a *Array) Install(l *Line, addr uint64, st State, cn msg.CN, data uint64) Line {
 	old := *l
 	a.tick++
-	*l = Line{Addr: addr, State: st, CN: cn, Data: data, lru: a.tick, used: true}
+	*l = Line{Addr: addr, State: st, CN: cn, Data: data, lru: a.tick}
 	return old
 }
 
@@ -165,7 +188,7 @@ func (a *Array) InvalidateAll() {
 // (including invalidating it) but must not install new lines.
 func (a *Array) ForEachValid(f func(*Line)) {
 	for i := range a.lines {
-		if a.lines[i].used && a.lines[i].State != Invalid {
+		if a.lines[i].State != Invalid {
 			f(&a.lines[i])
 		}
 	}
@@ -175,7 +198,7 @@ func (a *Array) ForEachValid(f func(*Line)) {
 func (a *Array) CountValid() int {
 	n := 0
 	for i := range a.lines {
-		if a.lines[i].used && a.lines[i].State != Invalid {
+		if a.lines[i].State != Invalid {
 			n++
 		}
 	}

@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"safetynet/internal/msg"
 )
@@ -48,8 +50,72 @@ func TestVictimPrefersInvalid(t *testing.T) {
 	a := NewArray(1, 4, 64)
 	a.Install(a.Victim(0, nil), 0, Shared, 0, 0)
 	v := a.Victim(64, nil)
-	if v.used && v.State != Invalid {
+	if v.State != Invalid {
 		t.Fatal("victim must prefer an invalid frame")
+	}
+}
+
+// TestLineIs32Bytes pins the frame layout: State and CN share one word,
+// so two frames fit a 64-byte host cache line.
+func TestLineIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 32 {
+		t.Fatalf("sizeof(Line) = %d, want 32", got)
+	}
+}
+
+// TestSetPlacement checks, through conflict evictions, that a block
+// lands in set (addr>>blockBits) % sets for power-of-two and other set
+// counts: filling a block's predicted set evicts it, while a block
+// predicted elsewhere survives.
+func TestSetPlacement(t *testing.T) {
+	const ways, block = 2, 64
+	for _, sets := range []int{1, 3, 6, 512} {
+		for _, b := range []uint64{0, 1, 2, 5, uint64(sets) - 1, uint64(sets), 3*uint64(sets) + 2, 1<<20 + 7} {
+			a := NewArray(sets, ways, block)
+			addr := b * block
+			other := (b + 1) * block // predicted set (b+1)%sets
+			a.Install(a.Victim(other, nil), other, Shared, 0, 0)
+			a.Install(a.Victim(addr, nil), addr, Shared, 0, 0)
+			// ways more blocks predicted into addr's set push it out.
+			for k := uint64(1); k <= ways; k++ {
+				c := (b + k*uint64(sets)) * block
+				if sets == 1 {
+					c = (b + 1 + k) * block
+				}
+				a.Install(a.Victim(c, nil), c, Shared, 0, 0)
+			}
+			if a.Lookup(addr) != nil {
+				t.Errorf("sets=%d block=%d: filling its set (block %% sets = %d) did not evict it",
+					sets, b, b%uint64(sets))
+			}
+			if sets > 1 && a.Lookup(other) == nil {
+				t.Errorf("sets=%d block=%d: block %d in set %d was evicted by set %d traffic",
+					sets, b, b+1, (b+1)%uint64(sets), b%uint64(sets))
+			}
+		}
+	}
+}
+
+func TestVictimOnEmptySetIsWayZero(t *testing.T) {
+	a := NewArray(4, 3, 64)
+	for s := 0; s < 4; s++ {
+		if v := a.Victim(uint64(s)*64, nil); v != &a.lines[s*3] {
+			t.Fatalf("set %d: victim is not way 0", s)
+		}
+	}
+}
+
+func TestForEachValidSetMajor(t *testing.T) {
+	a := NewArray(4, 2, 64)
+	// Install across sets out of order; each set fills way 0 then way 1.
+	for _, addr := range []uint64{3 * 64, 0, 7 * 64, 2 * 64, 4 * 64} {
+		a.Install(a.Victim(addr, nil), addr, Shared, 0, 0)
+	}
+	var got []uint64
+	a.ForEachValid(func(l *Line) { got = append(got, l.Addr/64) })
+	want := []uint64{0, 4, 2, 3, 7}
+	if !slices.Equal(got, want) {
+		t.Fatalf("visit order %v, want %v (set-major)", got, want)
 	}
 }
 

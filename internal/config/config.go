@@ -330,6 +330,12 @@ func (p Params) Validate() error {
 	case p.L2Bytes%(p.BlockBytes*p.L2Ways) != 0:
 		return fmt.Errorf("config: L2 size %d not divisible into %d-way sets of %d-byte blocks",
 			p.L2Bytes, p.L2Ways, p.BlockBytes)
+	case p.L1Sets() < 1:
+		return fmt.Errorf("config: L1 size %d holds no %d-way set of %d-byte blocks",
+			p.L1Bytes, p.L1Ways, p.BlockBytes)
+	case p.L2Sets() < 1:
+		return fmt.Errorf("config: L2 size %d holds no %d-way set of %d-byte blocks",
+			p.L2Bytes, p.L2Ways, p.BlockBytes)
 	case p.MemoryBytesPerNode == 0:
 		return fmt.Errorf("config: MemoryBytesPerNode must be positive")
 	case p.NonMemIPC <= 0:

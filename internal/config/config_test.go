@@ -92,6 +92,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero ways", func(p *Params) { p.L1Ways = 0 }},
 		{"l1 not divisible", func(p *Params) { p.L1Bytes = 100 }},
 		{"l2 not divisible", func(p *Params) { p.L2Bytes = 100 }},
+		{"zero l1", func(p *Params) { p.L1Bytes = 0 }},
+		{"negative l1", func(p *Params) { p.L1Bytes = -p.L1Bytes }},
+		{"zero l2", func(p *Params) { p.L2Bytes = 0 }},
+		{"negative l2", func(p *Params) { p.L2Bytes = -p.L2Bytes }},
 		{"no memory", func(p *Params) { p.MemoryBytesPerNode = 0 }},
 		{"zero ipc", func(p *Params) { p.NonMemIPC = 0 }},
 		{"zero bandwidth", func(p *Params) { p.LinkBytesPerCycleTenths = 0 }},

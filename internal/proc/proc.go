@@ -49,16 +49,64 @@ type Processor struct {
 	running  bool
 	inFlight bool
 	epoch    int
+	// op is the transactional access in flight (meaningful while
+	// inFlight, from the batch that stopped at it to its completion).
+	op workload.Op
+	cb epochCallbacks
 
 	pendingStall sim.Time
 
 	stats Stats
 }
 
+// epochCallbacks are the processor's event callbacks for one recovery
+// epoch. They are bound once per epoch and each captures that epoch, so
+// an event scheduled before a Restore finds itself stale when it fires,
+// and scheduling one allocates nothing.
+type epochCallbacks struct {
+	// issue sends the in-flight access once its batch's time elapsed.
+	issue func()
+	// resume continues execution at the end of a batch quantum.
+	resume func()
+	// storeDone and loadDone complete the in-flight access.
+	storeDone func()
+	loadDone  func(uint64)
+}
+
 // New builds a processor. out may be nil when the workload performs no
 // I/O.
 func New(node int, eng *sim.Engine, p config.Params, cc *protocol.CacheController, gen workload.Generator, out *iodev.OutputBuffer) *Processor {
-	return &Processor{node: node, eng: eng, p: p, cc: cc, gen: gen, out: out}
+	pr := &Processor{node: node, eng: eng, p: p, cc: cc, gen: gen, out: out}
+	pr.bindEpoch()
+	return pr
+}
+
+// bindEpoch builds the callbacks of the current epoch.
+func (pr *Processor) bindEpoch() {
+	ep := pr.epoch
+	complete := func() {
+		if pr.epoch != ep {
+			return
+		}
+		pr.instrs += uint64(pr.op.NonMemInstrs) + 1
+		pr.inFlight = false
+		pr.next()
+	}
+	pr.cb = epochCallbacks{
+		issue: func() {
+			if pr.epoch == ep {
+				pr.issueSlow()
+			}
+		},
+		resume: func() {
+			if pr.epoch == ep {
+				pr.inFlight = false
+				pr.next()
+			}
+		},
+		storeDone: complete,
+		loadDone:  func(uint64) { complete() },
+	}
 }
 
 // Instrs returns retired instructions (rolled back by recoveries, so it
@@ -120,6 +168,7 @@ func (pr *Processor) Restore(s Snapshot) {
 	pr.instrs = s.Instrs
 	pr.carry = s.Carry
 	pr.epoch++
+	pr.bindEpoch()
 	pr.inFlight = false
 	pr.running = false
 	pr.pendingStall = 0
@@ -135,12 +184,13 @@ const batchQuantum = sim.Time(512)
 // the batch quantum is exhausted. Cache hits are applied inline through
 // the cache controller's fast path; only misses and quantum boundaries
 // touch the event queue.
+//
+//snvet:alloc-free
 func (pr *Processor) next() {
 	if !pr.running || pr.inFlight {
 		return
 	}
 	pr.inFlight = true
-	ep := pr.epoch
 	local := pr.pendingStall
 	pr.pendingStall = 0
 
@@ -164,42 +214,28 @@ func (pr *Processor) next() {
 		} else {
 			// Transactional access: issue through the blocking slow
 			// path after the accumulated local time elapses.
-			pr.eng.After(local, func() {
-				if pr.epoch != ep {
-					return
-				}
-				pr.issueSlow(op, ep)
-			})
+			pr.op = op
+			pr.eng.After(local, pr.cb.issue)
 			return
 		}
 		if local >= batchQuantum {
-			pr.eng.After(local, func() {
-				if pr.epoch != ep {
-					return
-				}
-				pr.inFlight = false
-				pr.next()
-			})
+			pr.eng.After(local, pr.cb.resume)
 			return
 		}
 	}
 }
 
-func (pr *Processor) issueSlow(op workload.Op, ep int) {
-	complete := func() {
-		if pr.epoch != ep {
-			return
-		}
-		pr.instrs += uint64(op.NonMemInstrs) + 1
-		pr.inFlight = false
-		pr.next()
-	}
+// issueSlow sends the in-flight access through the cache controller's
+// transactional path.
+//
+//snvet:alloc-free
+func (pr *Processor) issueSlow() {
 	pr.stats.MemRefs++
-	if op.IsStore {
-		pr.cc.Store(op.Addr, op.StoreVal, complete)
+	if pr.op.IsStore {
+		pr.cc.Store(pr.op.Addr, pr.op.StoreVal, pr.cb.storeDone)
 		return
 	}
-	pr.cc.Load(op.Addr, func(uint64) { complete() })
+	pr.cc.Load(pr.op.Addr, pr.cb.loadDone)
 }
 
 // CCN exposes the node's current checkpoint number (the cache

@@ -37,6 +37,8 @@ type CacheStats struct {
 
 // mshr tracks one outstanding transaction (the processor model is
 // blocking, so a node has at most one, plus any writebacks in flight).
+// Records are recycled, so anything that refers to a transaction after
+// a delay names it by txn id.
 type mshr struct {
 	addr     uint64
 	txn      uint64
@@ -74,7 +76,43 @@ type wbEntry struct {
 	txn           uint64
 	startCCN      msg.CN
 	cancelTimeout sim.Canceler
-	onResolve     []func()
+	// onResolve holds accesses to the block that wait for the writeback
+	// to resolve; it keeps its capacity across recycling.
+	onResolve []deferred
+}
+
+// deferredKind names the action a deferred record performs.
+type deferredKind uint8
+
+const (
+	// deferLoadHit hands a hit's value to the load's callback.
+	deferLoadHit deferredKind = iota
+	// deferLoad replays a load that waited on a writeback.
+	deferLoad
+	// deferStore retries a store (after a full-CLB stall, or once a
+	// writeback it waited on resolves) if no recovery intervened.
+	deferStore
+	// deferRequest resends a nacked request if its MSHR is still live.
+	deferRequest
+	// deferPUTX resends a nacked writeback if its entry is still live.
+	deferPUTX
+	// deferGETX retries completing a GETX stalled on a full CLB.
+	deferGETX
+)
+
+// deferred is a controller action postponed to a later cycle. It carries
+// the operands a closure would have captured; scheduled actions live in
+// recycled records that the engine fires through fireFn, bound once, so
+// postponing one allocates nothing in the steady state. Actions on a
+// transaction match it by txn id, never by record pointer.
+type deferred struct {
+	kind      deferredKind
+	addr      uint64
+	txn       uint64
+	val       uint64
+	epoch     int
+	doneLoad  func(uint64)
+	doneStore func()
 }
 
 // CacheController is one node's cache hierarchy plus its protocol engine
@@ -101,10 +139,21 @@ type CacheController struct {
 	wbs         map[uint64]*wbEntry
 	outstanding map[msg.CN]int
 
-	// serveFwd*Fn are bound once so deferring a forwarded request does
-	// not allocate a closure per message.
+	// Recycled transaction and deferred-action records.
+	mshrPool     sim.FreeList[mshr]
+	wbPool       sim.FreeList[wbEntry]
+	deferredPool sim.FreeList[deferred]
+
+	// The *Fn callbacks are bound once so that deferring work, arming a
+	// timeout or choosing a victim allocates no closure per access.
 	serveFwdGETSFn func(any)
 	serveFwdGETXFn func(any)
+	onDataFn       func(any)
+	fireFn         func(any)
+	mshrTimeoutFn  func(any)
+	wbTimeoutFn    func(any)
+	evictableFn    func(*cache.Line) bool
+	noLogEvictFn   func(*cache.Line) bool
 
 	stats CacheStats
 
@@ -135,6 +184,12 @@ func NewCacheController(node int, eng *sim.Engine, nw *network.Network, p config
 	}
 	cc.serveFwdGETSFn = cc.serveFwdGETSArg
 	cc.serveFwdGETXFn = cc.serveFwdGETXArg
+	cc.onDataFn = cc.onDataArg
+	cc.fireFn = cc.fire
+	cc.mshrTimeoutFn = cc.mshrTimeout
+	cc.wbTimeoutFn = cc.wbTimeout
+	cc.evictableFn = cc.evictable
+	cc.noLogEvictFn = cc.evictableWithoutLog
 	return cc
 }
 
@@ -221,28 +276,30 @@ func (cc *CacheController) blockCycles() uint64 {
 // ---------------------------------------------------------------------
 
 // Load issues a blocking load; done receives the block's value token.
+//
+//snvet:alloc-free
 func (cc *CacheController) Load(addr uint64, done func(uint64)) {
 	cc.stats.Loads++
 	if wb := cc.wbs[addr]; wb != nil {
 		// The block is mid-writeback; replay once the writeback
 		// resolves to avoid racing our own PUTX.
-		wb.onResolve = append(wb.onResolve, func() { cc.Load(addr, done) })
+		wb.onResolve = append(wb.onResolve, deferred{kind: deferLoad, addr: addr, doneLoad: done}) //snvet:alloc-ok amortized: recycled entries keep the list's capacity
 		return
 	}
 	if l2 := cc.l2.Lookup(addr); l2 != nil {
 		cc.l2.Touch(l2)
-		data := l2.Data
+		hit := deferred{kind: deferLoadHit, val: l2.Data, doneLoad: done}
 		if cc.l1.Lookup(addr) != nil {
 			cc.bw.HitCycles += cc.blockCycles()
 			cc.stats.L1Hits++
-			cc.eng.After(sim.Time(cc.p.L1HitCycles), func() { done(data) })
+			cc.later(sim.Time(cc.p.L1HitCycles), hit)
 			return
 		}
 		cc.stats.L2Hits++
 		cc.bw.HitCycles += cc.blockCycles()
 		cc.bw.FillCycles += cc.blockCycles() // refill the L1
 		cc.fillL1(addr)
-		cc.eng.After(sim.Time(cc.p.L2HitCycles), func() { done(data) })
+		cc.later(sim.Time(cc.p.L2HitCycles), hit)
 		return
 	}
 	cc.stats.Misses++
@@ -253,6 +310,8 @@ func (cc *CacheController) Load(addr uint64, done func(uint64)) {
 }
 
 // Store issues a blocking store of the value token val.
+//
+//snvet:alloc-free
 func (cc *CacheController) Store(addr uint64, val uint64, done func()) {
 	cc.stats.Stores++
 	cc.storeInner(addr, val, done)
@@ -261,9 +320,11 @@ func (cc *CacheController) Store(addr uint64, val uint64, done func()) {
 // storeInner dispatches a store without re-counting statistics (used by
 // CLB-stall retries, which must re-evaluate the block's state because a
 // forwarded request may have taken it away during the stall).
+//
+//snvet:alloc-free
 func (cc *CacheController) storeInner(addr uint64, val uint64, done func()) {
 	if wb := cc.wbs[addr]; wb != nil {
-		wb.onResolve = append(wb.onResolve, func() { cc.storeInner(addr, val, done) })
+		wb.onResolve = append(wb.onResolve, deferred{kind: deferStore, addr: addr, val: val, epoch: cc.epoch, doneStore: done}) //snvet:alloc-ok amortized: recycled entries keep the list's capacity
 		return
 	}
 	l2 := cc.l2.Lookup(addr)
@@ -293,6 +354,8 @@ func (cc *CacheController) storeInner(addr uint64, val uint64, done func()) {
 // latency immediately so the processor can batch hit runs into a single
 // event. It returns ok=false when the access needs the transactional slow
 // path (miss, upgrade, writeback race, or CLB back-pressure).
+//
+//snvet:alloc-free
 func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (sim.Time, bool) {
 	if cc.wbs[addr] != nil {
 		return 0, false
@@ -345,18 +408,14 @@ func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (si
 // storeHit performs a store to a Modified block, logging the old copy
 // first when the update-action rule requires it. A full CLB throttles the
 // store (paper §3.3: "we can throttle requests from the CPU").
+//
+//snvet:alloc-free
 func (cc *CacheController) storeHit(l2 *cache.Line, val uint64, done func()) {
 	lat := sim.Time(cc.p.L1HitCycles)
 	if cc.sn && cc.shouldLog(l2.CN, cc.ccn) {
 		if cc.clb.Full() {
-			addr := l2.Addr
-			ep := cc.epoch
 			cc.stats.CLBStallCycles += clbRetryCycles
-			cc.eng.After(clbRetryCycles, func() {
-				if cc.epoch == ep { // abandoned if a recovery intervened
-					cc.storeInner(addr, val, done)
-				}
-			})
+			cc.later(clbRetryCycles, deferred{kind: deferStore, addr: l2.Addr, val: val, epoch: cc.epoch, doneStore: done})
 			return
 		}
 		cc.clb.Append(core.Entry{
@@ -378,6 +437,7 @@ func (cc *CacheController) storeHit(l2 *cache.Line, val uint64, done func()) {
 
 const clbRetryCycles = 100
 
+//snvet:alloc-free
 func (cc *CacheController) fillL1(addr uint64) {
 	if l1 := cc.l1.Lookup(addr); l1 != nil {
 		cc.l1.Touch(l1)
@@ -388,15 +448,68 @@ func (cc *CacheController) fillL1(addr uint64) {
 }
 
 // ---------------------------------------------------------------------
+// Deferred actions
+// ---------------------------------------------------------------------
+
+// later performs d after delay cycles.
+//
+//snvet:alloc-free
+func (cc *CacheController) later(delay sim.Time, d deferred) {
+	r := cc.deferredPool.Get()
+	*r = d
+	cc.eng.AfterArg(delay, cc.fireFn, r)
+}
+
+// fire recycles a scheduled record and performs its action.
+//
+//snvet:alloc-free
+func (cc *CacheController) fire(a any) {
+	r := a.(*deferred)
+	d := *r
+	cc.deferredPool.Put(r)
+	cc.perform(d)
+}
+
+// perform runs a deferred action.
+//
+//snvet:alloc-free
+func (cc *CacheController) perform(d deferred) {
+	switch d.kind {
+	case deferLoadHit:
+		d.doneLoad(d.val)
+	case deferLoad:
+		cc.Load(d.addr, d.doneLoad)
+	case deferStore:
+		if cc.epoch == d.epoch { // abandoned if a recovery intervened
+			cc.storeInner(d.addr, d.val, d.doneStore)
+		}
+	case deferRequest:
+		if m := cc.mshrs[d.addr]; m != nil && m.txn == d.txn { // not recovered away
+			cc.sendRequest(m)
+		}
+	case deferPUTX:
+		if wb := cc.wbs[d.addr]; wb != nil && wb.txn == d.txn {
+			cc.sendPUTX(wb)
+		}
+	case deferGETX:
+		if m := cc.mshrs[d.addr]; m != nil && m.txn == d.txn { // not recovered away
+			cc.tryCompleteGETX(m)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
 // Transactions
 // ---------------------------------------------------------------------
 
+//snvet:alloc-free
 func (cc *CacheController) startTxn(addr uint64, isStore bool, val uint64, doneLoad func(uint64), doneStore func()) {
 	if _, busy := cc.mshrs[addr]; busy {
 		panic(fmt.Sprintf("protocol: node %d double transaction on %#x (blocking processor)", cc.node, addr))
 	}
 	cc.txnSeq++
-	m := &mshr{
+	m := cc.mshrPool.Get()
+	*m = mshr{
 		addr: addr, txn: cc.txnID(), isStore: isStore, storeVal: val,
 		startCCN: cc.ccn, doneLoad: doneLoad, doneStore: doneStore,
 	}
@@ -409,6 +522,7 @@ func (cc *CacheController) txnID() uint64 {
 	return uint64(cc.node)<<48 | cc.txnSeq
 }
 
+//snvet:alloc-free
 func (cc *CacheController) sendRequest(m *mshr) {
 	t := msg.GETS
 	haveData := false
@@ -431,16 +545,27 @@ func (cc *CacheController) sendRequest(m *mshr) {
 	cc.armMSHRTimeout(m)
 }
 
+//snvet:alloc-free
 func (cc *CacheController) armMSHRTimeout(m *mshr) {
 	m.cancelTimeout.Cancel()
-	m.cancelTimeout = cc.eng.ScheduleCancelable(cc.eng.Now()+sim.Time(cc.p.RequestTimeoutCycles), func() {
-		cc.stats.Timeouts++
-		if cc.OnFault != nil {
-			cc.OnFault(fmt.Sprintf("node %d: request timeout addr %#x", cc.node, m.addr))
-		}
-	})
+	m.cancelTimeout = cc.eng.ScheduleCancelableArg(cc.eng.Now()+sim.Time(cc.p.RequestTimeoutCycles), cc.mshrTimeoutFn, m)
 }
 
+// mshrTimeout fires when a request went unanswered: a fault ate it. The
+// timeout is canceled before its MSHR is recycled, so m is still the
+// transaction that armed it.
+func (cc *CacheController) mshrTimeout(a any) {
+	m := a.(*mshr)
+	cc.stats.Timeouts++
+	if cc.OnFault != nil {
+		cc.OnFault(fmt.Sprintf("node %d: request timeout addr %#x", cc.node, m.addr))
+	}
+}
+
+// completeTxn closes m and recycles it; callers read what they need
+// from m first.
+//
+//snvet:alloc-free
 func (cc *CacheController) completeTxn(m *mshr) {
 	m.cancelTimeout.Cancel()
 	delete(cc.mshrs, m.addr)
@@ -448,6 +573,7 @@ func (cc *CacheController) completeTxn(m *mshr) {
 	if cc.outstanding[m.startCCN] == 0 {
 		delete(cc.outstanding, m.startCCN)
 	}
+	cc.mshrPool.Put(m)
 	if cc.OnReadyChange != nil {
 		cc.OnReadyChange()
 	}
@@ -505,6 +631,9 @@ func (cc *CacheController) Handle(m *msg.Message) {
 	msg.Release(m)
 }
 
+func (cc *CacheController) onDataArg(a any) { cc.onData(a.(*msg.Message)) }
+
+//snvet:alloc-free
 func (cc *CacheController) onData(m *msg.Message) {
 	mm := cc.mshrs[m.Addr]
 	if mm == nil || mm.txn != m.Txn || mm.isStore {
@@ -516,7 +645,7 @@ func (cc *CacheController) onData(m *msg.Message) {
 		// throttle until validation frees space (paper §3.3). m stays
 		// alive across the retry.
 		cc.stats.CLBStallCycles += clbRetryCycles
-		cc.eng.After(clbRetryCycles, func() { cc.onData(m) })
+		cc.eng.AfterArg(clbRetryCycles, cc.onDataFn, m)
 		return
 	}
 	if m.NeedsAck {
@@ -531,6 +660,7 @@ func (cc *CacheController) onData(m *msg.Message) {
 	done(data)
 }
 
+//snvet:alloc-free
 func (cc *CacheController) onDataEx(m *msg.Message) {
 	mm := cc.mshrs[m.Addr]
 	if mm == nil || mm.txn != m.Txn || !mm.isStore {
@@ -568,6 +698,7 @@ func (cc *CacheController) onAckCount(m *msg.Message) {
 	cc.tryCompleteGETX(mm)
 }
 
+//snvet:alloc-free
 func (cc *CacheController) onInvAck(m *msg.Message) {
 	mm := cc.mshrs[m.Addr]
 	if mm == nil || mm.txn != m.Txn {
@@ -585,11 +716,11 @@ func (cc *CacheController) onInvAck(m *msg.Message) {
 // tryCompleteGETX finishes a GETX once data and every invalidation ack
 // arrived: install Modified with the transfer CN, apply the store under
 // the logging rule, and close the transaction with the final
-// acknowledgment to the directory.
+// acknowledgment to the directory. A CLB stall retries through a
+// deferGETX record, which a recovery in between leaves stale.
+//
+//snvet:alloc-free
 func (cc *CacheController) tryCompleteGETX(mm *mshr) {
-	if cc.mshrs[mm.addr] != mm {
-		return // a recovery discarded this transaction during a CLB stall
-	}
 	if !mm.dataReceived || !mm.acksKnown || mm.acksGot < mm.acksNeeded {
 		return
 	}
@@ -605,7 +736,7 @@ func (cc *CacheController) tryCompleteGETX(mm *mshr) {
 		cc.sn && cc.shouldLog(existing.CN, cc.ccn) {
 		if cc.clb.Full() {
 			cc.stats.CLBStallCycles += clbRetryCycles
-			cc.eng.After(clbRetryCycles, func() { cc.tryCompleteGETX(mm) })
+			cc.later(clbRetryCycles, deferred{kind: deferGETX, addr: mm.addr, txn: mm.txn})
 			return
 		}
 		cc.clb.Append(core.Entry{
@@ -620,7 +751,7 @@ func (cc *CacheController) tryCompleteGETX(mm *mshr) {
 	l2, ok := cc.installL2(mm.addr, cache.Modified, mm.dataCN, mm.dataVal)
 	if !ok {
 		cc.stats.CLBStallCycles += clbRetryCycles
-		cc.eng.After(clbRetryCycles, func() { cc.tryCompleteGETX(mm) })
+		cc.later(clbRetryCycles, deferred{kind: deferGETX, addr: mm.addr, txn: mm.txn})
 		return
 	}
 	// ...then the store applies as a separate update-action. Logging the
@@ -632,7 +763,7 @@ func (cc *CacheController) tryCompleteGETX(mm *mshr) {
 	if cc.sn && cc.shouldLog(l2.CN, cc.ccn) {
 		if cc.clb.Full() {
 			cc.stats.CLBStallCycles += clbRetryCycles
-			cc.eng.After(clbRetryCycles, func() { cc.tryCompleteGETX(mm) })
+			cc.later(clbRetryCycles, deferred{kind: deferGETX, addr: mm.addr, txn: mm.txn})
 			return
 		}
 		cc.clb.Append(core.Entry{
@@ -655,6 +786,7 @@ func (cc *CacheController) tryCompleteGETX(mm *mshr) {
 	cc.eng.After(sim.Time(cc.p.L1HitCycles), done)
 }
 
+//snvet:alloc-free
 func (cc *CacheController) onInv(m *msg.Message) {
 	if mm := cc.mshrs[m.Addr]; mm != nil && mm.isStore {
 		// Our upgrade lost the race; we will be served data instead.
@@ -749,7 +881,7 @@ func (cc *CacheController) serveFwdGETX(m *msg.Message) {
 			// the requestor's timeout is the backstop if validation
 			// cannot advance (paper §3.3). m stays alive for the retry.
 			cc.stats.CLBStallCycles += clbRetryCycles
-			cc.eng.After(clbRetryCycles, func() { cc.serveFwdGETX(m) })
+			cc.eng.AfterArg(clbRetryCycles, cc.serveFwdGETXFn, m)
 			return
 		}
 		cc.clb.Append(core.Entry{
@@ -779,16 +911,12 @@ func (cc *CacheController) serveFwdGETX(m *msg.Message) {
 	msg.Release(m)
 }
 
+//snvet:alloc-free
 func (cc *CacheController) onNack(m *msg.Message) {
 	cc.stats.NacksReceived++
-	addr := m.Addr // the closures below must not outlive m
 	if mm := cc.mshrs[m.Addr]; mm != nil && mm.txn == m.Txn {
 		cc.stats.Retries++
-		cc.eng.After(cc.retryBackoff(), func() {
-			if cc.mshrs[addr] == mm { // still pending (not recovered away)
-				cc.sendRequest(mm)
-			}
-		})
+		cc.later(cc.retryBackoff(), deferred{kind: deferRequest, addr: m.Addr, txn: mm.txn})
 		return
 	}
 	if wb := cc.wbs[m.Addr]; wb != nil && wb.txn == m.Txn {
@@ -799,14 +927,11 @@ func (cc *CacheController) onNack(m *msg.Message) {
 			return
 		}
 		cc.stats.Retries++
-		cc.eng.After(cc.retryBackoff(), func() {
-			if cc.wbs[addr] == wb {
-				cc.sendPUTX(wb)
-			}
-		})
+		cc.later(cc.retryBackoff(), deferred{kind: deferPUTX, addr: m.Addr, txn: wb.txn})
 	}
 }
 
+//snvet:alloc-free
 func (cc *CacheController) onWBResponse(m *msg.Message) {
 	wb := cc.wbs[m.Addr]
 	if wb == nil || wb.txn != m.Txn {
@@ -815,6 +940,10 @@ func (cc *CacheController) onWBResponse(m *msg.Message) {
 	cc.resolveWB(wb)
 }
 
+// resolveWB closes a writeback, replays the accesses that waited on it,
+// and recycles the entry.
+//
+//snvet:alloc-free
 func (cc *CacheController) resolveWB(wb *wbEntry) {
 	wb.cancelTimeout.Cancel()
 	delete(cc.wbs, wb.addr)
@@ -825,9 +954,10 @@ func (cc *CacheController) resolveWB(wb *wbEntry) {
 	if cc.OnReadyChange != nil {
 		cc.OnReadyChange()
 	}
-	for _, f := range wb.onResolve {
-		f()
+	for _, d := range wb.onResolve {
+		cc.perform(d)
 	}
+	cc.wbPool.Put(wb)
 }
 
 // ---------------------------------------------------------------------
@@ -838,6 +968,8 @@ func (cc *CacheController) resolveWB(wb *wbEntry) {
 // (line, true) on success, or (nil, false) when the only eviction
 // candidates are owned blocks whose transfer must be logged while the CLB
 // is full — the caller must throttle and retry.
+//
+//snvet:alloc-free
 func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, data uint64) (*cache.Line, bool) {
 	if l2 := cc.l2.Lookup(addr); l2 != nil {
 		// Upgrade path: the block is already resident.
@@ -847,10 +979,7 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 		cc.l2.Touch(l2)
 		return l2, true
 	}
-	evictable := func(l *cache.Line) bool {
-		return cc.mshrs[l.Addr] == nil && cc.wbs[l.Addr] == nil
-	}
-	v := cc.l2.Victim(addr, evictable)
+	v := cc.l2.Victim(addr, cc.evictableFn)
 	if v == nil {
 		// Cannot happen with a blocking processor (at most one MSHR and
 		// its upgrades pin one line per set).
@@ -859,9 +988,7 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 	if v.State.IsOwner() && cc.sn && cc.shouldLog(v.CN, cc.ccn) && cc.clb.Full() {
 		// Evicting this block requires logging the ownership transfer;
 		// prefer a victim that does not.
-		alt := cc.l2.Victim(addr, func(l *cache.Line) bool {
-			return evictable(l) && !(l.State.IsOwner() && cc.shouldLog(l.CN, cc.ccn))
-		})
+		alt := cc.l2.Victim(addr, cc.noLogEvictFn)
 		if alt == nil {
 			return nil, false
 		}
@@ -876,8 +1003,22 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 	return cc.l2.Lookup(addr), true
 }
 
+// evictable reports whether an L2 frame may be replaced: no transaction
+// or writeback is pending on its block.
+func (cc *CacheController) evictable(l *cache.Line) bool {
+	return cc.mshrs[l.Addr] == nil && cc.wbs[l.Addr] == nil
+}
+
+// evictableWithoutLog also rules out owned blocks whose eviction would
+// need a transfer log entry.
+func (cc *CacheController) evictableWithoutLog(l *cache.Line) bool {
+	return cc.evictable(l) && !(l.State.IsOwner() && cc.shouldLog(l.CN, cc.ccn))
+}
+
 // startWriteback moves an evicted owned block into the writeback buffer
 // and sends the PUTX. Giving up ownership is an update-action: log it.
+//
+//snvet:alloc-free
 func (cc *CacheController) startWriteback(v *cache.Line) {
 	cn := msg.Null
 	if cc.sn {
@@ -894,9 +1035,11 @@ func (cc *CacheController) startWriteback(v *cache.Line) {
 		cn = core.UpdatedCN(cc.ccn)
 	}
 	cc.txnSeq++
-	wb := &wbEntry{
+	wb := cc.wbPool.Get()
+	*wb = wbEntry{
 		addr: v.Addr, data: v.Data, cn: cn, state: v.State,
 		hasOwnership: true, txn: cc.txnID(), startCCN: cc.ccn,
+		onResolve: wb.onResolve[:0],
 	}
 	cc.wbs[v.Addr] = wb
 	cc.outstanding[wb.startCCN]++
@@ -905,6 +1048,7 @@ func (cc *CacheController) startWriteback(v *cache.Line) {
 	cc.sendPUTX(wb)
 }
 
+//snvet:alloc-free
 func (cc *CacheController) sendPUTX(wb *wbEntry) {
 	cc.stats.RequestsIssued++
 	req := msg.Alloc()
@@ -914,12 +1058,17 @@ func (cc *CacheController) sendPUTX(wb *wbEntry) {
 	}
 	cc.nw.Send(req)
 	wb.cancelTimeout.Cancel()
-	wb.cancelTimeout = cc.eng.ScheduleCancelable(cc.eng.Now()+sim.Time(cc.p.RequestTimeoutCycles), func() {
-		cc.stats.Timeouts++
-		if cc.OnFault != nil {
-			cc.OnFault(fmt.Sprintf("node %d: writeback timeout addr %#x", cc.node, wb.addr))
-		}
-	})
+	wb.cancelTimeout = cc.eng.ScheduleCancelableArg(cc.eng.Now()+sim.Time(cc.p.RequestTimeoutCycles), cc.wbTimeoutFn, wb)
+}
+
+// wbTimeout fires when a writeback went unanswered; like mshrTimeout it
+// is canceled before its entry is recycled.
+func (cc *CacheController) wbTimeout(a any) {
+	wb := a.(*wbEntry)
+	cc.stats.Timeouts++
+	if cc.OnFault != nil {
+		cc.OnFault(fmt.Sprintf("node %d: writeback timeout addr %#x", cc.node, wb.addr))
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -936,13 +1085,15 @@ func (cc *CacheController) sendPUTX(wb *wbEntry) {
 func (cc *CacheController) Recover(rpcn msg.CN, flushToMem func(addr, data uint64)) int {
 	for _, m := range cc.mshrs {
 		m.cancelTimeout.Cancel()
+		cc.mshrPool.Put(m)
 	}
 	for _, wb := range cc.wbs {
 		wb.cancelTimeout.Cancel()
+		cc.wbPool.Put(wb)
 	}
-	cc.mshrs = make(map[uint64]*mshr)
-	cc.wbs = make(map[uint64]*wbEntry)
-	cc.outstanding = make(map[msg.CN]int)
+	clear(cc.mshrs)
+	clear(cc.wbs)
+	clear(cc.outstanding)
 	cc.epoch++
 
 	n := 0

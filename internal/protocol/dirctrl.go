@@ -43,6 +43,24 @@ type dirEntry struct {
 	pend    pending
 }
 
+// memReply is a reply memory sends once its access latency elapsed: Data
+// for a 2-hop GETS, DataEx for a GETX that memory serves, or WBAck for an
+// absorbed writeback. Pending replies live in recycled records fired
+// through replyFn, so a memory access allocates no closure.
+type memReply struct {
+	typ      msg.Type
+	dst      int
+	addr     uint64
+	txn      uint64
+	cn       msg.CN
+	ackCount int
+	// epoch is the network epoch the request was served in; a recovery
+	// since then voids the reply.
+	epoch int
+	// gets is the entry a 2-hop GETS holds busy until its data leaves.
+	gets *dirEntry
+}
+
 // DirController is one node's directory and memory controller: it owns the
 // node's slice of shared memory, serializes coherence transactions per
 // block, and (under SafetyNet) logs every memory/directory update-action
@@ -63,9 +81,12 @@ type DirController struct {
 	busyUntil  sim.Time
 	jitter     *sim.Rand
 
-	// dispatchFn is bound once so Handle's deferred dispatch does not
-	// allocate a closure per message.
-	dispatchFn func(any)
+	// The *Fn callbacks are bound once so that deferred dispatch, memory
+	// replies and stall retries allocate no closure per message.
+	dispatchFn     func(any)
+	replyFn        func(any)
+	ackDoneRetryFn func(any)
+	replyPool      sim.FreeList[memReply]
 
 	stats DirStats
 
@@ -89,6 +110,8 @@ func NewDirController(node int, eng *sim.Engine, nw *network.Network, p config.P
 		dc.clb = core.NewCLB(p.CLBBytes/2, p.CLBEntryBytes)
 	}
 	dc.dispatchFn = dc.dispatch
+	dc.replyFn = dc.sendReply
+	dc.ackDoneRetryFn = dc.retryAckDone
 	return dc
 }
 
@@ -178,17 +201,48 @@ func (dc *DirController) entry(addr uint64) *dirEntry {
 	return e
 }
 
-// occupy serializes the controller: a request starting now completes
-// after lat cycles of occupancy, queued behind earlier work, with optional
-// pseudo-random perturbation (the Alameldeen et al. methodology).
-func (dc *DirController) occupy(lat sim.Time, fn func()) {
-	dc.eng.Schedule(dc.occupyStart(lat), fn)
-}
-
-// occupyArg is occupy for a pre-bound func(any), avoiding the per-call
-// closure on the request-dispatch hot path.
+// occupyArg serializes the controller: fn(arg) runs once a request
+// starting now has held it for lat cycles, queued behind earlier work,
+// with optional pseudo-random perturbation (the Alameldeen et al.
+// methodology).
+//
+//snvet:alloc-free
 func (dc *DirController) occupyArg(lat sim.Time, fn func(any), arg any) {
 	dc.eng.ScheduleArg(dc.occupyStart(lat), fn, arg)
+}
+
+// reply sends r's message after a memory access, occupying the
+// controller for it.
+//
+//snvet:alloc-free
+func (dc *DirController) reply(r memReply) {
+	p := dc.replyPool.Get()
+	*p = r
+	p.epoch = dc.nw.Epoch()
+	dc.occupyArg(sim.Time(dc.p.MemAccessCycles), dc.replyFn, p)
+}
+
+// sendReply recycles a pending reply's record and sends the reply
+// unless a recovery voided it.
+//
+//snvet:alloc-free
+func (dc *DirController) sendReply(a any) {
+	p := a.(*memReply)
+	r := *p
+	dc.replyPool.Put(p)
+	if r.epoch != dc.nw.Epoch() {
+		return
+	}
+	if r.gets != nil {
+		r.gets.busy = false
+		r.gets.pend = pending{}
+	}
+	resp := msg.Alloc()
+	*resp = msg.Message{Type: r.typ, Src: dc.node, Dst: r.dst, Addr: r.addr, Txn: r.txn}
+	if r.typ != msg.WBAck {
+		resp.Data, resp.CN, resp.AckCount = dc.MemData(r.addr), r.cn, r.ackCount
+	}
+	dc.nw.Send(resp)
 }
 
 func (dc *DirController) occupyStart(lat sim.Time) sim.Time {
@@ -226,6 +280,8 @@ func (dc *DirController) Handle(m *msg.Message) {
 }
 
 // dispatch runs once the controller-occupancy delay elapsed.
+//
+//snvet:alloc-free
 func (dc *DirController) dispatch(a any) {
 	m := a.(*msg.Message)
 	if m.Epoch != dc.nw.Epoch() {
@@ -253,6 +309,7 @@ func (dc *DirController) nack(m *msg.Message) {
 	dc.nw.Send(n)
 }
 
+//snvet:alloc-free
 func (dc *DirController) onGETS(m *msg.Message) {
 	e := dc.entry(m.Addr)
 	if e.busy {
@@ -272,22 +329,8 @@ func (dc *DirController) onGETS(m *msg.Message) {
 		if dc.sn {
 			cn = core.UpdatedCN(dc.ccn)
 		}
-		addr, src, txn := m.Addr, m.Src, m.Txn
-		ep := dc.nw.Epoch()
 		dc.stats.MemReads++
-		dc.occupy(sim.Time(dc.p.MemAccessCycles), func() {
-			if ep != dc.nw.Epoch() {
-				return
-			}
-			e.busy = false
-			e.pend = pending{}
-			resp := msg.Alloc()
-			*resp = msg.Message{
-				Type: msg.Data, Src: dc.node, Dst: src, Addr: addr,
-				Data: dc.MemData(addr), CN: cn, Txn: txn,
-			}
-			dc.nw.Send(resp)
-		})
+		dc.reply(memReply{typ: msg.Data, dst: m.Src, addr: m.Addr, txn: m.Txn, cn: cn, gets: e})
 		return
 	}
 	// 3-hop: forward to the owning cache (which may be the requestor
@@ -304,6 +347,7 @@ func (dc *DirController) onGETS(m *msg.Message) {
 	dc.nw.Send(resp)
 }
 
+//snvet:alloc-free
 func (dc *DirController) onGETX(m *msg.Message) {
 	e := dc.entry(m.Addr)
 	if e.busy {
@@ -348,20 +392,8 @@ func (dc *DirController) onGETX(m *msg.Message) {
 		}
 		dc.nw.Send(resp)
 	case e.owner == MemOwner:
-		addr, txn := m.Addr, m.Txn
-		ep := dc.nw.Epoch()
 		dc.stats.MemReads++
-		dc.occupy(sim.Time(dc.p.MemAccessCycles), func() {
-			if ep != dc.nw.Epoch() {
-				return
-			}
-			resp := msg.Alloc()
-			*resp = msg.Message{
-				Type: msg.DataEx, Src: dc.node, Dst: req, Addr: addr,
-				Data: dc.MemData(addr), CN: cn, AckCount: ackCount, Txn: txn,
-			}
-			dc.nw.Send(resp)
-		})
+		dc.reply(memReply{typ: msg.DataEx, dst: req, addr: m.Addr, txn: m.Txn, cn: cn, ackCount: ackCount})
 	case e.owner == req:
 		// The owner upgrades O -> M: it has the data; kill the sharers.
 		resp := msg.Alloc()
@@ -381,6 +413,7 @@ func (dc *DirController) onGETX(m *msg.Message) {
 	}
 }
 
+//snvet:alloc-free
 func (dc *DirController) onPUTX(m *msg.Message) {
 	e := dc.entry(m.Addr)
 	switch {
@@ -409,22 +442,15 @@ func (dc *DirController) onPUTX(m *msg.Message) {
 		dc.mem[m.Addr] = m.Data
 		dc.stats.MemWrites++
 		e.owner = MemOwner
-		src, addr, txn := m.Src, m.Addr, m.Txn
-		ep := dc.nw.Epoch()
-		dc.occupy(sim.Time(dc.p.MemAccessCycles), func() {
-			if ep != dc.nw.Epoch() {
-				return
-			}
-			resp := msg.Alloc()
-			*resp = msg.Message{Type: msg.WBAck, Src: dc.node, Dst: src, Addr: addr, Txn: txn}
-			dc.nw.Send(resp)
-		})
+		dc.reply(memReply{typ: msg.WBAck, dst: m.Src, addr: m.Addr, txn: m.Txn})
 	}
 }
 
 // onAckDone closes a transaction: the deferred directory change applies,
 // tagged with the transaction's point-of-atomicity CN carried by the
 // acknowledgment (SafetyNet protocol change #3).
+//
+//snvet:alloc-free
 func (dc *DirController) onAckDone(m *msg.Message) {
 	e := dc.entry(m.Addr)
 	if !e.busy || e.pend.txn != m.Txn {
@@ -437,13 +463,7 @@ func (dc *DirController) onAckDone(m *msg.Message) {
 				// The entry change must be logged; hold the completion
 				// (and m) until validation frees space.
 				dc.stats.CLBStallCycles += clbRetryCycles
-				dc.eng.After(clbRetryCycles, func() {
-					if m.Epoch != dc.nw.Epoch() {
-						msg.Release(m)
-						return
-					}
-					dc.onAckDone(m)
-				})
+				dc.eng.AfterArg(clbRetryCycles, dc.ackDoneRetryFn, m)
 				return
 			}
 			dc.logEntry(core.Entry{
@@ -472,6 +492,17 @@ func (dc *DirController) onAckDone(m *msg.Message) {
 	if dc.OnReadyChange != nil {
 		dc.OnReadyChange()
 	}
+}
+
+// retryAckDone resumes an AckDone stalled on a full CLB, unless a
+// recovery voided it.
+func (dc *DirController) retryAckDone(a any) {
+	m := a.(*msg.Message)
+	if m.Epoch != dc.nw.Epoch() {
+		msg.Release(m)
+		return
+	}
+	dc.onAckDone(m)
 }
 
 func (dc *DirController) logEntry(e core.Entry) {

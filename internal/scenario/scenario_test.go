@@ -170,6 +170,7 @@ func TestParseRejects(t *testing.T) {
 		"unknown workload":        `{"workload": "fortnite", "measure_cycles": 1000}`,
 		"zero measure":            `{"workload": "oltp"}`,
 		"invalid config":          `{"workload": "oltp", "measure_cycles": 1, "overrides": {"num_nodes": 0}}`,
+		"empty l1":                `{"workload": "oltp", "measure_cycles": 1000, "overrides": {"l1_bytes": 0}}`,
 		"bad protocol":            `{"workload": "oltp", "measure_cycles": 1, "overrides": {"protocol": "token"}}`,
 		"trailing data":           `{"workload": "oltp", "measure_cycles": 1} {"again": true}`,
 	}

@@ -386,6 +386,16 @@ func (e *Engine) ScheduleCancelable(at Time, fn Event) Canceler {
 	return Canceler{e: e, idx: i, gen: e.slots[i].gen}
 }
 
+// ScheduleCancelableArg is ScheduleCancelable for a long-lived func(any)
+// and its argument, so arming a per-transaction timeout allocates no
+// closure.
+//
+//snvet:alloc-free
+func (e *Engine) ScheduleCancelableArg(at Time, fn func(any), arg any) Canceler {
+	i := e.schedule(at, nil, fn, arg)
+	return Canceler{e: e, idx: i, gen: e.slots[i].gen}
+}
+
 // Stop makes Run return after the currently dispatching event completes.
 func (e *Engine) Stop() { e.stopped = true }
 

@@ -123,6 +123,31 @@ func TestEngineCancelable(t *testing.T) {
 	c2.Cancel() // after firing: no-op
 }
 
+// ScheduleCancelableArg delivers its argument, cancels like
+// ScheduleCancelable, and keeps the ordering key a plain schedule from
+// the same site would get.
+func TestEngineCancelableArg(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	record := func(a any) { got = append(got, *a.(*int)) }
+	one, two, three := 1, 2, 3
+	c := e.ScheduleCancelableArg(10, record, &one)
+	e.ScheduleCancelableArg(10, record, &two)
+	e.ScheduleArg(10, record, &three)
+	c.Cancel()
+	e.Run(20)
+	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("fired %v, want [2 3]", got)
+	}
+	c.Cancel() // after the window: no-op
+	if n := testing.AllocsPerRun(100, func() {
+		e.ScheduleCancelableArg(e.Now()+5, record, &one).Cancel()
+		e.Run(e.Now() + 10)
+	}); n != 0 {
+		t.Fatalf("ScheduleCancelableArg allocates %.1f per call", n)
+	}
+}
+
 // A Canceler must stay inert after its event fired, even when the slot
 // has been recycled for a newer event (the generation count protects the
 // new occupant).
@@ -305,5 +330,22 @@ func TestEngineDispatchOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFreeListRecycles(t *testing.T) {
+	var f FreeList[[4]uint64]
+	a := f.Get()
+	a[0] = 7
+	f.Put(a)
+	if b := f.Get(); b != a || b[0] != 7 {
+		t.Fatal("Get must return the recycled record with its contents")
+	}
+	if c := f.Get(); c == a || c[0] != 0 {
+		t.Fatal("an empty list must return a new zero record")
+	}
+	f.Put(a)
+	if n := testing.AllocsPerRun(100, func() { f.Put(f.Get()) }); n != 0 {
+		t.Fatalf("steady-state Get/Put allocates %.1f", n)
 	}
 }

@@ -72,13 +72,27 @@ type Bus struct {
 	snoopers  []func(*Request)
 	epoch     int
 
+	// Queued requests wait for their slots in recycled records fired
+	// through broadcastFn, bound once, so issuing allocates nothing.
+	broadcastFn func(any)
+	queued      sim.FreeList[queuedReq]
+
 	// Broadcasts counts delivered requests.
 	Broadcasts uint64
 }
 
+// queuedReq is a request waiting for its slot, with the epoch it was
+// issued in.
+type queuedReq struct {
+	r     Request
+	epoch int
+}
+
 // NewBus builds a bus with the given per-request occupancy.
 func NewBus(eng *sim.Engine, occupancy sim.Time) *Bus {
-	return &Bus{eng: eng, occupancy: occupancy}
+	b := &Bus{eng: eng, occupancy: occupancy}
+	b.broadcastFn = b.broadcast
+	return b
 }
 
 // Attach registers an agent's snoop handler; all agents see all requests
@@ -92,9 +106,12 @@ func (b *Bus) Epoch() int { return b.epoch }
 // BumpEpoch discards queued requests logically (they deliver as no-ops).
 func (b *Bus) BumpEpoch() { b.epoch++ }
 
-// Issue arbitrates for the next slot and schedules the broadcast. The
-// winning slot number is returned immediately (arbitration is modeled as
-// FIFO).
+// Issue arbitrates for the next slot and schedules the broadcast of a
+// copy of r (snoopers must not keep the *Request they are handed). The
+// winning slot number is stored in r.Slot and returned immediately
+// (arbitration is modeled as FIFO).
+//
+//snvet:alloc-free
 func (b *Bus) Issue(r *Request) uint64 {
 	start := b.eng.Now()
 	if b.busyUntil > start {
@@ -103,17 +120,24 @@ func (b *Bus) Issue(r *Request) uint64 {
 	b.busyUntil = start + b.occupancy
 	b.slots++
 	r.Slot = b.slots
-	ep := b.epoch
-	b.eng.Schedule(start+b.occupancy, func() {
-		if ep != b.epoch {
-			return // the recovery drained the bus queue
-		}
+	q := b.queued.Get()
+	*q = queuedReq{r: *r, epoch: b.epoch}
+	b.eng.ScheduleArg(start+b.occupancy, b.broadcastFn, q)
+	return r.Slot
+}
+
+// broadcast delivers a request in its slot and recycles its record.
+//
+//snvet:alloc-free
+func (b *Bus) broadcast(a any) {
+	q := a.(*queuedReq)
+	if q.epoch == b.epoch { // otherwise the recovery drained the bus queue
 		b.Broadcasts++
 		for _, f := range b.snoopers {
-			f(r)
+			f(&q.r)
 		}
-	})
-	return r.Slot
+	}
+	b.queued.Put(q)
 }
 
 // ResetSlots rewinds the slot counter to the recovery point's logical

@@ -11,7 +11,9 @@ import (
 	"safetynet/internal/workload"
 )
 
-// txn is one outstanding bus transaction at its requestor.
+// txn is one outstanding bus transaction at its requestor. Records are
+// recycled once their completion fired; the bus slot, not the record,
+// identifies a transaction.
 type txn struct {
 	kind     ReqKind
 	addr     uint64
@@ -30,6 +32,8 @@ type txn struct {
 	killed bool
 	cancel sim.Canceler
 	done   func(uint64)
+	// val is the value done receives when the completion fires.
+	val uint64
 }
 
 // deferred is a response obligation postponed until our own pending data
@@ -62,22 +66,31 @@ type Node struct {
 	mem    map[uint64]uint64
 	memCLB *core.CLB
 
-	txns map[uint64]*txn
-	wbs  map[uint64]*wbBuf
-	defs map[uint64][]deferred
+	txns    map[uint64]*txn
+	wbs     map[uint64]wbBuf
+	defs    map[uint64][]deferred
+	txnPool sim.FreeList[txn]
 
 	gen    workload.Generator
 	ring   *core.RegRing
 	instrs uint64
 	// pendingData tracks blocks whose ownership we acquired at an
-	// earlier slot while the data is still in flight. owner goes false
-	// once a later-slot GETX supersedes us: we still complete our own
-	// transaction, but we no longer answer new snoops for the block.
-	pendingData map[uint64]*pendState
+	// earlier slot while the data is still in flight. The value (whether
+	// we own the block) goes false once a later-slot GETX supersedes us:
+	// we still complete our own transaction, but we no longer answer new
+	// snoops for the block.
+	pendingData map[uint64]bool
 
 	running  bool
 	inFlight bool
 	epoch    int
+	// op is the memory reference in flight (meaningful while inFlight).
+	op workload.Op
+	cb nodeCallbacks
+	// finishTxnFn and evictableFn are bound once so that completing a
+	// transaction or choosing a victim allocates no closure.
+	finishTxnFn func(any)
+	evictableFn func(*cache.Line) bool
 
 	// Stats.
 	Loads, Stores, Misses, Upgrades uint64
@@ -85,9 +98,20 @@ type Node struct {
 	Timeouts                        uint64
 }
 
-// pendState is the in-flight ownership marker (see Node.pendingData).
-type pendState struct {
-	owner bool
+// nodeCallbacks are a node's processor callbacks for one recovery epoch.
+// They are bound once per epoch and each captures that epoch, so an
+// event scheduled before a recovery finds itself stale when it fires,
+// and scheduling one allocates nothing.
+type nodeCallbacks struct {
+	// step re-runs the processor after a CLB-throttle pause.
+	step func()
+	// access performs the in-flight reference once its compute burst
+	// elapsed (and retries it while its block is mid-writeback).
+	access func()
+	// complete retires the in-flight reference; txnDone does so for a
+	// reference that needed a bus transaction.
+	complete func()
+	txnDone  func(uint64)
 }
 
 type nodeSnap struct {
@@ -106,15 +130,45 @@ func newNode(id int, sys *System, prof workload.Profile) *Node {
 		mem:         make(map[uint64]uint64),
 		memCLB:      core.NewCLB(sys.cfg.CLBBytes/2, entryBytes),
 		txns:        make(map[uint64]*txn),
-		wbs:         make(map[uint64]*wbBuf),
+		wbs:         make(map[uint64]wbBuf),
 		defs:        make(map[uint64][]deferred),
 		gen:         workload.NewSynthetic(prof, id, sys.cfg.Seed),
 		ring:        core.NewRegRing(),
-		pendingData: make(map[uint64]*pendState),
+		pendingData: make(map[uint64]bool),
 		ccn:         1,
 	}
 	n.ring.Add(1, nodeSnap{gen: n.gen.Snapshot(), instrs: 0})
+	n.finishTxnFn = n.finishTxn
+	n.evictableFn = n.evictable
+	n.bindEpoch()
 	return n
+}
+
+// bindEpoch builds the processor callbacks of the current epoch.
+func (n *Node) bindEpoch() {
+	ep := n.epoch
+	complete := func() {
+		if n.epoch != ep {
+			return
+		}
+		n.instrs += uint64(n.op.NonMemInstrs) + 1
+		n.inFlight = false
+		n.step()
+	}
+	n.cb = nodeCallbacks{
+		step: func() {
+			if n.epoch == ep {
+				n.step()
+			}
+		},
+		access: func() {
+			if n.epoch == ep {
+				n.access()
+			}
+		},
+		complete: complete,
+		txnDone:  func(uint64) { complete() },
+	}
 }
 
 // CCN returns the node's current checkpoint number (its logical clock:
@@ -133,7 +187,7 @@ func (n *Node) memData(addr uint64) uint64 {
 // line, a parked writeback, or ownership acquired at an earlier slot with
 // data still in flight.
 func (n *Node) ownsNow(addr uint64) bool {
-	if ps, ok := n.pendingData[addr]; ok && ps.owner {
+	if n.pendingData[addr] {
 		return true
 	}
 	if _, ok := n.wbs[addr]; ok {
@@ -256,7 +310,7 @@ func (n *Node) selfSnoop(r *Request, hadOwner bool, home int) {
 	// Ownership (for GETX) moves to us at this slot even though the data
 	// is still in flight; we must answer later snoops for this block.
 	if t.kind == BusGETX {
-		n.pendingData[t.addr] = &pendState{owner: true}
+		n.pendingData[t.addr] = true
 		// Our stale copy, if any, is superseded by the incoming data.
 		n.l2.Invalidate(t.addr)
 	}
@@ -271,12 +325,12 @@ func (n *Node) selfSnoop(r *Request, hadOwner bool, home int) {
 // ownership when exclusive. If our own data is still in flight, the
 // obligation is deferred in slot order.
 func (n *Node) respond(r *Request, exclusive bool) {
-	if ps, ok := n.pendingData[r.Addr]; ok {
+	if _, ok := n.pendingData[r.Addr]; ok {
 		n.defs[r.Addr] = append(n.defs[r.Addr], deferred{kind: r.Kind, requestor: r.Requestor, slot: r.Slot})
 		if exclusive {
 			// The requestor owns the block from this slot on; we only
 			// owe it the data once ours arrives.
-			ps.owner = false
+			n.pendingData[r.Addr] = false
 		}
 		return
 	}
@@ -318,6 +372,8 @@ func (n *Node) respond(r *Request, exclusive bool) {
 // acquire completes a transaction: install/upgrade the line at the
 // transfer CN, apply the pending store under the logging rule, release
 // any deferred obligations, and notify the coordinator.
+//
+//snvet:alloc-free
 func (n *Node) acquire(t *txn, data uint64, cn msg.CN) {
 	delete(n.pendingData, t.addr)
 	if t.killed {
@@ -327,10 +383,7 @@ func (n *Node) acquire(t *txn, data uint64, cn msg.CN) {
 		t.cancel.Cancel()
 		delete(n.txns, t.addr)
 		n.sys.txnDone(n)
-		if t.done != nil {
-			val := data
-			n.sys.eng.After(1, func() { t.done(val) })
-		}
+		n.completeTxn(t, data)
 		return
 	}
 	st := cache.Shared
@@ -354,23 +407,45 @@ func (n *Node) acquire(t *txn, data uint64, cn msg.CN) {
 	t.cancel.Cancel()
 	delete(n.txns, t.addr)
 	n.sys.txnDone(n)
-	done := t.done
 	val := l.Data
 
 	// Serve obligations deferred while our data was in flight.
 	if pend := n.defs[t.addr]; len(pend) > 0 {
 		delete(n.defs, t.addr)
 		for _, d := range pend {
-			n.respond(&Request{Kind: d.kind, Addr: t.addr, Requestor: d.requestor, Slot: d.slot},
-				d.kind == BusGETX)
+			r := Request{Kind: d.kind, Addr: t.addr, Requestor: d.requestor, Slot: d.slot}
+			n.respond(&r, d.kind == BusGETX)
 		}
 	}
-	if done != nil {
-		n.sys.eng.After(1, func() { done(val) })
+	n.completeTxn(t, val)
+}
+
+// completeTxn hands val to t's callback a cycle later; t, already out of
+// the transaction table, is recycled when the callback fires.
+//
+//snvet:alloc-free
+func (n *Node) completeTxn(t *txn, val uint64) {
+	if t.done == nil {
+		n.txnPool.Put(t)
+		return
 	}
+	t.val = val
+	n.sys.eng.AfterArg(1, n.finishTxnFn, t)
+}
+
+// finishTxn fires a completed transaction's callback.
+//
+//snvet:alloc-free
+func (n *Node) finishTxn(a any) {
+	t := a.(*txn)
+	done, val := t.done, t.val
+	n.txnPool.Put(t)
+	done(val)
 }
 
 // installLine places a block, evicting an owned victim through a PUTX.
+//
+//snvet:alloc-free
 func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) *cache.Line {
 	if l := n.l2.Lookup(addr); l != nil {
 		l.State = st
@@ -378,11 +453,7 @@ func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) 
 		n.l2.Touch(l)
 		return l
 	}
-	v := n.l2.Victim(addr, func(l *cache.Line) bool {
-		_, wb := n.wbs[l.Addr]
-		_, pend := n.pendingData[l.Addr]
-		return n.txns[l.Addr] == nil && !wb && !pend
-	})
+	v := n.l2.Victim(addr, n.evictableFn)
 	if v == nil {
 		panic(fmt.Sprintf("snoop: node %d no evictable frame for %#x", n.id, addr))
 	}
@@ -398,11 +469,20 @@ func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) 
 			}
 			n.TransfersLogged++
 		}
-		n.wbs[v.Addr] = &wbBuf{data: v.Data, cn: core.UpdatedCN(n.ccn), state: v.State}
-		n.sys.bus.Issue(&Request{Kind: BusPUTX, Addr: v.Addr, Requestor: n.id, Data: v.Data})
+		n.wbs[v.Addr] = wbBuf{data: v.Data, cn: core.UpdatedCN(n.ccn), state: v.State}
+		r := Request{Kind: BusPUTX, Addr: v.Addr, Requestor: n.id, Data: v.Data}
+		n.sys.bus.Issue(&r)
 	}
 	n.l2.Install(v, addr, st, cn, data)
 	return n.l2.Lookup(addr)
+}
+
+// evictable reports whether a frame may be replaced: nothing is pending
+// on its block.
+func (n *Node) evictable(l *cache.Line) bool {
+	_, wb := n.wbs[l.Addr]
+	_, pend := n.pendingData[l.Addr]
+	return n.txns[l.Addr] == nil && !wb && !pend
 }
 
 // ready returns the highest checkpoint this node agrees to validate.
@@ -420,12 +500,14 @@ func (n *Node) ready() msg.CN {
 func (n *Node) recoverTo(rpcn msg.CN) {
 	for _, t := range n.txns {
 		t.cancel.Cancel()
+		n.txnPool.Put(t)
 	}
-	n.txns = make(map[uint64]*txn)
-	n.wbs = make(map[uint64]*wbBuf)
-	n.defs = make(map[uint64][]deferred)
-	n.pendingData = make(map[uint64]*pendState)
+	clear(n.txns)
+	clear(n.wbs)
+	clear(n.defs)
+	clear(n.pendingData)
 	n.epoch++
+	n.bindEpoch()
 	n.inFlight = false
 	n.running = false
 
@@ -475,6 +557,8 @@ func (n *Node) recoverTo(rpcn msg.CN) {
 
 // step runs the node's blocking processor: a non-memory burst, then one
 // reference.
+//
+//snvet:alloc-free
 func (n *Node) step() {
 	if !n.running || n.inFlight {
 		return
@@ -484,49 +568,27 @@ func (n *Node) step() {
 	// while the log is nearly full (the paper's "throttle requests from
 	// the CPU", adapted to the ordered substrate).
 	if n.clb.Len() > n.clb.CapEntries()*9/10 {
-		ep := n.epoch
-		n.sys.eng.After(200, func() {
-			if n.epoch == ep {
-				n.step()
-			}
-		})
+		n.sys.eng.After(200, n.cb.step)
 		return
 	}
 	n.inFlight = true
-	ep := n.epoch
-	op := n.gen.Next()
-	compute := sim.Time(op.NonMemInstrs / 4)
-	n.sys.eng.After(compute, func() {
-		if n.epoch != ep {
-			return
-		}
-		n.access(op, ep)
-	})
+	n.op = n.gen.Next()
+	n.sys.eng.After(sim.Time(n.op.NonMemInstrs/4), n.cb.access)
 }
 
-func (n *Node) access(op workload.Op, ep int) {
-	complete := func(lat sim.Time) {
-		n.sys.eng.After(lat, func() {
-			if n.epoch != ep {
-				return
-			}
-			n.instrs += uint64(op.NonMemInstrs) + 1
-			n.inFlight = false
-			n.step()
-		})
-	}
+// access performs the in-flight reference.
+//
+//snvet:alloc-free
+func (n *Node) access() {
+	op := &n.op
 	if op.IsIO {
-		complete(1)
+		n.sys.eng.After(1, n.cb.complete)
 		return
 	}
 	if _, parked := n.wbs[op.Addr]; parked {
 		// The block is mid-writeback; retry once the PUTX broadcast
 		// orders it (nobody would respond to our request before then).
-		n.sys.eng.After(100, func() {
-			if n.epoch == ep {
-				n.access(op, ep)
-			}
-		})
+		n.sys.eng.After(100, n.cb.access)
 		return
 	}
 	l := n.l2.Lookup(op.Addr)
@@ -534,26 +596,28 @@ func (n *Node) access(op workload.Op, ep int) {
 		n.Loads++
 		if l != nil {
 			n.l2.Touch(l)
-			complete(2)
+			n.sys.eng.After(2, n.cb.complete)
 			return
 		}
-		n.issue(BusGETS, op, ep)
+		n.issue(BusGETS)
 		return
 	}
 	n.Stores++
 	if l != nil && l.State == cache.Modified {
 		n.l2.Touch(l)
 		n.storeApply(l, op.StoreVal)
-		complete(2)
+		n.sys.eng.After(2, n.cb.complete)
 		return
 	}
 	if l != nil {
 		n.Upgrades++
 	}
-	n.issue(BusGETX, op, ep)
+	n.issue(BusGETX)
 }
 
 // storeApply performs a store under the SafetyNet logging rule.
+//
+//snvet:alloc-free
 func (n *Node) storeApply(l *cache.Line, val uint64) {
 	if core.ShouldLog(l.CN, n.ccn) {
 		if !n.clb.Append(core.Entry{
@@ -568,27 +632,30 @@ func (n *Node) storeApply(l *cache.Line, val uint64) {
 	l.Data = val
 }
 
-// issue broadcasts a request and blocks until data arrives.
-func (n *Node) issue(kind ReqKind, op workload.Op, ep int) {
+// issue broadcasts a request for the in-flight reference and blocks
+// until data arrives.
+//
+//snvet:alloc-free
+func (n *Node) issue(kind ReqKind) {
 	n.Misses++
-	t := &txn{
+	op := &n.op
+	t := n.txnPool.Get()
+	*t = txn{
 		kind: kind, addr: op.Addr, isStore: op.IsStore, storeVal: op.StoreVal,
-		startCCN: n.ccn,
-		done: func(uint64) {
-			if n.epoch != ep {
-				return
-			}
-			n.instrs += uint64(op.NonMemInstrs) + 1
-			n.inFlight = false
-			n.step()
-		},
+		startCCN: n.ccn, done: n.cb.txnDone,
 	}
 	n.txns[op.Addr] = t
-	t.slot = n.sys.bus.Issue(&Request{Kind: kind, Addr: op.Addr, Requestor: n.id})
-	t.cancel = n.sys.eng.ScheduleCancelable(n.sys.eng.Now()+n.sys.cfg.TimeoutCycles, func() {
-		n.Timeouts++
-		n.sys.Recover()
-	})
+	r := Request{Kind: kind, Addr: op.Addr, Requestor: n.id}
+	t.slot = n.sys.bus.Issue(&r)
+	t.cancel = n.sys.eng.ScheduleCancelableArg(n.sys.eng.Now()+n.sys.cfg.TimeoutCycles, txnTimeout, n)
+}
+
+// txnTimeout fires when a transaction went unanswered: a fault ate its
+// data. The timeout is canceled before its record is recycled.
+func txnTimeout(a any) {
+	n := a.(*Node)
+	n.Timeouts++
+	n.sys.Recover()
 }
 
 // dataArrived completes an outstanding transaction.
