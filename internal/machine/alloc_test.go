@@ -12,8 +12,9 @@ import (
 // TestWarmMachineAllocsPerRequest bounds the steady-state allocation
 // rate of the directory machine: once the Table 2 OLTP machine is warm,
 // a coherence request (and everything the processor does between
-// requests) allocates almost nothing. The collector is off in the
-// measured window so the message and transit pools keep their items.
+// requests) allocates almost nothing, and its event queue holds only
+// live events. The collector is off in the measured window so the
+// message and transit pools keep their items.
 func TestWarmMachineAllocsPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -44,5 +45,11 @@ func TestWarmMachineAllocsPerRequest(t *testing.T) {
 		after.Mallocs-before.Mallocs, reqs, perReq)
 	if perReq > 0.5 {
 		t.Fatalf("%.2f allocations per coherence request, want <= 0.5", perReq)
+	}
+	// Every request arms a timeout far beyond the calendar window, and a
+	// cancelled one leaves the queue at once, so the warm queue holds
+	// only live events: a handful per node.
+	if pend, bound := m.Eng.Pending(), 8*len(m.Nodes); pend > bound {
+		t.Fatalf("%d events pending on %d nodes, want <= %d", pend, len(m.Nodes), bound)
 	}
 }

@@ -23,8 +23,9 @@
 // cycle over a wheelSize-cycle window, with a binary min-heap overflow for
 // events beyond the horizon. Events live in value-typed slots recycled
 // through a free list, so steady-state scheduling performs no heap
-// allocation; cancellation uses generation-counted handles instead of a
-// per-call heap-allocated flag.
+// allocation. Cancellation uses generation-counted handles, and a
+// cancelled event leaves the queue at once — unlinked from its bucket or
+// deleted from the overflow heap — so the queue holds only live events.
 package sim
 
 import "fmt"
@@ -49,17 +50,20 @@ const (
 
 // slot is one pending event. Slots are stored by value in a grow-only
 // arena and recycled through a free list; gen counts reuses so stale
-// Cancelers become harmless no-ops.
+// Cancelers become harmless no-ops. hidx is the slot's position in the
+// overflow heap, kept current by the sift routines, or -1 while the event
+// sits in a wheel bucket: it lets Cancel take the event out of whichever
+// structure holds it and free the slot at once.
 type slot struct {
-	fn       Event
-	afn      func(any)
-	arg      any
-	at       Time
-	owner    int32
-	key      uint64
-	next     int32
-	gen      uint32
-	canceled bool
+	fn    Event
+	afn   func(any)
+	arg   any
+	at    Time
+	key   uint64
+	owner int32
+	next  int32
+	gen   uint32
+	hidx  int32
 }
 
 // bucket is a key-ordered list of slots for one cycle, linked through
@@ -208,7 +212,6 @@ func (e *Engine) freeSlot(i int32) {
 	s := &e.slots[i]
 	s.gen++
 	s.fn, s.afn, s.arg = nil, nil, nil
-	s.canceled = false
 	s.next = e.free
 	e.free = i
 }
@@ -252,6 +255,29 @@ func (e *Engine) bucketInsert(b *bucket, i int32) {
 	}
 }
 
+// bucketUnlink removes slot i from bucket b. A bucket holds one cycle's
+// events, so the walk to i's predecessor is short.
+//
+//snvet:alloc-free
+func (e *Engine) bucketUnlink(b *bucket, i int32) {
+	next := e.slots[i].next
+	if b.head == i {
+		b.head = next
+		if next < 0 {
+			b.tail = -1
+		}
+		return
+	}
+	prev := b.head
+	for e.slots[prev].next != i {
+		prev = e.slots[prev].next
+	}
+	e.slots[prev].next = next
+	if b.tail == i {
+		b.tail = prev
+	}
+}
+
 // enqueue places an already-filled slot into the wheel or the overflow.
 //
 //snvet:alloc-free
@@ -261,6 +287,7 @@ func (e *Engine) enqueue(i int32) {
 		e.pkValid = false
 	}
 	if s.at < e.base+wheelSize {
+		s.hidx = -1
 		e.bucketInsert(&e.buckets[s.at&wheelMask], i)
 		e.wheelCount++
 	} else {
@@ -281,7 +308,6 @@ func (e *Engine) schedule(at Time, fn Event, afn func(any), arg any) int32 {
 	s.fn, s.afn, s.arg = fn, afn, arg
 	s.at, s.owner, s.key = at, owner, c.local
 	c.local++
-	s.canceled = false
 	e.enqueue(i)
 	return i
 }
@@ -316,7 +342,6 @@ func (e *Engine) enqueueKeyed(at Time, owner int32, key uint64, fn Event, afn fu
 	s := &e.slots[i]
 	s.fn, s.afn, s.arg = fn, afn, arg
 	s.at, s.owner, s.key = at, owner, key
-	s.canceled = false
 	e.enqueue(i)
 }
 
@@ -352,35 +377,50 @@ func (e *Engine) AfterArg(delay Time, fn func(any), arg any) {
 	e.schedule(e.now+delay, nil, fn, arg)
 }
 
-// Canceler cancels a previously scheduled event. The zero value is valid
-// and cancels nothing; calling Cancel after the event has fired (or twice)
-// is a harmless no-op — the generation count makes stale handles inert.
+// Canceler takes a previously scheduled event out of the queue. The zero
+// value is valid and cancels nothing; calling Cancel after the event has
+// fired (or twice) is a harmless no-op — the generation count makes stale
+// handles inert.
 type Canceler struct {
 	e   *Engine
 	idx int32
 	gen uint32
 }
 
-// Cancel marks the event so it is skipped at dispatch. Safe on the zero
-// value and after the event fired.
+// Cancel removes the event from the queue and recycles its slot at once,
+// so it never fires and no longer counts in Pending: an event beyond the
+// calendar window is deleted from the overflow heap in O(log n), one
+// inside it is unlinked from its cycle's bucket. Safe on the zero value,
+// after the event fired, and twice.
+//
+//snvet:alloc-free
 func (c Canceler) Cancel() {
 	if c.e == nil {
 		return
 	}
-	s := &c.e.slots[c.idx]
+	e := c.e
+	s := &e.slots[c.idx]
 	if s.gen != c.gen {
-		return // already fired, drained, or slot reused
+		return // already fired, cancelled, drained, or slot reused
 	}
-	s.canceled = true
-	// Drop callback references early; the slot itself is recycled when
-	// its bucket (or the overflow) reaches it.
-	s.fn, s.afn, s.arg = nil, nil, nil
-	c.e.pkValid = false
+	if e.pkValid && s.owner == e.pkOwner && s.key == e.pkKey {
+		e.pkValid = false // (owner, key) is unique among pending events
+	}
+	if s.hidx >= 0 {
+		e.ovRemove(int(s.hidx))
+	} else {
+		e.bucketUnlink(&e.buckets[s.at&wheelMask], c.idx)
+		e.wheelCount--
+	}
+	e.pending--
+	e.freeSlot(c.idx)
 }
 
-// ScheduleCancelable is like Schedule but returns a Canceler. It is used
-// for timeout events that are usually canceled (transaction timeouts fire
-// only when a fault ate the response).
+// ScheduleCancelable is like Schedule but returns a Canceler whose Cancel
+// takes the event out of the queue at once. It is used for timeout
+// events that are usually cancelled (transaction timeouts fire only when
+// a fault ate the response), so a cancelled timeout leaves nothing behind
+// to migrate or dispatch.
 func (e *Engine) ScheduleCancelable(at Time, fn Event) Canceler {
 	i := e.schedule(at, fn, nil, nil)
 	return Canceler{e: e, idx: i, gen: e.slots[i].gen}
@@ -388,7 +428,7 @@ func (e *Engine) ScheduleCancelable(at Time, fn Event) Canceler {
 
 // ScheduleCancelableArg is ScheduleCancelable for a long-lived func(any)
 // and its argument, so arming a per-transaction timeout allocates no
-// closure.
+// closure; cancelling it dequeues the event at once, as Cancel describes.
 //
 //snvet:alloc-free
 func (e *Engine) ScheduleCancelableArg(at Time, fn func(any), arg any) Canceler {
@@ -402,48 +442,85 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
+// ovSet stores v at overflow-heap position i and records the position in
+// v's slot.
+//
+//snvet:alloc-free
+func (e *Engine) ovSet(i int, v ovEntry) {
+	e.overflow[i] = v
+	e.slots[v.idx].hidx = int32(i)
+}
+
+// ovUp moves the entry at heap position i toward the root until the heap
+// order holds.
+//
+//snvet:alloc-free
+func (e *Engine) ovUp(i int) {
+	h := e.overflow
+	v := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ovLess(v, h[p]) {
+			break
+		}
+		e.ovSet(i, h[p])
+		i = p
+	}
+	e.ovSet(i, v)
+}
+
+// ovDown moves the entry at heap position i toward the leaves until the
+// heap order holds.
+//
+//snvet:alloc-free
+func (e *Engine) ovDown(i int) {
+	h := e.overflow
+	n := len(h)
+	v := h[i]
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && ovLess(h[r], h[m]) {
+			m = r
+		}
+		if !ovLess(h[m], v) {
+			break
+		}
+		e.ovSet(i, h[m])
+		i = m
+	}
+	e.ovSet(i, v)
+}
+
 // ovPush inserts an entry into the overflow min-heap.
 //
 //snvet:alloc-free
 func (e *Engine) ovPush(v ovEntry) {
 	e.overflow = append(e.overflow, v) //snvet:alloc-ok amortized overflow-heap growth
-	i := len(e.overflow) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ovLess(e.overflow[i], e.overflow[p]) {
-			break
-		}
-		e.overflow[i], e.overflow[p] = e.overflow[p], e.overflow[i]
-		i = p
-	}
+	e.ovUp(len(e.overflow) - 1)
 }
 
-// ovPop removes and returns the minimum overflow entry.
+// ovRemove deletes the entry at heap position i — the minimum when i is
+// 0, any position for a cancelled event — and returns its slot index.
 //
 //snvet:alloc-free
-func (e *Engine) ovPop() ovEntry {
+func (e *Engine) ovRemove(i int) int32 {
 	h := e.overflow
-	top := h[0]
+	idx := h[i].idx
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	e.overflow = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && ovLess(h[l], h[m]) {
-			m = l
+	if i < n {
+		h[i] = last // the sift records last's final position
+		if i > 0 && ovLess(last, h[(i-1)/2]) {
+			e.ovUp(i)
+		} else {
+			e.ovDown(i)
 		}
-		if r < n && ovLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
-	return top
+	return idx
 }
 
 func ovLess(a, b ovEntry) bool {
@@ -456,8 +533,9 @@ func ovLess(a, b ovEntry) bool {
 func (e *Engine) migrate() {
 	horizon := e.base + wheelSize
 	for len(e.overflow) > 0 && e.overflow[0].at < horizon {
-		v := e.ovPop()
-		e.bucketInsert(&e.buckets[v.at&wheelMask], v.idx)
+		i := e.ovRemove(0)
+		e.slots[i].hidx = -1
+		e.bucketInsert(&e.buckets[e.slots[i].at&wheelMask], i)
 		e.wheelCount++
 	}
 }
@@ -493,11 +571,8 @@ func (e *Engine) Run(until Time) Time {
 			e.wheelCount--
 			e.pending--
 			at, owner := s.at, s.owner
-			fn, afn, arg, canceled := s.fn, s.afn, s.arg, s.canceled
+			fn, afn, arg := s.fn, s.afn, s.arg
 			e.freeSlot(i)
-			if canceled {
-				continue
-			}
 			e.now = at
 			e.curOwner = owner
 			e.executed++
@@ -562,47 +637,29 @@ func (e *Engine) AdvanceTo(t Time) {
 }
 
 // peek returns the (cycle, owner, key) of the earliest pending event
-// without dispatching it, sweeping canceled events it passes. The result
-// is cached until a mutation could change it.
+// without dispatching it. Every queued event is live, so that is the head
+// of the first non-empty bucket, or the overflow minimum when the wheel
+// is empty. The result is cached until a mutation could change it.
 func (e *Engine) peek() (at Time, owner int32, key uint64, ok bool) {
 	if e.pkValid {
 		return e.pkAt, e.pkOwner, e.pkKey, true
 	}
-	for e.pending > 0 {
-		if e.wheelCount == 0 {
-			v := e.overflow[0]
-			if e.slots[v.idx].canceled {
-				e.ovPop()
-				e.freeSlot(v.idx)
-				e.pending--
-				continue
-			}
-			e.pkValid, e.pkAt, e.pkOwner, e.pkKey = true, v.at, v.owner, v.key
-			return v.at, v.owner, v.key, true
+	switch {
+	case e.wheelCount > 0:
+		c := e.base
+		for e.buckets[c&wheelMask].head < 0 {
+			c++
 		}
-		for c := e.base; ; c++ {
-			b := &e.buckets[c&wheelMask]
-			for b.head >= 0 && e.slots[b.head].canceled {
-				i := b.head
-				b.head = e.slots[i].next
-				if b.head < 0 {
-					b.tail = -1
-				}
-				e.wheelCount--
-				e.pending--
-				e.freeSlot(i)
-			}
-			if b.head >= 0 {
-				s := &e.slots[b.head]
-				e.pkValid, e.pkAt, e.pkOwner, e.pkKey = true, s.at, s.owner, s.key
-				return s.at, s.owner, s.key, true
-			}
-			if e.wheelCount == 0 {
-				break // wheel held only canceled events; retry overflow
-			}
-		}
+		s := &e.slots[e.buckets[c&wheelMask].head]
+		at, owner, key = s.at, s.owner, s.key
+	case len(e.overflow) > 0:
+		v := &e.overflow[0]
+		at, owner, key = v.at, v.owner, v.key
+	default:
+		return 0, 0, 0, false
 	}
-	return 0, 0, 0, false
+	e.pkValid, e.pkAt, e.pkOwner, e.pkKey = true, at, owner, key
+	return at, owner, key, true
 }
 
 // stepOne dispatches exactly the earliest pending event (the one peek
@@ -621,30 +678,21 @@ func (e *Engine) stepOne() {
 		e.migrate()
 	}
 	b := &e.buckets[at&wheelMask]
-	for b.head >= 0 {
-		i := b.head
-		s := &e.slots[i]
-		b.head = s.next
-		if b.head < 0 {
-			b.tail = -1
-		}
-		e.wheelCount--
-		e.pending--
-		owner := s.owner
-		fn, afn, arg, canceled := s.fn, s.afn, s.arg, s.canceled
-		e.freeSlot(i)
-		if canceled {
-			continue
-		}
-		e.now = at
-		e.curOwner = owner
-		e.executed++
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return
+	i := b.head
+	s := &e.slots[i]
+	e.bucketUnlink(b, i)
+	e.wheelCount--
+	e.pending--
+	owner := s.owner
+	fn, afn, arg := s.fn, s.afn, s.arg
+	e.freeSlot(i)
+	e.now = at
+	e.curOwner = owner
+	e.executed++
+	if fn != nil {
+		fn()
+	} else {
+		afn(arg)
 	}
 }
 

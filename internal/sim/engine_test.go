@@ -106,7 +106,12 @@ func TestEngineCancelable(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	cancel := e.ScheduleCancelable(10, func() { fired = true })
+	far := e.ScheduleCancelable(10*wheelSize, func() { fired = true })
 	cancel.Cancel()
+	far.Cancel()
+	if e.Pending() != 0 {
+		t.Fatalf("pending after cancel = %d, want 0: a cancelled event leaves the queue at once", e.Pending())
+	}
 	e.Run(20)
 	if fired {
 		t.Fatal("canceled event must not fire")

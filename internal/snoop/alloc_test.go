@@ -12,9 +12,9 @@ import (
 // TestWarmSystemAllocsPerMiss bounds the steady-state allocation rate of
 // the snooping system at the Table 2 geometry: once warm, processor references, bus
 // transactions and data messages allocate almost nothing, so a miss
-// (with the hits between misses) costs at most one allocation. The
-// collector is off in the measured window so the data-message pool
-// keeps its items.
+// (with the hits between misses) costs at most one allocation, and the
+// event queue holds only live events. The collector is off in the
+// measured window so the data-message pool keeps its items.
 func TestWarmSystemAllocsPerMiss(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -45,5 +45,11 @@ func TestWarmSystemAllocsPerMiss(t *testing.T) {
 		after.Mallocs-before.Mallocs, ms, perMiss)
 	if perMiss > 1 {
 		t.Fatalf("%.2f allocations per miss, want <= 1", perMiss)
+	}
+	// Every bus transaction arms a timeout, and a cancelled one leaves
+	// the queue at once, so the warm queue holds only live events: a
+	// handful per node.
+	if pend, bound := s.eng.Pending(), 8*len(s.nodes); pend > bound {
+		t.Fatalf("%d events pending on %d nodes, want <= %d", pend, len(s.nodes), bound)
 	}
 }
