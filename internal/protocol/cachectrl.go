@@ -135,9 +135,10 @@ type CacheController struct {
 	// recovery must not resume.
 	epoch int
 
-	mshrs       map[uint64]*mshr
-	wbs         map[uint64]*wbEntry
-	outstanding map[msg.CN]int
+	mshrs map[uint64]*mshr
+	wbs   map[uint64]*wbEntry
+	// busy counts the in-flight MSHRs and writebacks by start CN.
+	busy core.BusyQueue
 
 	// Recycled transaction and deferred-action records.
 	mshrPool     sim.FreeList[mshr]
@@ -171,13 +172,12 @@ type CacheController struct {
 func NewCacheController(node int, eng *sim.Engine, nw *network.Network, p config.Params, home HomeFunc) *CacheController {
 	cc := &CacheController{
 		node: node, eng: eng, nw: nw, p: p, home: home,
-		sn:          p.SafetyNetEnabled,
-		l1:          cache.NewArray(p.L1Sets(), p.L1Ways, p.BlockBytes),
-		l2:          cache.NewArray(p.L2Sets(), p.L2Ways, p.BlockBytes),
-		ccn:         1,
-		mshrs:       make(map[uint64]*mshr),
-		wbs:         make(map[uint64]*wbEntry),
-		outstanding: make(map[msg.CN]int),
+		sn:    p.SafetyNetEnabled,
+		l1:    cache.NewArray(p.L1Sets(), p.L1Ways, p.BlockBytes),
+		l2:    cache.NewArray(p.L2Sets(), p.L2Ways, p.BlockBytes),
+		ccn:   1,
+		mshrs: make(map[uint64]*mshr),
+		wbs:   make(map[uint64]*wbEntry),
 	}
 	if cc.sn {
 		cc.clb = core.NewCLB(p.CLBBytes/2, p.CLBEntryBytes)
@@ -247,16 +247,9 @@ func (cc *CacheController) OnValidate(rpcn msg.CN) {
 // validate: its CCN, bounded by the start interval of its oldest
 // outstanding transaction (paper §3.5 — a cache controller only agrees to
 // validate a checkpoint once every transaction it initiated in an earlier
-// interval completed successfully).
-func (cc *CacheController) ReadyCkpt() msg.CN {
-	r := cc.ccn
-	for start, n := range cc.outstanding {
-		if n > 0 && start < r {
-			r = start
-		}
-	}
-	return r
-}
+// interval completed successfully). It reads the head of the busy queue,
+// which counts in-flight MSHRs and writebacks by start CN.
+func (cc *CacheController) ReadyCkpt() msg.CN { return cc.busy.Ready(cc.ccn) }
 
 // shouldLog applies the update-action logging rule, or logs
 // unconditionally under the dedup ablation.
@@ -514,7 +507,7 @@ func (cc *CacheController) startTxn(addr uint64, isStore bool, val uint64, doneL
 		startCCN: cc.ccn, doneLoad: doneLoad, doneStore: doneStore,
 	}
 	cc.mshrs[addr] = m
-	cc.outstanding[m.startCCN]++
+	cc.busy.Add(m.startCCN)
 	cc.sendRequest(m)
 }
 
@@ -569,10 +562,7 @@ func (cc *CacheController) mshrTimeout(a any) {
 func (cc *CacheController) completeTxn(m *mshr) {
 	m.cancelTimeout.Cancel()
 	delete(cc.mshrs, m.addr)
-	cc.outstanding[m.startCCN]--
-	if cc.outstanding[m.startCCN] == 0 {
-		delete(cc.outstanding, m.startCCN)
-	}
+	cc.busy.Done(m.startCCN)
 	cc.mshrPool.Put(m)
 	if cc.OnReadyChange != nil {
 		cc.OnReadyChange()
@@ -947,10 +937,7 @@ func (cc *CacheController) onWBResponse(m *msg.Message) {
 func (cc *CacheController) resolveWB(wb *wbEntry) {
 	wb.cancelTimeout.Cancel()
 	delete(cc.wbs, wb.addr)
-	cc.outstanding[wb.startCCN]--
-	if cc.outstanding[wb.startCCN] == 0 {
-		delete(cc.outstanding, wb.startCCN)
-	}
+	cc.busy.Done(wb.startCCN)
 	if cc.OnReadyChange != nil {
 		cc.OnReadyChange()
 	}
@@ -1042,7 +1029,7 @@ func (cc *CacheController) startWriteback(v *cache.Line) {
 		onResolve: wb.onResolve[:0],
 	}
 	cc.wbs[v.Addr] = wb
-	cc.outstanding[wb.startCCN]++
+	cc.busy.Add(wb.startCCN)
 	cc.stats.Writebacks++
 	cc.bw.CoherenceCycles += cc.blockCycles()
 	cc.sendPUTX(wb)
@@ -1093,7 +1080,7 @@ func (cc *CacheController) Recover(rpcn msg.CN, flushToMem func(addr, data uint6
 	}
 	clear(cc.mshrs)
 	clear(cc.wbs)
-	clear(cc.outstanding)
+	cc.busy.Reset()
 	cc.epoch++
 
 	n := 0

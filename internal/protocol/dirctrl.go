@@ -24,8 +24,9 @@ type DirStats struct {
 	CLBStallCycles uint64
 }
 
-// pending describes the transaction currently holding a directory entry
-// busy.
+// pending describes the transaction holding a directory entry busy until
+// the requestor's final acknowledgment (a 2-hop GETS holds its entry busy
+// with no pending record: no acknowledgment closes it).
 type pending struct {
 	typ       msg.Type // GETS or GETX
 	requestor int
@@ -76,10 +77,11 @@ type DirController struct {
 	entries map[uint64]*dirEntry
 	clb     *core.CLB
 
-	ccn        msg.CN
-	busyStarts map[msg.CN]int
-	busyUntil  sim.Time
-	jitter     *sim.Rand
+	ccn msg.CN
+	// busy counts the transactions awaiting AckDone by start CN.
+	busy      core.BusyQueue
+	busyUntil sim.Time
+	jitter    *sim.Rand
 
 	// The *Fn callbacks are bound once so that deferred dispatch, memory
 	// replies and stall retries allocate no closure per message.
@@ -99,12 +101,11 @@ type DirController struct {
 func NewDirController(node int, eng *sim.Engine, nw *network.Network, p config.Params) *DirController {
 	dc := &DirController{
 		node: node, eng: eng, nw: nw, p: p,
-		sn:         p.SafetyNetEnabled,
-		mem:        make(map[uint64]uint64),
-		entries:    make(map[uint64]*dirEntry),
-		ccn:        1,
-		busyStarts: make(map[msg.CN]int),
-		jitter:     sim.NewRand(p.Seed ^ uint64(node)<<32 ^ 0xd1ec7),
+		sn:      p.SafetyNetEnabled,
+		mem:     make(map[uint64]uint64),
+		entries: make(map[uint64]*dirEntry),
+		ccn:     1,
+		jitter:  sim.NewRand(p.Seed ^ uint64(node)<<32 ^ 0xd1ec7),
 	}
 	if dc.sn {
 		dc.clb = core.NewCLB(p.CLBBytes/2, p.CLBEntryBytes)
@@ -138,26 +139,14 @@ func (dc *DirController) OnValidate(rpcn msg.CN) {
 // validate: its CCN bounded by the start interval of its oldest busy
 // transaction (paper §3.5 — a directory controller only agrees to validate
 // after every transaction it forwarded completed, signalled by the
-// requestor's final acknowledgment).
-func (dc *DirController) ReadyCkpt() msg.CN {
-	r := dc.ccn
-	for start, n := range dc.busyStarts {
-		if n > 0 && start < r {
-			r = start
-		}
-	}
-	return r
-}
+// requestor's final acknowledgment). It reads the head of the busy queue,
+// which counts the transactions awaiting AckDone by start CN.
+func (dc *DirController) ReadyCkpt() msg.CN { return dc.busy.Ready(dc.ccn) }
 
-// BusyEntries returns the number of transactions currently holding
-// directory entries busy.
-func (dc *DirController) BusyEntries() int {
-	n := 0
-	for _, c := range dc.busyStarts {
-		n += c
-	}
-	return n
-}
+// BusyEntries returns the number of transactions awaiting the
+// requestor's AckDone: forwarded GETS and every GETX. A 2-hop GETS, whose
+// entry stays busy only until memory's reply leaves, is not counted.
+func (dc *DirController) BusyEntries() int { return dc.busy.Len() }
 
 // MemData returns the memory image's token for addr.
 func (dc *DirController) MemData(addr uint64) uint64 {
@@ -235,7 +224,6 @@ func (dc *DirController) sendReply(a any) {
 	}
 	if r.gets != nil {
 		r.gets.busy = false
-		r.gets.pend = pending{}
 	}
 	resp := msg.Alloc()
 	*resp = msg.Message{Type: r.typ, Src: dc.node, Dst: r.dst, Addr: r.addr, Txn: r.txn}
@@ -324,7 +312,6 @@ func (dc *DirController) onGETS(m *msg.Message) {
 		// cannot slip an invalidation ahead of the response.
 		e.sharers |= sharerBit(m.Src)
 		e.busy = true
-		e.pend = pending{typ: msg.GETS, requestor: m.Src, txn: m.Txn, startCCN: dc.ccn}
 		cn := msg.Null
 		if dc.sn {
 			cn = core.UpdatedCN(dc.ccn)
@@ -337,7 +324,7 @@ func (dc *DirController) onGETS(m *msg.Message) {
 	// itself if its copy sits in a writeback buffer).
 	e.busy = true
 	e.pend = pending{typ: msg.GETS, requestor: m.Src, txn: m.Txn, startCCN: dc.ccn}
-	dc.busyStarts[dc.ccn]++
+	dc.busy.Add(dc.ccn)
 	dc.stats.Forwards++
 	resp := msg.Alloc()
 	*resp = msg.Message{
@@ -365,7 +352,7 @@ func (dc *DirController) onGETX(m *msg.Message) {
 	ackCount := popcount(others)
 	e.busy = true
 	e.pend = pending{typ: msg.GETX, requestor: req, txn: m.Txn, startCCN: dc.ccn}
-	dc.busyStarts[dc.ccn]++
+	dc.busy.Add(dc.ccn)
 	for s := 0; s < dc.p.NumNodes; s++ {
 		if others&sharerBit(s) != 0 {
 			resp := msg.Alloc()
@@ -483,10 +470,7 @@ func (dc *DirController) onAckDone(m *msg.Message) {
 		e.sharers |= sharerBit(e.pend.requestor)
 	}
 	e.busy = false
-	dc.busyStarts[e.pend.startCCN]--
-	if dc.busyStarts[e.pend.startCCN] == 0 {
-		delete(dc.busyStarts, e.pend.startCCN)
-	}
+	dc.busy.Done(e.pend.startCCN)
 	e.pend = pending{}
 	msg.Release(m)
 	if dc.OnReadyChange != nil {
@@ -521,7 +505,7 @@ func (dc *DirController) Recover(rpcn msg.CN) int {
 		e.busy = false
 		e.pend = pending{}
 	}
-	dc.busyStarts = make(map[msg.CN]int)
+	dc.busy.Reset()
 	n := 0
 	if dc.clb != nil {
 		n = dc.clb.Unroll(func(e core.Entry) {

@@ -22,9 +22,14 @@ type txn struct {
 	startCCN msg.CN
 	slot     uint64
 	// selfSnooped is set once the requestor observed its own broadcast
-	// (the point of atomicity); needData says a data response is due.
+	// (the point of atomicity).
 	selfSnooped bool
-	needData    bool
+	// ownsInFlight is set once a GETX took ownership at its slot while
+	// its data is still in flight: later snoops of the block are ours to
+	// answer, deferred until the data arrives. stillOwner goes false when
+	// a later-slot GETX supersedes us: we still complete our own
+	// transaction, but no longer answer new snoops for the block.
+	ownsInFlight, stillOwner bool
 	// killed marks a GETS whose block was invalidated by a GETX ordered
 	// after our slot but before our data arrived: the load still
 	// completes with the (correctly ordered) data, but the S copy is
@@ -38,7 +43,7 @@ type txn struct {
 
 // deferred is a response obligation postponed until our own pending data
 // arrives (we became owner at an earlier slot but do not yet hold the
-// block).
+// block). It always concerns the block of the node's transaction.
 type deferred struct {
 	kind      ReqKind
 	requestor int
@@ -66,20 +71,18 @@ type Node struct {
 	mem    map[uint64]uint64
 	memCLB *core.CLB
 
-	txns    map[uint64]*txn
-	wbs     map[uint64]wbBuf
-	defs    map[uint64][]deferred
+	// txn is the bus transaction in flight, if any: the blocking
+	// processor never has more than one.
+	txn *txn
+	wbs map[uint64]wbBuf
+	// defs holds, in slot order, the obligations deferred while txn's
+	// data is in flight; it keeps its capacity across transactions.
+	defs    []deferred
 	txnPool sim.FreeList[txn]
 
 	gen    workload.Generator
 	ring   *core.RegRing
 	instrs uint64
-	// pendingData tracks blocks whose ownership we acquired at an
-	// earlier slot while the data is still in flight. The value (whether
-	// we own the block) goes false once a later-slot GETX supersedes us:
-	// we still complete our own transaction, but we no longer answer new
-	// snoops for the block.
-	pendingData map[uint64]bool
 
 	running  bool
 	inFlight bool
@@ -123,19 +126,16 @@ func newNode(id int, sys *System, prof workload.Profile) *Node {
 	// A log entry is an 8-byte address tag plus one block of old data.
 	entryBytes := 8 + sys.cfg.BlockBytes
 	n := &Node{
-		id:          id,
-		sys:         sys,
-		l2:          cache.NewArray(sys.cfg.L2Sets, sys.cfg.L2Ways, sys.cfg.BlockBytes),
-		clb:         core.NewCLB(sys.cfg.CLBBytes/2, entryBytes),
-		mem:         make(map[uint64]uint64),
-		memCLB:      core.NewCLB(sys.cfg.CLBBytes/2, entryBytes),
-		txns:        make(map[uint64]*txn),
-		wbs:         make(map[uint64]wbBuf),
-		defs:        make(map[uint64][]deferred),
-		gen:         workload.NewSynthetic(prof, id, sys.cfg.Seed),
-		ring:        core.NewRegRing(),
-		pendingData: make(map[uint64]bool),
-		ccn:         1,
+		id:     id,
+		sys:    sys,
+		l2:     cache.NewArray(sys.cfg.L2Sets, sys.cfg.L2Ways, sys.cfg.BlockBytes),
+		clb:    core.NewCLB(sys.cfg.CLBBytes/2, entryBytes),
+		mem:    make(map[uint64]uint64),
+		memCLB: core.NewCLB(sys.cfg.CLBBytes/2, entryBytes),
+		wbs:    make(map[uint64]wbBuf),
+		gen:    workload.NewSynthetic(prof, id, sys.cfg.Seed),
+		ring:   core.NewRegRing(),
+		ccn:    1,
 	}
 	n.ring.Add(1, nodeSnap{gen: n.gen.Snapshot(), instrs: 0})
 	n.finishTxnFn = n.finishTxn
@@ -183,29 +183,41 @@ func (n *Node) memData(addr uint64) uint64 {
 	return protocol.InitialData(addr)
 }
 
-// ownsNow reports whether this agent must respond for addr: a valid M/O
-// line, a parked writeback, or ownership acquired at an earlier slot with
-// data still in flight.
-func (n *Node) ownsNow(addr uint64) bool {
-	if n.pendingData[addr] {
-		return true
+// slotProbe is one node's view of a GETS/GETX slot's block, taken by the
+// dispatcher before any node snoops the slot.
+type slotProbe struct {
+	// line is the node's valid L2 frame holding the block, or nil.
+	line *cache.Line
+	// owns says the node must respond: it holds a valid M/O line, a
+	// parked writeback, or ownership acquired at an earlier slot with
+	// data still in flight.
+	owns bool
+}
+
+// probe looks addr up once for a slot: one L2 lookup plus the
+// in-flight-ownership and parked-writeback checks.
+//
+//snvet:alloc-free
+func (n *Node) probe(addr uint64) slotProbe {
+	l := n.l2.Lookup(addr)
+	if l != nil && l.State.IsOwner() {
+		return slotProbe{line: l, owns: true}
 	}
-	if _, ok := n.wbs[addr]; ok {
-		return true
+	if t := n.txn; t != nil && t.addr == addr && t.ownsInFlight && t.stillOwner {
+		return slotProbe{line: l, owns: true}
 	}
-	if l := n.l2.Lookup(addr); l != nil && l.State.IsOwner() {
-		return true
-	}
-	return false
+	_, parked := n.wbs[addr]
+	return slotProbe{line: l, owns: parked}
 }
 
 // snoopWith processes one bus broadcast; every node runs this for every
 // slot in the same order — the logical time base of the snooping
-// SafetyNet. hadOwner is the slot's wired-OR snoop response (whether any
-// cache owned the block when the slot began) and home the bank that
-// responds otherwise; both are snapshotted by the dispatcher so exactly
-// one agent supplies data regardless of processing order.
-func (n *Node) snoopWith(r *Request, hadOwner bool, home int) {
+// SafetyNet. p is this node's probe of a GETS/GETX slot's block (zero for
+// a PUTX), hadOwner the slot's wired-OR snoop response (whether any cache
+// owned the block when the slot began) and home the bank that responds
+// otherwise; the dispatcher takes all three before any node snoops, so
+// exactly one agent supplies data regardless of processing order.
+func (n *Node) snoopWith(r *Request, p slotProbe, hadOwner bool, home int) {
 	// Checkpoint edges happen at K-slot boundaries of the shared order.
 	if iv := msg.CN((r.Slot-1)/n.sys.cfg.CheckpointInterval + 1); iv > n.ccn {
 		for n.ccn < iv {
@@ -215,16 +227,15 @@ func (n *Node) snoopWith(r *Request, hadOwner bool, home int) {
 		n.sys.onEdge(n)
 	}
 
-	mine := r.Requestor == n.id
-	if mine {
-		n.selfSnoop(r, hadOwner, home)
+	if r.Requestor == n.id {
+		n.selfSnoop(r, p.line, hadOwner, home)
 		return
 	}
 
 	switch r.Kind {
 	case BusGETS:
-		if n.ownsNow(r.Addr) {
-			n.respond(r, false)
+		if p.owns {
+			n.respond(r, false, p.line)
 		} else if home == n.id && !hadOwner {
 			n.sys.sendData(n.id, r.Requestor, r.Addr, n.memData(r.Addr), core.UpdatedCN(n.ccn), r.Slot)
 		}
@@ -232,19 +243,21 @@ func (n *Node) snoopWith(r *Request, hadOwner bool, home int) {
 		// Every GETX transfers data (no data-less upgrades: a snooping
 		// bus without a snoop-response phase cannot know whether the
 		// requestor's copy survived earlier slots).
-		if t := n.txns[r.Addr]; t != nil && t.kind == BusGETS && t.selfSnooped {
+		if t := n.txn; t != nil && t.addr == r.Addr && t.kind == BusGETS && t.selfSnooped {
 			// Our in-flight shared fill is invalidated by this later
 			// slot before its data even arrives.
 			t.killed = true
 		}
-		if n.ownsNow(r.Addr) {
-			n.respond(r, true)
+		if p.owns {
+			n.respond(r, true, p.line)
 		} else {
 			if home == n.id && !hadOwner {
 				n.sys.sendData(n.id, r.Requestor, r.Addr, n.memData(r.Addr), core.UpdatedCN(n.ccn), r.Slot)
 			}
 			// Everyone else invalidates shared copies.
-			n.l2.Invalidate(r.Addr)
+			if p.line != nil {
+				p.line.State = cache.Invalid
+			}
 		}
 	case BusPUTX:
 		if home == n.id {
@@ -269,8 +282,9 @@ func (n *Node) absorbPUTX(r *Request) {
 }
 
 // selfSnoop handles the requestor's observation of its own broadcast —
-// the transaction's point of atomicity.
-func (n *Node) selfSnoop(r *Request, hadOwner bool, home int) {
+// the transaction's point of atomicity. l is the requestor's probed L2
+// frame for the block, or nil.
+func (n *Node) selfSnoop(r *Request, l *cache.Line, hadOwner bool, home int) {
 	switch r.Kind {
 	case BusPUTX:
 		// Our writeback is globally ordered: the parked block is now
@@ -282,8 +296,8 @@ func (n *Node) selfSnoop(r *Request, hadOwner bool, home int) {
 		return
 	default:
 	}
-	t := n.txns[r.Addr]
-	if t == nil || t.slot != r.Slot {
+	t := n.txn
+	if t == nil || t.addr != r.Addr || t.slot != r.Slot {
 		return // superseded (recovery discarded it)
 	}
 	t.selfSnooped = true
@@ -292,7 +306,7 @@ func (n *Node) selfSnoop(r *Request, hadOwner bool, home int) {
 	// the O incarnation is an ownership-transfer update-action (its
 	// dirty data exists nowhere else), logged before the store applies.
 	if t.kind == BusGETX {
-		if l := n.l2.Lookup(t.addr); l != nil && l.State.IsOwner() {
+		if l != nil && l.State.IsOwner() {
 			if core.ShouldLog(l.CN, n.ccn) {
 				if !n.clb.Append(core.Entry{
 					Addr: t.addr, Tag: core.UpdatedCN(n.ccn),
@@ -306,13 +320,14 @@ func (n *Node) selfSnoop(r *Request, hadOwner bool, home int) {
 			return
 		}
 	}
-	t.needData = true
 	// Ownership (for GETX) moves to us at this slot even though the data
 	// is still in flight; we must answer later snoops for this block.
 	if t.kind == BusGETX {
-		n.pendingData[t.addr] = true
+		t.ownsInFlight, t.stillOwner = true, true
 		// Our stale copy, if any, is superseded by the incoming data.
-		n.l2.Invalidate(t.addr)
+		if l != nil {
+			l.State = cache.Invalid
+		}
 	}
 	// When the requestor is itself the home bank and no cache owns the
 	// block, its own memory supplies the data.
@@ -322,15 +337,16 @@ func (n *Node) selfSnoop(r *Request, hadOwner bool, home int) {
 }
 
 // respond supplies data for a snooped request we own, transferring
-// ownership when exclusive. If our own data is still in flight, the
-// obligation is deferred in slot order.
-func (n *Node) respond(r *Request, exclusive bool) {
-	if _, ok := n.pendingData[r.Addr]; ok {
-		n.defs[r.Addr] = append(n.defs[r.Addr], deferred{kind: r.Kind, requestor: r.Requestor, slot: r.Slot})
+// ownership when exclusive; l is our valid L2 frame for the block, or
+// nil. If our own data is still in flight, the obligation is deferred in
+// slot order.
+func (n *Node) respond(r *Request, exclusive bool, l *cache.Line) {
+	if t := n.txn; t != nil && t.addr == r.Addr && t.ownsInFlight {
+		n.defs = append(n.defs, deferred{kind: r.Kind, requestor: r.Requestor, slot: r.Slot})
 		if exclusive {
 			// The requestor owns the block from this slot on; we only
 			// owe it the data once ours arrives.
-			n.pendingData[r.Addr] = false
+			t.stillOwner = false
 		}
 		return
 	}
@@ -343,7 +359,6 @@ func (n *Node) respond(r *Request, exclusive bool) {
 			delete(n.wbs, r.Addr)
 		}
 	} else {
-		l := n.l2.Lookup(r.Addr)
 		if l == nil || !l.State.IsOwner() {
 			panic(fmt.Sprintf("snoop: node %d responding for %#x it does not own", n.id, r.Addr))
 		}
@@ -364,7 +379,9 @@ func (n *Node) respond(r *Request, exclusive bool) {
 			}
 			n.TransfersLogged++
 		}
-		n.l2.Invalidate(r.Addr)
+		if l != nil {
+			l.State = cache.Invalid
+		}
 	}
 	n.sys.sendData(n.id, r.Requestor, r.Addr, data, core.UpdatedCN(n.ccn), r.Slot)
 }
@@ -375,13 +392,12 @@ func (n *Node) respond(r *Request, exclusive bool) {
 //
 //snvet:alloc-free
 func (n *Node) acquire(t *txn, data uint64, cn msg.CN) {
-	delete(n.pendingData, t.addr)
 	if t.killed {
 		// The load is ordered at our slot and returns this data, but a
 		// later-slot GETX already invalidated the copy: complete without
 		// installing.
 		t.cancel.Cancel()
-		delete(n.txns, t.addr)
+		n.txn = nil
 		n.sys.txnDone(n)
 		n.completeTxn(t, data)
 		return
@@ -405,23 +421,22 @@ func (n *Node) acquire(t *txn, data uint64, cn msg.CN) {
 		l.Data = t.storeVal
 	}
 	t.cancel.Cancel()
-	delete(n.txns, t.addr)
+	n.txn = nil
 	n.sys.txnDone(n)
 	val := l.Data
 
-	// Serve obligations deferred while our data was in flight.
-	if pend := n.defs[t.addr]; len(pend) > 0 {
-		delete(n.defs, t.addr)
-		for _, d := range pend {
-			r := Request{Kind: d.kind, Addr: t.addr, Requestor: d.requestor, Slot: d.slot}
-			n.respond(&r, d.kind == BusGETX)
-		}
+	// Serve obligations deferred while our data was in flight; with no
+	// transaction in flight now, respond serves them at once.
+	for _, d := range n.defs {
+		r := Request{Kind: d.kind, Addr: t.addr, Requestor: d.requestor, Slot: d.slot}
+		n.respond(&r, d.kind == BusGETX, l)
 	}
+	n.defs = n.defs[:0]
 	n.completeTxn(t, val)
 }
 
-// completeTxn hands val to t's callback a cycle later; t, already out of
-// the transaction table, is recycled when the callback fires.
+// completeTxn hands val to t's callback a cycle later; t, no longer the
+// node's transaction, is recycled when the callback fires.
 //
 //snvet:alloc-free
 func (n *Node) completeTxn(t *txn, val uint64) {
@@ -480,32 +495,31 @@ func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) 
 // evictable reports whether a frame may be replaced: nothing is pending
 // on its block.
 func (n *Node) evictable(l *cache.Line) bool {
+	if t := n.txn; t != nil && t.addr == l.Addr {
+		return false
+	}
 	_, wb := n.wbs[l.Addr]
-	_, pend := n.pendingData[l.Addr]
-	return n.txns[l.Addr] == nil && !wb && !pend
+	return !wb
 }
 
-// ready returns the highest checkpoint this node agrees to validate.
+// ready returns the highest checkpoint this node agrees to validate: its
+// CCN, bounded by the start CN of its transaction in flight.
 func (n *Node) ready() msg.CN {
-	r := n.ccn
-	for _, t := range n.txns {
-		if t.startCCN < r {
-			r = t.startCCN
-		}
+	if t := n.txn; t != nil && t.startCCN < n.ccn {
+		return t.startCCN
 	}
-	return r
+	return n.ccn
 }
 
 // recoverTo rolls the node back to checkpoint rpcn.
 func (n *Node) recoverTo(rpcn msg.CN) {
-	for _, t := range n.txns {
+	if t := n.txn; t != nil {
 		t.cancel.Cancel()
 		n.txnPool.Put(t)
+		n.txn = nil
 	}
-	clear(n.txns)
 	clear(n.wbs)
-	clear(n.defs)
-	clear(n.pendingData)
+	n.defs = n.defs[:0]
 	n.epoch++
 	n.bindEpoch()
 	n.inFlight = false
@@ -637,6 +651,9 @@ func (n *Node) storeApply(l *cache.Line, val uint64) {
 //
 //snvet:alloc-free
 func (n *Node) issue(kind ReqKind) {
+	if n.txn != nil {
+		panic(fmt.Sprintf("snoop: node %d issued a transaction with one in flight", n.id))
+	}
 	n.Misses++
 	op := &n.op
 	t := n.txnPool.Get()
@@ -644,7 +661,7 @@ func (n *Node) issue(kind ReqKind) {
 		kind: kind, addr: op.Addr, isStore: op.IsStore, storeVal: op.StoreVal,
 		startCCN: n.ccn, done: n.cb.txnDone,
 	}
-	n.txns[op.Addr] = t
+	n.txn = t
 	r := Request{Kind: kind, Addr: op.Addr, Requestor: n.id}
 	t.slot = n.sys.bus.Issue(&r)
 	t.cancel = n.sys.eng.ScheduleCancelableArg(n.sys.eng.Now()+n.sys.cfg.TimeoutCycles, txnTimeout, n)
@@ -660,8 +677,8 @@ func txnTimeout(a any) {
 
 // dataArrived completes an outstanding transaction.
 func (n *Node) dataArrived(addr, data uint64, cn msg.CN) {
-	t := n.txns[addr]
-	if t == nil || !t.selfSnooped {
+	t := n.txn
+	if t == nil || t.addr != addr || !t.selfSnooped {
 		return // superseded (a recovery discarded the transaction)
 	}
 	n.acquire(t, data, cn)

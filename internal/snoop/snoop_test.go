@@ -4,8 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"safetynet/internal/cache"
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
+	"safetynet/internal/sim"
 	"safetynet/internal/topology"
 	"safetynet/internal/workload"
 )
@@ -138,33 +140,68 @@ func TestRecoveryKeepsInvariants(t *testing.T) {
 	}
 }
 
+// txnResult records the completion of a hand-issued transaction.
+type txnResult struct {
+	done bool
+	val  uint64
+}
+
+// issueTxn hands n a bus transaction for addr without running its
+// processor, which would retire instructions and issue its own. A store
+// writes val. The result is filled in when the transaction completes.
+func issueTxn(s *System, n *Node, kind ReqKind, addr uint64, store bool, val uint64) *txnResult {
+	if n.txn != nil {
+		panic("issueTxn: transaction already in flight")
+	}
+	res := &txnResult{}
+	t := &txn{kind: kind, addr: addr, isStore: store, storeVal: val, startCCN: n.ccn,
+		done: func(v uint64) { res.done, res.val = true, v }}
+	n.txn = t
+	t.slot = s.bus.Issue(&Request{Kind: kind, Addr: addr, Requestor: n.id})
+	return res
+}
+
+// runUntil advances s a cycle at a time until cond holds, for at most
+// budget cycles, and reports whether it held.
+func runUntil(s *System, budget sim.Time, cond func() bool) bool {
+	deadline := s.eng.Now() + budget
+	for !cond() && s.eng.Now() < deadline {
+		s.eng.Run(s.eng.Now() + 1)
+	}
+	return cond()
+}
+
 // TestRollbackRestoresStoreValues verifies exact value rollback with a
-// controlled single-writer pattern.
+// controlled single writer. The processors never run: the test quiesces
+// the system first (the pause is sticky across recoveries) and drives
+// node 0's transactions by hand.
 func TestRollbackRestoresStoreValues(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 9
 	s := New(cfg, workload.Stress())
-	// Pause all processors; drive the system manually through node 0.
+	if !s.Quiesce(1_000) {
+		t.Fatal("fresh system failed to quiesce")
+	}
 	n0 := s.nodes[0]
 
 	write := func(addr, val uint64) {
-		done := false
-		op := workload.Op{Addr: addr, IsStore: true, StoreVal: val}
-		t0 := &txn{kind: BusGETX, addr: addr, isStore: true, storeVal: val,
-			startCCN: n0.ccn, done: func(uint64) { done = true }}
-		_ = op
-		n0.txns[addr] = t0
-		t0.slot = s.bus.Issue(&Request{Kind: BusGETX, Addr: addr, Requestor: 0})
-		deadline := s.eng.Now() + 100_000
-		for !done && s.eng.Now() < deadline {
-			s.eng.Run(s.eng.Now() + 100)
-		}
-		if !done {
+		t.Helper()
+		res := issueTxn(s, n0, BusGETX, addr, true, val)
+		if !runUntil(s, 100_000, func() bool { return res.done }) {
 			t.Fatalf("write to %#x never completed", addr)
 		}
 	}
-
 	const addr = 0x1000
+	checkValue := func(want uint64, what string) {
+		t.Helper()
+		if n := s.TotalInstrs(); n != 0 {
+			t.Fatalf("%s: %d instructions retired; the processors must stay paused", what, n)
+		}
+		if got := s.valueOf(addr); got != want {
+			t.Fatalf("%s: value = %d, want %d", what, got, want)
+		}
+	}
+
 	write(addr, 111)
 
 	// Advance logical time past an edge by issuing filler traffic, so
@@ -177,29 +214,98 @@ func TestRollbackRestoresStoreValues(t *testing.T) {
 	if rpcn < 2 {
 		t.Fatalf("validation did not advance: %d", rpcn)
 	}
-	if got := s.valueOf(addr); got != 111 {
-		t.Fatalf("pre-fault value = %d", got)
-	}
+	checkValue(111, "pre-fault")
 
 	// Overwrite in the unvalidated present, then recover.
 	write(addr, 222)
-	if got := s.valueOf(addr); got != 222 {
-		t.Fatalf("overwrite failed: %d", got)
-	}
+	checkValue(222, "overwrite")
 	s.Recover()
 	s.Run(s.eng.Now() + 10_000)
-	// 222 must be rolled back iff its tag exceeds the recovery point.
-	got := s.valueOf(addr)
-	if got != 111 && got != 222 {
-		t.Fatalf("rollback produced a third value: %d", got)
-	}
 	if s.RPCN() < rpcn {
 		t.Fatal("recovery point regressed")
 	}
 	// The write of 222 happened after the last validated edge, so it
 	// must have been undone.
-	if got != 111 {
-		t.Fatalf("unvalidated store survived recovery: %d", got)
+	checkValue(111, "after recovery")
+}
+
+// TestParkedWritebackResponds covers the writeback buffer as a snoop
+// responder: an evicted owned block stays its owner's until the PUTX
+// slot orders the writeback, so a request ordered between the eviction
+// and that slot is served from the buffer. With 1-set, 1-way L2s, node
+// 0's fill of B evicts A; a long bus occupancy and a short data latency
+// let node 1's request for A, issued beside that fill, take the slot
+// after it, before the PUTX the fill issues.
+func TestParkedWritebackResponds(t *testing.T) {
+	for _, kind := range []ReqKind{BusGETS, BusGETX} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.L2Sets, cfg.L2Ways = 1, 1
+			cfg.BusOccupancy, cfg.DataLatency = 100, 5
+			s := New(cfg, workload.Stress())
+			if !s.Quiesce(1_000) {
+				t.Fatal("fresh system failed to quiesce")
+			}
+			n0, n1 := s.nodes[0], s.nodes[1]
+			// Homes 2 and 3: neither requestor's own bank.
+			const a, b, aVal = 0x80, 0xc0, 0xa1
+			parked := func() bool { _, ok := n0.wbs[a]; return ok }
+
+			w := issueTxn(s, n0, BusGETX, a, true, aVal)
+			if !runUntil(s, 1_000, func() bool { return w.done }) {
+				t.Fatal("node 0's write of A never completed")
+			}
+			issueTxn(s, n0, BusGETX, b, true, 0xb2)
+			req := issueTxn(s, n1, kind, a, false, 0)
+			reqSlot := n1.txn.slot
+			if !runUntil(s, 1_000, parked) {
+				t.Fatal("filling B did not park A in node 0's writeback buffer")
+			}
+			putxSlot := s.bus.slots
+			if reqSlot >= putxSlot {
+				t.Fatalf("node 1's slot %d is not before the PUTX slot %d", reqSlot, putxSlot)
+			}
+
+			if !runUntil(s, 1_000, func() bool { return req.done }) {
+				t.Fatal("node 1's request for A never completed")
+			}
+			if s.bus.Broadcasts >= putxSlot {
+				t.Fatal("the PUTX was ordered before node 1's data arrived")
+			}
+			if req.val != aVal {
+				t.Fatalf("node 1 received %#x, want %#x", req.val, aVal)
+			}
+			wantState := cache.Shared
+			if kind == BusGETX {
+				wantState = cache.Modified
+			}
+			if l := n1.l2.Lookup(a); l == nil || l.State != wantState || l.Data != aVal {
+				t.Fatalf("node 1's copy of A = %+v, want %v with %#x", l, wantState, aVal)
+			}
+			// A GETS leaves ownership in the buffer; a GETX takes it.
+			if got, want := parked(), kind == BusGETS; got != want {
+				t.Fatalf("A parked in node 0's buffer = %v, want %v", got, want)
+			}
+
+			if !runUntil(s, 1_000, func() bool { return s.bus.Broadcasts >= putxSlot }) {
+				t.Fatal("the PUTX was never ordered")
+			}
+			if parked() {
+				t.Fatal("A still parked after its PUTX slot")
+			}
+			if !s.Quiesce(10_000) {
+				t.Fatal("failed to quiesce")
+			}
+			if errs := s.CheckCoherence(); len(errs) != 0 {
+				t.Fatalf("violations: %v", errs)
+			}
+			if got := s.valueOf(a); got != aVal {
+				t.Fatalf("A = %#x after the writeback, want %#x", got, aVal)
+			}
+			if n := s.TotalInstrs(); n != 0 {
+				t.Fatalf("%d instructions retired; the processors must stay paused", n)
+			}
+		})
 	}
 }
 

@@ -116,6 +116,8 @@ type System struct {
 	eng   *sim.Engine
 	bus   *Bus
 	nodes []*Node
+	// probes holds each node's probe of the slot being dispatched.
+	probes []slotProbe
 
 	rpcn        msg.CN
 	lastAdvance sim.Time
@@ -176,7 +178,7 @@ func New(cfg Config, prof workload.Profile) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg, eng: sim.NewEngine(), rpcn: 1}
+	s := &System{cfg: cfg, eng: sim.NewEngine(), rpcn: 1, probes: make([]slotProbe, cfg.Nodes)}
 	s.bus = NewBus(s.eng, cfg.BusOccupancy)
 	for i := 0; i < cfg.Nodes; i++ {
 		s.nodes = append(s.nodes, newNode(i, s, prof))
@@ -204,21 +206,34 @@ func (s *System) home(addr uint64) int {
 	return int((addr / uint64(s.cfg.BlockBytes)) % uint64(s.cfg.Nodes))
 }
 
-func (s *System) anyCacheOwner(addr uint64) bool {
-	for _, n := range s.nodes {
-		if n.ownsNow(addr) {
-			return true
-		}
-	}
-	return false
-}
-
+// dispatch delivers one bus slot to every node. A GETS or GETX slot
+// first probes each node once for the block (its L2 lookup plus the
+// in-flight-ownership and parked-writeback checks), and every later use
+// of the block in the slot reads that probe: the wired-OR snoop response
+// hadOwner, each node's respond decision, and the GETX invalidation of
+// shared copies. The probes stay exact because within one slot only node
+// n's own snoop changes node n's L2, writeback buffer or transaction:
+// data replies are scheduled through the engine, not delivered inline,
+// and tryValidate, which edges and completions run inline, touches only
+// logs, register checkpoints and the recovery point. A PUTX slot reads
+// neither value, so it takes no probe.
+//
+//snvet:alloc-free
 func (s *System) dispatch(r *Request) {
-	// The wired-OR snoop response: evaluated once per slot.
-	hadOwner := s.anyCacheOwner(r.Addr)
 	home := s.home(r.Addr)
-	for _, n := range s.nodes {
-		n.snoopWith(r, hadOwner, home)
+	if r.Kind == BusPUTX {
+		for _, n := range s.nodes {
+			n.snoopWith(r, slotProbe{}, false, home)
+		}
+		return
+	}
+	hadOwner := false
+	for i, n := range s.nodes {
+		s.probes[i] = n.probe(r.Addr)
+		hadOwner = hadOwner || s.probes[i].owns
+	}
+	for i, n := range s.nodes {
+		n.snoopWith(r, s.probes[i], hadOwner, home)
 	}
 }
 
@@ -390,9 +405,11 @@ func (s *System) onEdge(*Node) { s.tryValidate() }
 func (s *System) txnDone(*Node) { s.tryValidate() }
 
 // tryValidate advances the recovery point to the minimum checkpoint every
-// node is ready to validate. Coordination latency is modeled as a small
-// fixed delay (a real system exchanges messages; the snooping variant
-// focuses on the logical-time base).
+// node is ready to validate. Coordination is modeled as instantaneous (a
+// real system exchanges messages; the snooping variant focuses on the
+// logical-time base). It never restarts a processor: Start, Resume and
+// recovery do, and no processor pauses for the outstanding-checkpoint
+// bound (MaxOutstanding is not enforced on this backend).
 func (s *System) tryValidate() {
 	if s.recovering {
 		return
@@ -414,10 +431,6 @@ func (s *System) tryValidate() {
 		n.clb.DeallocateThrough(min)
 		n.memCLB.DeallocateThrough(min)
 		n.ring.DropBelow(min)
-		if !n.running && !s.recovering && !s.quiescing && int(n.ccn-min) <= s.cfg.MaxOutstanding {
-			n.running = true
-			n.step()
-		}
 	}
 }
 
@@ -552,7 +565,7 @@ func (s *System) Quiesce(budget sim.Time) bool {
 	for s.eng.Now() < deadline {
 		idle := !s.recovering
 		for _, n := range s.nodes {
-			if len(n.txns) != 0 || len(n.wbs) != 0 || len(n.pendingData) != 0 {
+			if n.txn != nil || len(n.wbs) != 0 {
 				idle = false
 			}
 		}
