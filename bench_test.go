@@ -148,30 +148,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(1e6*float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
-// BenchmarkSimulatorThroughputParallel is BenchmarkSimulatorThroughput
-// on the sharded conservative-lookahead engine, one shard per available
-// CPU (capped at the node count). At GOMAXPROCS=1 it degenerates to a
-// near-sequential schedule and mostly measures barrier overhead; the
-// speedup shows from GOMAXPROCS>=4. Results are byte-identical to the
-// sequential engine either way.
-func BenchmarkSimulatorThroughputParallel(b *testing.B) {
-	prof, err := workload.ByName("oltp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := config.Default()
-	cfg.EngineShards = runner.Workers(0)
-	for i := 0; i < b.N; i++ {
-		m := machine.New(cfg, prof)
-		m.Start()
-		m.Run(1_000_000)
-		if m.TotalInstrs() == 0 {
-			b.Fatal("no progress")
-		}
-	}
-	b.ReportMetric(1e6*float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
 // BenchmarkEngineSchedule isolates the event queue: a self-rescheduling
 // event mix of near-term work and canceled long timers, the simulator's
 // characteristic load. Steady state should be allocation-free.

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"safetynet"
-	"safetynet/internal/runner"
 )
 
 // main delegates to run so deferred cleanup — flushing the CPU profile,
@@ -42,7 +41,6 @@ func run() int {
 		format     = flag.String("format", "text", "output format: text, json, csv")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		shards     = flag.Int("engine-shards", 1, "parallel event-engine shards inside each run (1 = sequential, 0 = one per available CPU); results are identical at any value")
 	)
 	flag.Parse()
 
@@ -90,11 +88,10 @@ func run() int {
 	}
 
 	if *scenFile != "" {
-		return runScenario(*scenFile, *format, engineShardsOverride(*shards))
+		return runScenario(*scenFile, *format)
 	}
 
 	cfg := safetynet.DefaultConfig()
-	cfg.EngineShards = runner.Workers(*shards)
 	opts := safetynet.DefaultOptions()
 	if *quick {
 		opts = safetynet.QuickOptions()
@@ -161,27 +158,10 @@ func run() int {
 	return 0
 }
 
-// engineShardsOverride maps an explicitly-set -engine-shards flag to a
-// scenario override (nil when the flag was left at its default, so a
-// scenario's own engine_shards setting wins).
-func engineShardsOverride(shards int) *safetynet.ScenarioOverrides {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine-shards" {
-			set = true
-		}
-	})
-	if !set {
-		return nil
-	}
-	k := runner.Workers(shards)
-	return &safetynet.ScenarioOverrides{EngineShards: &k}
-}
-
 // runScenario executes one declarative scenario file and prints its
 // Result (text summary or JSON). Scenario expectations, when present,
 // are enforced.
-func runScenario(path, format string, over *safetynet.ScenarioOverrides) int {
+func runScenario(path, format string) int {
 	if format == "csv" {
 		fmt.Fprintln(os.Stderr, "snbench: -scenario supports text and json output")
 		return 1
@@ -191,7 +171,6 @@ func runScenario(path, format string, over *safetynet.ScenarioOverrides) int {
 		fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
 		return 1
 	}
-	sc.Overrides = sc.Overrides.Merge(over)
 	start := time.Now()
 	res, err := sc.Run()
 	if err != nil {

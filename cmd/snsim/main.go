@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"safetynet"
-	"safetynet/internal/runner"
 )
 
 // shortBudgetCycles is the total horizon -short scales a scenario to:
@@ -50,7 +49,6 @@ func main() {
 		dropEvery    = flag.Uint64("drop-every", 0, "drop one message per period (cycles, 0 = none)")
 		killNode     = flag.Int("kill-node", -1, "node whose EW half-switch dies (-1 = none)")
 		killAt       = flag.Uint64("kill-at", 1_000_000, "cycle at which the half-switch dies")
-		engineShards = flag.Int("engine-shards", 1, "parallel event-engine shards inside the run (1 = sequential, 0 = one per available CPU); results are identical at any value")
 	)
 	flag.Parse()
 
@@ -76,13 +74,6 @@ func main() {
 	}
 	if *short {
 		sc.ScaleTo(shortBudgetCycles)
-	}
-	// -engine-shards is an execution knob, not a run description: results
-	// are shard-count invariant, so it composes with -scenario. Only an
-	// explicitly-set flag overrides a scenario's own engine_shards.
-	if flagWasSet("engine-shards") {
-		k := runner.Workers(*engineShards)
-		sc.Overrides = sc.Overrides.Merge(&safetynet.ScenarioOverrides{EngineShards: &k})
 	}
 
 	sys, err := sc.System()
@@ -123,17 +114,6 @@ func runFlagsSet() []string {
 	flag.Visit(func(f *flag.Flag) {
 		if runFlags[f.Name] {
 			set = append(set, "-"+f.Name)
-		}
-	})
-	return set
-}
-
-// flagWasSet reports whether the named flag appeared on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
 		}
 	})
 	return set

@@ -5,12 +5,10 @@
 //	           dependent output, unannotated wall-clock reads, stray
 //	           goroutines)
 //	poolcheck  msg.Alloc results that leak on some path
-//	shardsafe  //snvet:nodelocal code touching //snvet:global state
-//	           outside WhenSafe
 //	allocfree  allocations in //snvet:alloc-free hot paths
 //
 // detlint is scoped to the packages whose output must be bit-identical
-// at any worker or shard count; the other three run everywhere.
+// at any worker count; the other two run everywhere.
 //
 //	snvet [-json] [-fix] [packages]
 //
@@ -33,7 +31,6 @@ import (
 	"safetynet/internal/analysis/allocfree"
 	"safetynet/internal/analysis/detlint"
 	"safetynet/internal/analysis/poolcheck"
-	"safetynet/internal/analysis/shardsafe"
 )
 
 // deterministicPkgs names the package basenames whose reports and
@@ -86,7 +83,7 @@ func run() int {
 	}
 
 	findings, err := analysis.Run(
-		[]*analysis.Analyzer{poolcheck.Analyzer, shardsafe.Analyzer, allocfree.Analyzer}, pkgs)
+		[]*analysis.Analyzer{poolcheck.Analyzer, allocfree.Analyzer}, pkgs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snvet: %v\n", err)
 		return 2

@@ -85,20 +85,14 @@ func TestExampleExplorationFrontierMatchesExhaustive(t *testing.T) {
 }
 
 // TestExampleExplorationDeterminism: the example's report is
-// byte-identical at 1 and 8 workers and at 1 and 2 engine shards — the
-// exploration seed is the only degree of freedom.
+// byte-identical at 1 and 8 workers — the exploration seed is the only
+// degree of freedom.
 func TestExampleExplorationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	render := func(workers, shards int) []byte {
+	render := func(workers int) []byte {
 		e := loadExample(t)
-		if shards > 0 {
-			if e.Space.Base.Overrides == nil {
-				e.Space.Base.Overrides = &safetynet.ScenarioOverrides{}
-			}
-			e.Space.Base.Overrides.EngineShards = &shards
-		}
 		rep, err := safetynet.RunExploration(e, safetynet.ExploreOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -109,13 +103,9 @@ func TestExampleExplorationDeterminism(t *testing.T) {
 		}
 		return data
 	}
-	j1, j8 := render(1, 0), render(8, 0)
+	j1, j8 := render(1), render(8)
 	if !bytes.Equal(j1, j8) {
 		t.Fatalf("report differs between 1 and 8 workers:\n%s\nvs\n%s", j1, j8)
-	}
-	s1, s2 := render(4, 1), render(4, 2)
-	if !bytes.Equal(s1, s2) {
-		t.Fatalf("report differs between 1 and 2 engine shards:\n%s\nvs\n%s", s1, s2)
 	}
 }
 

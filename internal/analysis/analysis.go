@@ -1,11 +1,10 @@
 // Package analysis is a self-contained static-analysis framework shaped
 // after golang.org/x/tools/go/analysis, built only on the standard
 // library so the repository carries no external dependencies. It exists
-// to host the snvet analyzers (detlint, poolcheck, shardsafe, allocfree)
-// that statically enforce the contracts the rest of the system otherwise
-// only checks dynamically: deterministic reports at any worker or shard
-// count, allocation-free hot paths, exactly-once pooled-message release,
-// and the sharded engine's node-local/barrier-global scheduling split.
+// to host the snvet analyzers (detlint, poolcheck, allocfree) that
+// statically enforce the contracts the rest of the system otherwise only
+// checks dynamically: deterministic reports at any worker count,
+// allocation-free hot paths, and exactly-once pooled-message release.
 //
 // The API mirrors go/analysis closely — Analyzer, Pass, Diagnostic,
 // SuggestedFix — so the analyzers port to the upstream driver unchanged
@@ -46,12 +45,6 @@ type Pass struct {
 
 	// Ann indexes the package's //snvet: annotations.
 	Ann *Annotations
-
-	// ReadDeclDirectives reports the //snvet: directives attached to the
-	// declaration of an object that may live outside this package (the
-	// annotation is read from the declaring file's source). It is how
-	// shardsafe resolves //snvet:global on cross-package callees.
-	ReadDeclDirectives func(obj types.Object) []string
 
 	// Report emits one diagnostic.
 	Report func(Diagnostic)

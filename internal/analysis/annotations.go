@@ -14,13 +14,6 @@ import (
 //	                             (detlint). Stale wallclock annotations —
 //	                             ones that suppress nothing — are
 //	                             themselves reported.
-//	//snvet:nodelocal [reason]   this function runs in a single node's
-//	                             scheduling context; it must not reach
-//	                             //snvet:global declarations except
-//	                             through Domain.WhenSafe (shardsafe).
-//	//snvet:global [reason]      this declaration touches cross-shard
-//	                             state or the global clock; callable only
-//	                             from barrier-safe contexts (shardsafe).
 //	//snvet:alloc-free [reason]  this function is a benchgate-tier hot
 //	                             path; constructs that allocate are
 //	                             reported (allocfree).
@@ -34,8 +27,6 @@ import (
 const (
 	DirPrefix    = "//snvet:"
 	KindWallTime = "wallclock"
-	KindNodeLoc  = "nodelocal"
-	KindGlobal   = "global"
 	KindNoAlloc  = "alloc-free"
 	KindAllocOK  = "alloc-ok"
 )

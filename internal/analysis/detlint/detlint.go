@@ -1,7 +1,7 @@
 // Package detlint flags nondeterminism sources in the deterministic
 // packages: the simulation core, both coherence backends, the campaign
 // and statistics reducers, scenario handling, and the daemon's report
-// paths all promise byte-identical output at any worker or shard count,
+// paths all promise byte-identical output at any worker count,
 // and each of this analyzer's three checks corresponds to a way that
 // promise has historically been broken.
 //
@@ -21,10 +21,9 @@
 //     annotation; annotations that suppress nothing are themselves
 //     reported as stale.
 //
-//  3. Goroutines launched outside the scheduling domain (internal/sim),
-//     the worker pool (internal/runner), and the daemon (internal/serve)
-//     execute model code on goroutines the deterministic event order
-//     knows nothing about.
+//  3. Goroutines launched outside the worker pool (internal/runner) and
+//     the daemon (internal/serve) execute model code on goroutines the
+//     deterministic event order knows nothing about.
 package detlint
 
 import (
@@ -44,10 +43,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // goroutinePkgs are the packages allowed to launch goroutines: the
-// scheduling domain itself, the process-level worker pool, and the
-// serving daemon. Everything else in the deterministic set must
-// schedule through the domain.
-var goroutinePkgs = []string{"sim", "runner", "serve"}
+// process-level worker pool and the serving daemon. Everything else in
+// the deterministic set, the event engine included, must schedule
+// through the engine.
+var goroutinePkgs = []string{"runner", "serve"}
 
 // orderSinks are call names whose argument order is observable:
 // scheduling events, sending messages, and writing or encoding output.
@@ -81,7 +80,7 @@ func run(pass *analysis.Pass) error {
 					pass.Report(analysis.Diagnostic{
 						Pos:      n.Pos(),
 						Category: "goroutine",
-						Message: fmt.Sprintf("goroutine launched in deterministic package %s: only sim, runner, and serve may create goroutines; schedule through the domain instead",
+						Message: fmt.Sprintf("goroutine launched in deterministic package %s: only runner and serve may create goroutines; schedule through the engine instead",
 							pass.Pkg.Path()),
 					})
 				}

@@ -28,8 +28,6 @@ type Package struct {
 	Types     *types.Package
 	TypesInfo *types.Info
 	Ann       *Annotations
-
-	loader *Loader
 }
 
 // Loader loads packages for analysis. Module packages come from
@@ -44,22 +42,20 @@ type Loader struct {
 	// inside the module. Empty means the process working directory.
 	Dir string
 
-	fset     *token.FileSet
-	exports  map[string]string // import path -> export-data file
-	gc       types.ImporterFrom
-	srcPkgs  map[string]*Package // fixture packages by import path
-	srcRoot  string              // fixture source root ("" in module mode)
-	fileText map[string][]string // raw source lines for DeclDirectives
+	fset    *token.FileSet
+	exports map[string]string // import path -> export-data file
+	gc      types.ImporterFrom
+	srcPkgs map[string]*Package // fixture packages by import path
+	srcRoot string              // fixture source root ("" in module mode)
 }
 
 // NewLoader returns a Loader rooted at dir.
 func NewLoader(dir string) *Loader {
 	l := &Loader{
-		Dir:      dir,
-		fset:     token.NewFileSet(),
-		exports:  map[string]string{},
-		srcPkgs:  map[string]*Package{},
-		fileText: map[string][]string{},
+		Dir:     dir,
+		fset:    token.NewFileSet(),
+		exports: map[string]string{},
+		srcPkgs: map[string]*Package{},
 	}
 	l.gc = importer.ForCompiler(l.fset, "gc", l.lookup).(types.ImporterFrom)
 	return l
@@ -294,50 +290,7 @@ func (l *Loader) check(importPath, dir string, fileNames []string, imp types.Imp
 		Types:     tpkg,
 		TypesInfo: info,
 		Ann:       CollectAnnotations(l.fset, files),
-		loader:    l,
 	}, nil
-}
-
-// DeclDirectives reads the //snvet: directive kinds attached to obj's
-// declaration, wherever it lives: the declaring line's trailing comment
-// and the block of comment lines immediately above it. It works from
-// raw source so cross-package (even standard-library) declarations
-// resolve without loading their ASTs.
-func (l *Loader) DeclDirectives(obj types.Object) []string {
-	if obj == nil || !obj.Pos().IsValid() {
-		return nil
-	}
-	pos := l.fset.Position(obj.Pos())
-	lines, ok := l.fileText[pos.Filename]
-	if !ok {
-		b, err := os.ReadFile(pos.Filename)
-		if err != nil {
-			l.fileText[pos.Filename] = nil
-			return nil
-		}
-		lines = strings.Split(string(b), "\n")
-		l.fileText[pos.Filename] = lines
-	}
-	if lines == nil || pos.Line < 1 || pos.Line > len(lines) {
-		return nil
-	}
-	var kinds []string
-	scan := func(s string) {
-		if i := strings.Index(s, DirPrefix); i >= 0 {
-			if kind, _, ok := ParseDirective(s[i:]); ok {
-				kinds = append(kinds, kind)
-			}
-		}
-	}
-	scan(lines[pos.Line-1]) // trailing comment on the decl line
-	for ln := pos.Line - 1; ln >= 1; ln-- {
-		t := strings.TrimSpace(lines[ln-1])
-		if !strings.HasPrefix(t, "//") {
-			break
-		}
-		scan(t)
-	}
-	return kinds
 }
 
 // Run applies analyzers to pkgs and returns the findings sorted by
@@ -353,9 +306,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				Ann:       pkg.Ann,
-			}
-			if pkg.loader != nil {
-				pass.ReadDeclDirectives = pkg.loader.DeclDirectives
 			}
 			pass.Report = func(d Diagnostic) {
 				findings = append(findings, Finding{

@@ -142,11 +142,6 @@ type Params struct {
 
 	// --- Simulation methodology ---
 
-	// EngineShards partitions the simulated nodes across this many
-	// parallel event-engine shards (conservative-lookahead PDES over the
-	// torus's minimum link latency). 0 and 1 both select the sequential
-	// engine; results are identical at any shard count for a fixed seed.
-	EngineShards int
 	// Seed feeds all pseudo-randomness (workloads, perturbation).
 	Seed uint64
 	// LatencyPerturbation, when nonzero, adds a pseudo-random 0..N-cycle
@@ -194,27 +189,9 @@ func Default() Params {
 		RequestTimeoutCycles:     25_000,
 		ValidationWatchdogCycles: 600_000,
 
-		EngineShards:        0,
 		Seed:                1,
 		LatencyPerturbation: 0,
 	}
-}
-
-// ShardWindowError reports an EngineShards configuration whose
-// synchronization window cannot preserve checkpoint semantics: the
-// lock-step window (the minimum cross-shard message latency) must fit
-// inside one checkpoint interval or barrier-global coordination events
-// could straddle windows.
-type ShardWindowError struct {
-	// Window is the sharded engine's lock-step window in cycles.
-	Window uint64
-	// Interval is the configured checkpoint interval in cycles.
-	Interval uint64
-}
-
-func (e *ShardWindowError) Error() string {
-	return fmt.Sprintf("config: shard synchronization window of %d cycles exceeds the checkpoint interval of %d cycles",
-		e.Window, e.Interval)
 }
 
 // Unprotected returns the baseline system of the paper's Experiment 1: the
@@ -342,8 +319,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("config: NonMemIPC must be positive, got %d", p.NonMemIPC)
 	case p.LinkBytesPerCycleTenths == 0:
 		return fmt.Errorf("config: link bandwidth must be positive")
-	case p.EngineShards < 0:
-		return fmt.Errorf("config: EngineShards must be non-negative, got %d", p.EngineShards)
 	}
 	if p.SafetyNetEnabled {
 		switch {
@@ -369,9 +344,6 @@ func (p Params) Validate() error {
 			return fmt.Errorf("config: validation watchdog %d must exceed the checkpoint interval %d",
 				p.ValidationWatchdogCycles, p.CheckpointIntervalCycles)
 		}
-		if p.EngineShards > 1 && p.ShardWindowCycles() > p.CheckpointIntervalCycles {
-			return &ShardWindowError{Window: p.ShardWindowCycles(), Interval: p.CheckpointIntervalCycles}
-		}
 	}
 	return nil
 }
@@ -380,11 +352,4 @@ func (p Params) Validate() error {
 // one switch hop plus serialization of the smallest (control) message.
 func (p Params) minMessageLatency() uint64 {
 	return p.SwitchHopCycles + p.SerializationCycles(8)
-}
-
-// ShardWindowCycles is the sharded engine's lock-step window: the
-// conservative lookahead guaranteed by the slowest-possible cross-shard
-// scheduling edge, one adjacent-switch hop of the smallest message.
-func (p Params) ShardWindowCycles() uint64 {
-	return p.minMessageLatency()
 }

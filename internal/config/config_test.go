@@ -1,9 +1,6 @@
 package config
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestDefaultMatchesTable2(t *testing.T) {
 	p := Default()
@@ -167,40 +164,5 @@ func TestNormalizeDoesNotRepairInvalidConfigs(t *testing.T) {
 	}
 	if err := n.Validate(); err == nil {
 		t.Fatal("zero interval must still fail validation")
-	}
-}
-
-func TestValidateEngineShards(t *testing.T) {
-	p := Default()
-	p.EngineShards = 4
-	if err := p.Validate(); err != nil {
-		t.Fatalf("EngineShards=4 at the default interval should validate: %v", err)
-	}
-	p.EngineShards = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative EngineShards accepted")
-	}
-
-	// The parallel engine's synchronization window (the minimum message
-	// latency) must fit inside the checkpoint interval, or barrier-global
-	// coordination could not be deferred to a window boundary.
-	p = Default()
-	p.CheckpointIntervalCycles = p.ShardWindowCycles() - 1
-	p.ValidationSignoffCycles = 0 // keep the signoff bound out of the way
-	p.EngineShards = 2
-	err := p.Validate()
-	var swe *ShardWindowError
-	if !errors.As(err, &swe) {
-		t.Fatalf("err = %v, want a ShardWindowError", err)
-	}
-	if swe.Window != p.ShardWindowCycles() || swe.Interval != p.CheckpointIntervalCycles {
-		t.Errorf("ShardWindowError carries %d/%d, want %d/%d",
-			swe.Window, swe.Interval, p.ShardWindowCycles(), p.CheckpointIntervalCycles)
-	}
-
-	// The sequential engine has no window: the same interval is fine.
-	p.EngineShards = 1
-	if err := p.Validate(); err != nil {
-		t.Errorf("sequential engine rejected a sub-window interval: %v", err)
 	}
 }

@@ -12,26 +12,20 @@ import (
 //
 // Edges are suppressed while the pause predicate reports true: the system
 // does not create checkpoints while it is recovering.
-//
-// Each node's edge stream is node-local: it runs on the node's own
-// engine shard and counts into the node's own slot, so a sharded domain
-// delivers edges without synchronization. Only the paused predicate may
-// read cross-shard state, and only values published at window barriers.
 type Clock struct {
-	engAt    func(node int) *sim.Engine
+	eng      *sim.Engine
 	interval sim.Time
 	skew     []sim.Time
 	onEdge   []func()
 	paused   func() bool
-	edges    []uint64
+	edges    uint64
 	started  bool
 }
 
-// NewClock builds a clock ticking every interval. engAt returns the
-// engine owning each node's events (sim.Domain.EngineAt). skew[n] is node
+// NewClock builds a clock ticking every interval on eng. skew[n] is node
 // n's fixed observation offset (may be nil for zero skew everywhere).
 // paused may be nil.
-func NewClock(engAt func(node int) *sim.Engine, interval sim.Time, nodes int, skew []sim.Time, paused func() bool) *Clock {
+func NewClock(eng *sim.Engine, interval sim.Time, nodes int, skew []sim.Time, paused func() bool) *Clock {
 	if interval == 0 {
 		panic("core: zero checkpoint interval")
 	}
@@ -47,27 +41,19 @@ func NewClock(engAt func(node int) *sim.Engine, interval sim.Time, nodes int, sk
 		}
 	}
 	return &Clock{
-		engAt:    engAt,
+		eng:      eng,
 		interval: interval,
 		skew:     skew,
 		onEdge:   make([]func(), nodes),
 		paused:   paused,
-		edges:    make([]uint64, nodes),
 	}
 }
 
 // OnEdge registers node n's edge callback (checkpoint creation).
 func (c *Clock) OnEdge(n int, f func()) { c.onEdge[n] = f }
 
-// Edges returns the number of edge deliveries (all nodes summed). Under
-// parallel execution it is only meaningful between Run calls.
-func (c *Clock) Edges() uint64 {
-	var t uint64
-	for _, e := range c.edges {
-		t += e
-	}
-	return t
-}
+// Edges returns the number of edge deliveries (all nodes summed).
+func (c *Clock) Edges() uint64 { return c.edges }
 
 // Start arms the recurring per-node edge events. The first edge fires at
 // interval+skew[n]; time zero is checkpoint 1 by construction.
@@ -81,17 +67,18 @@ func (c *Clock) Start() {
 	}
 }
 
+// armNode schedules node n's next edge in n's own context, so every
+// node's edges order as that node's events.
 func (c *Clock) armNode(n int, at sim.Time) {
-	e := c.engAt(n)
-	prev := e.SetOwner(n)
-	e.Schedule(at, func() {
+	prev := c.eng.SetOwner(n)
+	c.eng.Schedule(at, func() {
 		if c.paused == nil || !c.paused() {
-			c.edges[n]++
+			c.edges++
 			if c.onEdge[n] != nil {
 				c.onEdge[n]()
 			}
 		}
 		c.armNode(n, at+c.interval)
 	})
-	e.SetOwner(prev)
+	c.eng.SetOwner(prev)
 }

@@ -9,7 +9,7 @@ import (
 func TestClockEdgesFirePerNode(t *testing.T) {
 	eng := sim.NewEngine()
 	counts := make([]int, 4)
-	c := NewClock(eng.EngineAt, 100, 4, nil, nil)
+	c := NewClock(eng, 100, 4, nil, nil)
 	for n := 0; n < 4; n++ {
 		n := n
 		c.OnEdge(n, func() { counts[n]++ })
@@ -29,7 +29,7 @@ func TestClockEdgesFirePerNode(t *testing.T) {
 func TestClockSkewOffsetsEdges(t *testing.T) {
 	eng := sim.NewEngine()
 	var at [2]sim.Time
-	c := NewClock(eng.EngineAt, 100, 2, []sim.Time{0, 7}, nil)
+	c := NewClock(eng, 100, 2, []sim.Time{0, 7}, nil)
 	c.OnEdge(0, func() {
 		if at[0] == 0 {
 			at[0] = eng.Now()
@@ -51,7 +51,7 @@ func TestClockPauseSuppressesEdges(t *testing.T) {
 	eng := sim.NewEngine()
 	paused := false
 	count := 0
-	c := NewClock(eng.EngineAt, 100, 1, nil, func() bool { return paused })
+	c := NewClock(eng, 100, 1, nil, func() bool { return paused })
 	c.OnEdge(0, func() { count++ })
 	c.Start()
 	eng.Run(250) // edges at 100, 200
@@ -73,11 +73,11 @@ func TestClockPauseSuppressesEdges(t *testing.T) {
 func TestClockValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, f := range []func(){
-		func() { NewClock(eng.EngineAt, 0, 1, nil, nil) },
-		func() { NewClock(eng.EngineAt, 100, 2, []sim.Time{0}, nil) },
-		func() { NewClock(eng.EngineAt, 100, 1, []sim.Time{100}, nil) },
+		func() { NewClock(eng, 0, 1, nil, nil) },
+		func() { NewClock(eng, 100, 2, []sim.Time{0}, nil) },
+		func() { NewClock(eng, 100, 1, []sim.Time{100}, nil) },
 		func() {
-			c := NewClock(eng.EngineAt, 100, 1, nil, nil)
+			c := NewClock(eng, 100, 1, nil, nil)
 			c.Start()
 			c.Start()
 		},

@@ -39,12 +39,6 @@ type Hooks struct {
 	// RecoveryCompleted, if set, runs at the restart broadcast with the
 	// completed recovery's record.
 	RecoveryCompleted func(rec RecoveryRecord)
-	// RunSafe, if set, runs fn at a point where it may mutate global
-	// (cross-shard) state: the watchdog routes its TriggerRecovery
-	// through it, since a watchdog can fire during parallel execution
-	// where quiescing mid-window would race. Nil runs fn immediately
-	// (sequential and merged execution are always safe).
-	RunSafe func(fn func())
 }
 
 // Controller is one of the paper's redundant system service controllers
@@ -254,14 +248,7 @@ func (c *Controller) armWatchdog() {
 			// The recovery point is stuck: some transaction never
 			// completed, which is how a lost message (or lost
 			// validation coordination) manifests (paper §3.5).
-			trigger := func() {
-				c.TriggerRecovery("validation watchdog: recovery point stalled")
-			}
-			if c.hooks.RunSafe != nil {
-				c.hooks.RunSafe(trigger)
-			} else {
-				trigger()
-			}
+			c.TriggerRecovery("validation watchdog: recovery point stalled")
 		}
 		c.armWatchdog()
 	})

@@ -33,12 +33,12 @@ func (m *Machine) ResumeAll() {
 func (m *Machine) Quiesce(budget sim.Time) bool {
 	m.quiescing = true
 	m.PauseAll()
-	deadline := m.dom.Now() + budget
-	for m.dom.Now() < deadline {
+	deadline := m.Eng.Now() + budget
+	for m.Eng.Now() < deadline {
 		if m.drained() {
 			return true
 		}
-		m.dom.Run(m.dom.Now() + 1000)
+		m.Eng.Run(m.Eng.Now() + 1000)
 	}
 	return m.drained()
 }

@@ -12,7 +12,7 @@ import (
 // the interface is satisfied.
 
 // Now returns the current simulation time.
-func (m *Machine) Now() sim.Time { return m.dom.Now() }
+func (m *Machine) Now() sim.Time { return m.Eng.Now() }
 
 // Resume restarts every processor after a Quiesce.
 func (m *Machine) Resume() { m.ResumeAll() }

@@ -34,7 +34,6 @@ type Node struct {
 	Ring *core.RegRing
 
 	m           *Machine
-	eng         *sim.Engine // the engine shard owning this node's events
 	rpcn        msg.CN
 	lastReady   msg.CN
 	pausedBP    bool // paused by the outstanding-checkpoint bound
@@ -47,14 +46,8 @@ type Node struct {
 
 // Machine is a complete simulated system.
 type Machine struct {
-	// Eng is the engine owning shard 0 (the whole system when
-	// sequential). Tests drive sequential machines through it; sharded
-	// runs are driven through the domain (Machine.Run).
-	Eng *sim.Engine
-	// dom is the scheduling domain: Eng itself when EngineShards <= 1,
-	// otherwise a conservative-lookahead sharded engine partitioning the
-	// nodes.
-	dom   sim.Domain
+	// Eng is the event engine that drives the whole system.
+	Eng   *sim.Engine
 	P     config.Params
 	Topo  *topology.Torus
 	Net   *network.Network
@@ -92,53 +85,26 @@ type Machine struct {
 	obs backend.Observers
 }
 
-// resolveShards maps the EngineShards axis to a concrete shard count: 0
-// and 1 select the sequential engine, larger values are capped at the
-// node count (a shard needs at least one node).
-func resolveShards(p config.Params) int {
-	k := p.EngineShards
-	if k > p.NumNodes {
-		k = p.NumNodes
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // New builds a machine running the given workload profile on every
 // processor. It panics on invalid configuration (programming error).
 func New(p config.Params, profile workload.Profile) *Machine {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	eng := sim.NewEngine()
 	m := &Machine{
+		Eng:  eng,
 		P:    p,
 		Topo: topology.New(p.TorusWidth, p.TorusHeight),
 		home: protocol.InterleavedHome(p.BlockBytes, p.NumNodes),
 	}
-	if k := resolveShards(p); k > 1 {
-		assign := m.Topo.Partition(k)
-		m.dom = sim.NewShardedEngine(k, assign, sim.Time(p.ShardWindowCycles()))
-		m.Eng = m.dom.EngineAt(0)
-	} else {
-		eng := sim.NewEngine()
-		m.dom = eng
-		m.Eng = eng
-	}
-	m.Net = network.New(m.dom, m.Topo, p)
-	if m.dom.ShardCount() > 1 {
-		// Shards route concurrently; the lazily-filled route cache must
-		// be complete before they start.
-		m.Net.PrewarmRoutes()
-	}
+	m.Net = network.New(eng, m.Topo, p)
 	m.Net.OnInjectedFault(func(kind string) {
-		m.obs.FaultFired(uint64(m.dom.Now()), kind)
+		m.obs.FaultFired(uint64(eng.Now()), kind)
 	})
 
 	for n := 0; n < p.NumNodes; n++ {
-		eng := m.dom.EngineAt(n)
-		node := &Node{ID: n, m: m, eng: eng, rpcn: 1, lastReady: 1}
+		node := &Node{ID: n, m: m, rpcn: 1, lastReady: 1}
 		node.CC = protocol.NewCacheController(n, eng, m.Net, p, m.home)
 		node.Dir = protocol.NewDirController(n, eng, m.Net, p)
 		gen := workload.NewSynthetic(profile, n, p.Seed)
@@ -155,38 +121,32 @@ func New(p config.Params, profile workload.Profile) *Machine {
 
 	if p.SafetyNetEnabled {
 		m.svcHomes = [2]int{0, p.NumNodes / 2}
+		hooks := core.Hooks{
+			Quiesce:   m.quiesce,
+			Unquiesce: m.unquiesce,
+			Advanced: func(cn msg.CN) {
+				m.obs.CheckpointAdvanced(uint64(eng.Now()), uint32(cn))
+			},
+			RecoveryStarted: func(cause string) {
+				m.obs.RecoveryStarted(uint64(eng.Now()), cause)
+			},
+			RecoveryCompleted: func(rec core.RecoveryRecord) {
+				m.obs.RecoveryCompleted(uint64(eng.Now()),
+					uint32(rec.RecoveryPoint), uint64(rec.Duration()))
+			},
+		}
 		for i, home := range m.svcHomes {
-			home := home
-			he := m.dom.EngineAt(home)
-			hooks := core.Hooks{
-				Quiesce:   m.quiesce,
-				Unquiesce: m.unquiesce,
-				Advanced: func(cn msg.CN) {
-					m.obs.CheckpointAdvanced(uint64(he.Now()), uint32(cn))
-				},
-				RecoveryStarted: func(cause string) {
-					m.obs.RecoveryStarted(uint64(he.Now()), cause)
-				},
-				RecoveryCompleted: func(rec core.RecoveryRecord) {
-					m.obs.RecoveryCompleted(uint64(he.Now()),
-						uint32(rec.RecoveryPoint), uint64(rec.Duration()))
-				},
-				RunSafe: func(fn func()) { m.dom.WhenSafe(home, fn) },
-			}
-			prev := he.SetOwner(home)
-			m.Svc[i] = core.NewController(he, home, p.NumNodes,
+			prev := eng.SetOwner(home)
+			m.Svc[i] = core.NewController(eng, home, p.NumNodes,
 				func(mm *msg.Message) { m.Net.Send(mm) },
 				m.Net.Epoch,
 				sim.Time(p.ValidationWatchdogCycles),
 				hooks)
-			he.SetOwner(prev)
+			eng.SetOwner(prev)
 		}
-		func() {
-			he := m.dom.EngineAt(m.svcHomes[0])
-			prev := he.SetOwner(m.svcHomes[0])
-			defer he.SetOwner(prev)
-			m.Svc[0].Activate()
-		}()
+		prev := eng.SetOwner(m.svcHomes[0])
+		m.Svc[0].Activate()
+		eng.SetOwner(prev)
 
 		skew := make([]sim.Time, p.NumNodes)
 		if p.CheckpointClockSkewCycles > 0 {
@@ -195,7 +155,7 @@ func New(p config.Params, profile workload.Profile) *Machine {
 				skew[i] = sim.Time(r.Uint64n(p.CheckpointClockSkewCycles + 1))
 			}
 		}
-		m.Clock = core.NewClock(m.dom.EngineAt, sim.Time(p.CheckpointIntervalCycles), p.NumNodes, skew,
+		m.Clock = core.NewClock(eng, sim.Time(p.CheckpointIntervalCycles), p.NumNodes, skew,
 			func() bool { return m.recovering })
 		for n := 0; n < p.NumNodes; n++ {
 			node := m.Nodes[n]
@@ -206,13 +166,13 @@ func New(p config.Params, profile workload.Profile) *Machine {
 }
 
 // Start launches every processor (and the checkpoint clock). Each
-// processor's event stream is owned by its node so a sharded domain can
-// order it deterministically.
+// processor's event stream is owned by its node, which fixes its place in
+// the engine's within-cycle order.
 func (m *Machine) Start() {
 	for _, n := range m.Nodes {
-		prev := n.eng.SetOwner(n.ID)
+		prev := m.Eng.SetOwner(n.ID)
 		n.Proc.Start()
-		n.eng.SetOwner(prev)
+		m.Eng.SetOwner(prev)
 	}
 	if m.Clock != nil {
 		m.Clock.Start()
@@ -221,10 +181,7 @@ func (m *Machine) Start() {
 
 // Run advances the simulation to the given absolute cycle (or until a
 // crash stops it) and returns the final time.
-func (m *Machine) Run(until sim.Time) sim.Time { return m.dom.Run(until) }
-
-// Domain exposes the machine's scheduling domain.
-func (m *Machine) Domain() sim.Domain { return m.dom }
+func (m *Machine) Run(until sim.Time) sim.Time { return m.Eng.Run(until) }
 
 // RPCN returns the system recovery point (1 when unprotected).
 func (m *Machine) RPCN() msg.CN {
@@ -258,29 +215,20 @@ func (m *Machine) TotalInstrs() uint64 {
 	return t
 }
 
-// quiesce and unquiesce flip the machine-global recovery flags, which
-// every shard reads. They only execute in shard-safe contexts: fault
-// paths run merged (fault arming Holds the domain), and the watchdog
-// routes its trigger through WhenSafe. The Hold keeps execution merged
-// for the whole recovery, so the multi-node recovery choreography is
-// sequential-identical.
-//
-//snvet:global flips machine-wide recovery flags and the network epoch
+// quiesce and unquiesce flip the machine-wide recovery flags and, on
+// entry, the network epoch.
 func (m *Machine) quiesce() {
-	m.dom.Hold()
 	m.recovering = true
 	m.Net.SetRecovering(true)
 	m.Net.BumpEpoch()
 }
 
-//snvet:global flips machine-wide recovery flags
 func (m *Machine) unquiesce() {
 	m.recovering = false
 	m.Net.SetRecovering(false)
 	if m.AfterRecovery != nil {
 		m.AfterRecovery()
 	}
-	m.dom.Release()
 }
 
 // faultReporter converts a detected fault into a recovery request
@@ -308,9 +256,9 @@ func (m *Machine) crash(cause string) {
 	}
 	m.Crashed = true
 	m.CrashCause = cause
-	m.CrashTime = m.dom.Now()
+	m.CrashTime = m.Eng.Now()
 	m.obs.Crashed(uint64(m.CrashTime), cause)
-	m.dom.Stop()
+	m.Eng.Stop()
 }
 
 // flushToMem absorbs a validated dirty victim displaced during recovery
@@ -470,7 +418,7 @@ func (n *Node) onRecover(rpcn msg.CN) {
 	// Local recovery cost: log unroll (8 cycles per 64-byte entry at
 	// 8 bytes/cycle) plus the register restore.
 	cost := sim.Time(1000 + 8*entries + int(n.m.P.RegisterCheckpointCycles))
-	n.eng.After(cost, func() {
+	n.m.Eng.After(cost, func() {
 		for _, home := range n.m.svcHomes {
 			done := msg.Alloc()
 			*done = msg.Message{Type: msg.RecoverDone, Src: n.ID, Dst: home}

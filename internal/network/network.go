@@ -4,18 +4,9 @@
 // running examples — a dropped message (transient) and a killed half-switch
 // that loses everything buffered inside it (hard fault).
 //
-// The network runs on a sim.Domain, so hops may execute on different
-// engine shards. Every scheduling edge that can cross shards is a hop
-// between adjacent nodes' half-switches and costs at least one switch
-// traversal plus minimum serialization — the domain's conservative
-// lookahead. Shard safety rests on ownership partitioning: the link
-// busy table is written only by the shard owning the link's source
-// endpoint, statistics and transit free lists are per shard, and the
-// route cache must be prewarmed (or the fault machinery must Hold the
-// domain) before shards route concurrently. Fault injection always
-// Holds: armed rules are global first-match state consulted on every
-// send, so a faulty run executes merged, identical to the sequential
-// oracle.
+// A hop from one node's half-switch to the next node's is posted into
+// the receiving node's context (sim.Engine.Post), so it takes its place
+// in the engine's within-cycle order as a cross-node event.
 package network
 
 import (
@@ -62,9 +53,8 @@ type Stats struct {
 	HopsTotal  uint64
 }
 
-// shardStats is one shard's private counter block, padded so two shards
-// never share a cache line.
-type shardStats struct {
+// counters are the network's running totals, from which Stats is built.
+type counters struct {
 	sent       uint64
 	delivered  uint64
 	corrupted  uint64
@@ -73,36 +63,30 @@ type shardStats struct {
 	bytesSent  uint64
 	hopsTotal  uint64
 	dropped    [numDropReasons]uint64
-	_          [32]byte
 }
 
 // transit is the traversal state of one in-flight message: its cached
 // route, current position, and per-link serialization cost. Transits are
-// recycled through per-shard free lists and dispatched through the
-// engine's arg-passing scheduler, so a hop costs no allocation.
+// recycled through a free list and dispatched through the engine's
+// arg-passing scheduler, so a hop costs no allocation.
 type transit struct {
 	m     *msg.Message
 	route []topology.SwitchID
 	idx   int
 	ser   sim.Time
-	next  *transit // free-list link
 }
 
 // Network delivers messages between node network interfaces across the
-// torus. It is driven entirely by the simulation domain; external callers
+// torus. It is driven entirely by the simulation engine; external callers
 // must not use it concurrently.
 type Network struct {
-	dom  sim.Domain
-	topo *topology.Torus
-	p    config.Params
-	// engOf/shardOf cache the domain's per-node engine and shard.
-	engOf    []*sim.Engine
-	shardOf  []int32
+	eng      *sim.Engine
+	topo     *topology.Torus
+	p        config.Params
 	handlers []Handler
 	// busy holds per-link release times in a dense table indexed by
 	// from*nEnt+to over link endpoints (half-switches 0..2N-1, node
-	// interfaces 2N..3N-1). Each row is written only by the shard owning
-	// the from endpoint's node.
+	// interfaces 2N..3N-1).
 	busy []sim.Time
 	nEnt int
 
@@ -110,43 +94,31 @@ type Network struct {
 	// a closure per hop.
 	stepFn    func(any)
 	deliverFn func(any)
-	free      []*transit // per-shard transit free lists
+	free      sim.FreeList[transit]
 
 	epoch      int
 	recovering bool
 
-	// ruleNow is the injection time drop rules read; set by Send before
-	// consulting the rules. Armed rules imply merged execution, where it
-	// is globally consistent.
-	ruleNow   sim.Time
 	dropRules []func(*msg.Message) bool
 	onDrop    func(*msg.Message, DropReason)
 	onFault   func(kind string)
 
-	sstats []shardStats
+	st counters
 }
 
-// New builds a network over the given torus on the given scheduling
-// domain, using the timing parameters in p. Handlers start nil; Attach
-// them before sending.
-func New(dom sim.Domain, topo *topology.Torus, p config.Params) *Network {
+// New builds a network over the given torus on the given engine, using
+// the timing parameters in p. Handlers start nil; Attach them before
+// sending.
+func New(eng *sim.Engine, topo *topology.Torus, p config.Params) *Network {
 	n := topo.Nodes()
 	nEnt := 3 * n // 2N half-switches + N node interfaces
 	nw := &Network{
-		dom:      dom,
+		eng:      eng,
 		topo:     topo,
 		p:        p,
-		engOf:    make([]*sim.Engine, n),
-		shardOf:  make([]int32, n),
 		handlers: make([]Handler, n),
 		busy:     make([]sim.Time, nEnt*nEnt),
 		nEnt:     nEnt,
-		free:     make([]*transit, dom.ShardCount()),
-		sstats:   make([]shardStats, dom.ShardCount()),
-	}
-	for i := 0; i < n; i++ {
-		nw.engOf[i] = dom.EngineAt(i)
-		nw.shardOf[i] = int32(dom.ShardOf(i))
 	}
 	nw.stepFn = nw.step
 	nw.deliverFn = nw.deliverArg
@@ -157,19 +129,9 @@ func New(dom sim.Domain, topo *topology.Torus, p config.Params) *Network {
 func (nw *Network) nodeEnt(n int) int { return 2*nw.topo.Nodes() + n }
 
 //snvet:alloc-free
-func (nw *Network) allocTransit(shard int32) *transit {
-	if t := nw.free[shard]; t != nil {
-		nw.free[shard] = t.next
-		return t
-	}
-	return &transit{} //snvet:alloc-ok pool miss; steady state reuses the per-shard free list
-}
-
-//snvet:alloc-free
-func (nw *Network) releaseTransit(shard int32, t *transit) {
+func (nw *Network) releaseTransit(t *transit) {
 	t.m, t.route = nil, nil
-	t.next = nw.free[shard]
-	nw.free[shard] = t
+	nw.free.Put(t)
 }
 
 // Attach registers the delivery handler for node n.
@@ -179,36 +141,22 @@ func (nw *Network) Attach(n int, h Handler) { nw.handlers[n] = h }
 // inspecting reconfiguration).
 func (nw *Network) Topology() *topology.Torus { return nw.topo }
 
-// PrewarmRoutes fills the whole route cache. A sharded domain must call
-// this before running fault-free in parallel: lazy fills from concurrent
-// shards would race.
-func (nw *Network) PrewarmRoutes() {
-	n := nw.topo.Nodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			nw.topo.Route(s, d)
-		}
-	}
-}
-
-// Stats returns a copy of the accumulated statistics, merged across
-// shards. Under parallel execution it is only meaningful between Run
-// calls.
+// Stats returns a copy of the accumulated statistics.
 func (nw *Network) Stats() Stats {
-	s := Stats{Dropped: make(map[DropReason]uint64)}
-	for i := range nw.sstats {
-		ss := &nw.sstats[i]
-		s.Sent += ss.sent
-		s.Delivered += ss.delivered
-		s.Corrupted += ss.corrupted
-		s.Misrouted += ss.misrouted
-		s.Duplicated += ss.duplicated
-		s.BytesSent += ss.bytesSent
-		s.HopsTotal += ss.hopsTotal
-		for r, v := range ss.dropped {
-			if v != 0 {
-				s.Dropped[DropReason(r)] += v
-			}
+	c := &nw.st
+	s := Stats{
+		Dropped:    make(map[DropReason]uint64),
+		Sent:       c.sent,
+		Delivered:  c.delivered,
+		Corrupted:  c.corrupted,
+		Misrouted:  c.misrouted,
+		Duplicated: c.duplicated,
+		BytesSent:  c.bytesSent,
+		HopsTotal:  c.hopsTotal,
+	}
+	for r, v := range c.dropped {
+		if v != 0 {
+			s.Dropped[DropReason(r)] = v
 		}
 	}
 	return s
@@ -217,10 +165,8 @@ func (nw *Network) Stats() Stats {
 // DroppedTotal sums drops across all reasons.
 func (nw *Network) DroppedTotal() uint64 {
 	var t uint64
-	for i := range nw.sstats {
-		for _, v := range nw.sstats[i].dropped {
-			t += v
-		}
+	for _, v := range nw.st.dropped {
+		t += v
 	}
 	return t
 }
@@ -231,18 +177,12 @@ func (nw *Network) Epoch() int { return nw.epoch }
 
 // BumpEpoch starts a new recovery epoch; every in-flight coherence message
 // becomes stale. SafetyNet recovery calls this to model draining the
-// interconnect (paper §3.6 step one). Callers must be in a shard-safe
-// context (the machine's quiesce runs under WhenSafe/Hold).
-//
-//snvet:global recovery epoch is read by every shard
+// interconnect (paper §3.6 step one).
 func (nw *Network) BumpEpoch() { nw.epoch++ }
 
 // SetRecovering toggles recovery mode: while set, newly injected coherence
 // messages are discarded at the source (the protocol is quiesced), while
-// system-coordination messages still flow. Same context requirement as
-// BumpEpoch.
-//
-//snvet:global recovery flag is read by every shard
+// system-coordination messages still flow.
 func (nw *Network) SetRecovering(r bool) { nw.recovering = r }
 
 // OnDrop installs a callback invoked for every dropped message, after
@@ -263,12 +203,8 @@ func (nw *Network) noteFault(kind string) {
 
 // AddDropRule installs a predicate consulted at injection; returning true
 // silently drops the message (a transient interconnect fault). Rules are
-// responsible for their own arming/disarming state. Arming any rule Holds
-// the domain for the rest of the run: rules are global first-match state,
-// so a faulty run executes merged (sequential-identical) rather than in
-// parallel windows.
+// responsible for their own arming/disarming state.
 func (nw *Network) AddDropRule(f func(*msg.Message) bool) {
-	nw.dom.Hold()
 	nw.dropRules = append(nw.dropRules, f)
 }
 
@@ -281,13 +217,13 @@ func (nw *Network) InjectDropEvery(start, period sim.Time) func() {
 	next := start
 	armed := true
 	nw.AddDropRule(func(m *msg.Message) bool {
-		if !armed || nw.ruleNow < next || !m.Type.IsCoherence() {
+		if !armed || nw.eng.Now() < next || !m.Type.IsCoherence() {
 			return false
 		}
 		if !m.Type.CarriesData() {
 			return false // drop a data response: the highest-impact loss
 		}
-		next = nw.ruleNow + period
+		next = nw.eng.Now() + period
 		nw.noteFault("drop-every")
 		return true
 	})
@@ -301,13 +237,13 @@ func (nw *Network) InjectDropEvery(start, period sim.Time) func() {
 func (nw *Network) InjectCorruptOnce(at sim.Time) {
 	fired := false
 	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.ruleNow < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
+		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
 			return false
 		}
 		fired = true
 		m.Corrupted = true
 		m.Data ^= 0xdeadbeef // the damage an ECC-less endpoint would consume
-		nw.sstats[nw.shardOf[m.Src]].corrupted++
+		nw.st.corrupted++
 		nw.noteFault("corrupt-once")
 		return false // delivered, not dropped
 	})
@@ -321,12 +257,12 @@ func (nw *Network) InjectCorruptOnce(at sim.Time) {
 func (nw *Network) InjectMisrouteOnce(at sim.Time) {
 	fired := false
 	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.ruleNow < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
+		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
 			return false
 		}
 		fired = true
 		m.Dst = (m.Dst + 1) % len(nw.handlers)
-		nw.sstats[nw.shardOf[m.Src]].misrouted++
+		nw.st.misrouted++
 		nw.noteFault("misroute-once")
 		return false // delivered — to the wrong place
 	})
@@ -339,17 +275,17 @@ func (nw *Network) InjectMisrouteOnce(at sim.Time) {
 func (nw *Network) InjectDuplicateOnce(at sim.Time) {
 	fired := false
 	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.ruleNow < at || !m.Type.IsCoherence() {
+		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() {
 			return false
 		}
 		fired = true
-		nw.sstats[nw.shardOf[m.Src]].duplicated++
+		nw.st.duplicated++
 		nw.noteFault("duplicate-once")
 		dup := msg.Alloc()
 		*dup = *m
 		// Re-inject the duplicate after this send completes; drop rules
 		// are consulted again but fired is already set.
-		nw.engOf[m.Src].After(1, func() { nw.Send(dup) })
+		nw.eng.After(1, func() { nw.Send(dup) })
 		return false
 	})
 }
@@ -358,7 +294,7 @@ func (nw *Network) InjectDuplicateOnce(at sim.Time) {
 func (nw *Network) InjectDropOnce(at sim.Time) {
 	fired := false
 	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.ruleNow < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
+		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
 			return false
 		}
 		fired = true
@@ -370,97 +306,82 @@ func (nw *Network) InjectDropOnce(at sim.Time) {
 // KillSwitchAt schedules the hard fault of the paper's Experiment 3: at
 // cycle at, half-switch s dies, losing all messages buffered in it (any
 // in-flight message that reaches s afterwards is dropped) and forcing
-// routes computed later to detour around it. Arming Holds the domain for
-// the rest of the run: topology reconfiguration invalidates the shared
-// route cache.
+// routes computed later to detour around it.
 func (nw *Network) KillSwitchAt(s topology.SwitchID, at sim.Time) {
-	nw.dom.Hold()
-	nw.engOf[nw.topo.NodeOf(s)].Schedule(at, func() {
+	nw.eng.Schedule(at, func() {
 		nw.topo.Kill(s)
 		nw.noteFault("kill-switch")
 	})
 }
 
-// Send injects m into the network. Delivery is scheduled through the
-// domain; the handler of m.Dst eventually receives the message unless a
-// fault, a recovery, or a stale epoch eats it. Send must execute in the
-// scheduling context of a node on m.Src's shard (in practice: node
-// m.Src's own events, or its home service controller's).
+// Send injects m into the network. Delivery is scheduled on the engine;
+// the handler of m.Dst eventually receives the message unless a fault, a
+// recovery, or a stale epoch eats it. Send runs in the scheduling context
+// of node m.Src (its own events, or its home service controller's).
 //
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) Send(m *msg.Message) {
 	if nw.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("network: no handler attached to node %d", m.Dst))
 	}
-	srcShard := nw.shardOf[m.Src]
-	eng := nw.engOf[m.Src]
-	ss := &nw.sstats[srcShard]
 	m.Epoch = nw.epoch
-	ss.sent++
+	nw.st.sent++
 	size := msg.Size(m.Type, nw.p.BlockBytes)
-	ss.bytesSent += uint64(size)
+	nw.st.bytesSent += uint64(size)
 
 	if nw.recovering && m.Type.IsCoherence() {
-		nw.drop(srcShard, m, DropRecovering)
+		nw.drop(m, DropRecovering)
 		return
 	}
-	if len(nw.dropRules) > 0 {
-		nw.ruleNow = eng.Now()
-		for _, rule := range nw.dropRules {
-			if rule(m) {
-				nw.drop(srcShard, m, DropInjectedFault)
-				return
-			}
+	for _, rule := range nw.dropRules {
+		if rule(m) {
+			nw.drop(m, DropInjectedFault)
+			return
 		}
 	}
 
 	if m.Src == m.Dst {
 		// Local traffic bypasses the torus through the node's own
 		// network interface.
-		eng.AfterArg(sim.Time(nw.p.SwitchHopCycles), nw.deliverFn, m)
+		nw.eng.AfterArg(sim.Time(nw.p.SwitchHopCycles), nw.deliverFn, m)
 		return
 	}
 
 	route := nw.topo.Route(m.Src, m.Dst)
 	if route == nil {
-		nw.drop(srcShard, m, DropUnroutable)
+		nw.drop(m, DropUnroutable)
 		return
 	}
 	ser := sim.Time(nw.p.SerializationCycles(size))
-	t := nw.allocTransit(srcShard)
+	t := nw.free.Get()
 	t.m, t.route, t.idx, t.ser = m, route, 0, ser
-	// The first hop enters the source's own half-switch: same node, same
-	// shard, so it schedules directly.
-	depart := nw.occupy(eng, nw.nodeEnt(m.Src), int(route[0]), ser)
+	// The first hop enters the source's own half-switch, so it stays in
+	// the source's context and schedules directly.
+	depart := nw.occupy(nw.nodeEnt(m.Src), int(route[0]), ser)
 	arrive := depart + ser + sim.Time(nw.p.SwitchHopCycles)
-	eng.ScheduleArg(arrive, nw.stepFn, t)
+	nw.eng.ScheduleArg(arrive, nw.stepFn, t)
 }
 
 // step runs when a message arrives at its next half-switch (or, once the
-// route is exhausted, at the destination's network interface). It
-// executes on the shard owning the current position's node; forwarding to
-// the next half-switch crosses nodes — and possibly shards — through the
-// domain, at a latency of at least one hop plus serialization (the
-// lookahead bound).
+// route is exhausted, at the destination's network interface), in the
+// context of the node owning the current position. Forwarding to the next
+// half-switch crosses nodes, so it is posted into the next node's context.
 //
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) step(a any) {
 	t := a.(*transit)
 	if t.idx == len(t.route) {
 		m := t.m
-		nw.releaseTransit(nw.shardOf[m.Dst], t)
+		nw.releaseTransit(t)
 		nw.deliver(m)
 		return
 	}
 	cur := t.route[t.idx]
-	curNode := nw.topo.NodeOf(cur)
-	nw.sstats[nw.shardOf[curNode]].hopsTotal++
+	nw.st.hopsTotal++
 	if !nw.topo.Alive(cur) {
 		m := t.m
-		nw.releaseTransit(nw.shardOf[curNode], t)
-		nw.drop(nw.shardOf[curNode], m, DropDeadSwitch)
+		nw.releaseTransit(t)
+		nw.drop(m, DropDeadSwitch)
 		return
 	}
 	var to, toNode int
@@ -471,22 +392,19 @@ func (nw *Network) step(a any) {
 		to = int(t.route[t.idx+1])
 		toNode = nw.topo.NodeOf(topology.SwitchID(to))
 	}
-	depart := nw.occupy(nw.engOf[curNode], int(cur), to, t.ser)
+	depart := nw.occupy(int(cur), to, t.ser)
 	arrive := depart + t.ser + sim.Time(nw.p.SwitchHopCycles)
 	t.idx++
-	nw.dom.Post(curNode, toNode, arrive, nw.stepFn, t)
+	nw.eng.Post(toNode, arrive, nw.stepFn, t)
 }
 
 // occupy reserves the from->to link for ser cycles starting no earlier
-// than now and returns the departure time. e must be the engine of the
-// shard owning the from endpoint's node: link state is partitioned by
-// source endpoint, so each busy row has exactly one writing shard.
+// than now and returns the departure time.
 //
-//snvet:nodelocal
 //snvet:alloc-free
-func (nw *Network) occupy(e *sim.Engine, from, to int, ser sim.Time) sim.Time {
+func (nw *Network) occupy(from, to int, ser sim.Time) sim.Time {
 	li := from*nw.nEnt + to
-	depart := e.Now()
+	depart := nw.eng.Now()
 	if b := nw.busy[li]; b > depart {
 		depart = b
 	}
@@ -496,25 +414,22 @@ func (nw *Network) occupy(e *sim.Engine, from, to int, ser sim.Time) sim.Time {
 
 // deliverArg adapts deliver to the engine's arg-passing scheduler.
 //
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) deliverArg(a any) { nw.deliver(a.(*msg.Message)) }
 
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) deliver(m *msg.Message) {
-	dstShard := nw.shardOf[m.Dst]
 	if m.Type.IsCoherence() {
 		if m.Epoch != nw.epoch {
-			nw.drop(dstShard, m, DropStaleEpoch)
+			nw.drop(m, DropStaleEpoch)
 			return
 		}
 		if nw.recovering {
-			nw.drop(dstShard, m, DropRecovering)
+			nw.drop(m, DropRecovering)
 			return
 		}
 	}
-	nw.sstats[dstShard].delivered++
+	nw.st.delivered++
 	// Ownership of m passes to the handler, which releases it (directly
 	// or once any deferred processing it schedules completes).
 	nw.handlers[m.Dst](m)
@@ -522,10 +437,9 @@ func (nw *Network) deliver(m *msg.Message) {
 
 // drop consumes m: after the callback it returns to the message pool.
 //
-//snvet:nodelocal
 //snvet:alloc-free
-func (nw *Network) drop(shard int32, m *msg.Message, r DropReason) {
-	nw.sstats[shard].dropped[r]++
+func (nw *Network) drop(m *msg.Message, r DropReason) {
+	nw.st.dropped[r]++
 	if nw.onDrop != nil {
 		nw.onDrop(m, r)
 	}

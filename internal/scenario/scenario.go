@@ -99,7 +99,6 @@ type Overrides struct {
 	RequestTimeoutCycles     *uint64 `json:"request_timeout_cycles,omitempty"`
 	ValidationWatchdogCycles *uint64 `json:"validation_watchdog_cycles,omitempty"`
 
-	EngineShards        *int    `json:"engine_shards,omitempty"`
 	Seed                *uint64 `json:"seed,omitempty"`
 	LatencyPerturbation *uint64 `json:"latency_perturbation,omitempty"`
 }

@@ -8,13 +8,11 @@
 // event belongs to (-1 for global events), the class separates node-local
 // schedules from cross-node posts, and the key is a per-owner sequence
 // number. Ownerless workloads — everything scheduled while the current
-// owner is -1 — degenerate to plain FIFO-within-cycle order, so components
-// that never annotate owners keep the engine's historical behavior.
-// Because every part of the key is intrinsic to the scheduling site (never
-// derived from arrival order at a queue), the order is identical whether
-// the events run on one engine or on the sharded engine's partitioned
-// queues; that is the determinism contract that makes sharded runs
-// byte-identical to the sequential oracle. Determinism matters here beyond
+// owner is -1 — degenerate to plain FIFO-within-cycle order. Plain FIFO
+// order for every event would be simpler, but the keyed order is kept
+// because the pinned simulated statistics and the golden reports depend
+// on it: changing it changes which of two same-cycle events runs first,
+// and so every number downstream. Determinism matters here beyond
 // reproducibility — SafetyNet recovery re-executes work from a restored
 // checkpoint, and the tests compare re-executed state against reference
 // executions.
@@ -80,8 +78,7 @@ type ovEntry struct {
 
 // remoteClass marks keys of cross-node posts: within one (cycle, owner)
 // all node-local schedules order before all posts, and posts order among
-// themselves by (source owner, per-source post sequence) — both intrinsic
-// to the sending site, so the order cannot depend on shard layout.
+// themselves by (source owner, per-source post sequence).
 const remoteClass = uint64(1) << 63
 
 // remoteKey packs a post's ordering key from its source owner and the
@@ -99,14 +96,6 @@ func keyLess(o1 int32, k1 uint64, o2 int32, k2 uint64) bool {
 		return uint32(o1+1) < uint32(o2+1)
 	}
 	return k1 < k2
-}
-
-// eventLess is keyLess extended with the cycle.
-func eventLess(a1 Time, o1 int32, k1 uint64, a2 Time, o2 int32, k2 uint64) bool {
-	if a1 != a2 {
-		return a1 < a2
-	}
-	return keyLess(o1, k1, o2, k2)
 }
 
 // ownerCtr holds one owner's key counters: local counts ordinary
@@ -143,14 +132,6 @@ type Engine struct {
 
 	slots []slot
 	free  int32 // free-list head, -1 when empty
-
-	// pk* cache the earliest pending event's key between peeks; the
-	// sharded engine's merged executor peeks every shard per dispatch,
-	// and the cache keeps that O(1) for shards whose head is far away.
-	pkValid bool
-	pkAt    Time
-	pkOwner int32
-	pkKey   uint64
 }
 
 // NewEngine returns an engine with an empty event queue at cycle 0.
@@ -283,9 +264,6 @@ func (e *Engine) bucketUnlink(b *bucket, i int32) {
 //snvet:alloc-free
 func (e *Engine) enqueue(i int32) {
 	s := &e.slots[i]
-	if e.pkValid && eventLess(s.at, s.owner, s.key, e.pkAt, e.pkOwner, e.pkKey) {
-		e.pkValid = false
-	}
 	if s.at < e.base+wheelSize {
 		s.hidx = -1
 		e.bucketInsert(&e.buckets[s.at&wheelMask], i)
@@ -312,36 +290,23 @@ func (e *Engine) schedule(at Time, fn Event, afn func(any), arg any) int32 {
 	return i
 }
 
-// post schedules a cross-node event: it runs in owner's context but its
-// key is derived from the sending owner's post counter, making the
-// within-cycle order shard-layout-invariant.
+// Post schedules afn(arg) at absolute cycle at in node to's context: the
+// event runs with to as its owner, but its key comes from the current
+// owner's post counter, so within one (cycle, owner) posts order after
+// local schedules and among themselves by (source owner, post sequence).
+// The network uses it for every hop that crosses nodes.
 //
 //snvet:alloc-free
-func (e *Engine) post(at Time, owner int32, afn func(any), arg any) {
-	e.enqueueKeyed(at, owner, e.nextRemoteKey(), nil, afn, arg)
-}
-
-// nextRemoteKey consumes the current owner's next post key.
-func (e *Engine) nextRemoteKey() uint64 {
-	c := e.ctr(e.curOwner)
-	k := remoteKey(e.curOwner, c.remote)
-	c.remote++
-	return k
-}
-
-// enqueueKeyed schedules an event carrying a pre-assigned (owner, key);
-// the sharded engine's inbox drain uses it to apply cross-shard handoffs
-// with the keys their senders computed.
-//
-//snvet:alloc-free
-func (e *Engine) enqueueKeyed(at Time, owner int32, key uint64, fn Event, afn func(any), arg any) {
+func (e *Engine) Post(to int, at Time, afn func(any), arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: post at %d before now %d", at, e.now))
 	}
+	c := e.ctr(e.curOwner)
 	i := e.allocSlot()
 	s := &e.slots[i]
-	s.fn, s.afn, s.arg = fn, afn, arg
-	s.at, s.owner, s.key = at, owner, key
+	s.fn, s.afn, s.arg = nil, afn, arg
+	s.at, s.owner, s.key = at, int32(to), remoteKey(e.curOwner, c.remote)
+	c.remote++
 	e.enqueue(i)
 }
 
@@ -402,9 +367,6 @@ func (c Canceler) Cancel() {
 	s := &e.slots[c.idx]
 	if s.gen != c.gen {
 		return // already fired, cancelled, drained, or slot reused
-	}
-	if e.pkValid && s.owner == e.pkOwner && s.key == e.pkKey {
-		e.pkValid = false // (owner, key) is unique among pending events
 	}
 	if s.hidx >= 0 {
 		e.ovRemove(int(s.hidx))
@@ -524,7 +486,10 @@ func (e *Engine) ovRemove(i int) int32 {
 }
 
 func ovLess(a, b ovEntry) bool {
-	return eventLess(a.at, a.owner, a.key, b.at, b.owner, b.key)
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return keyLess(a.owner, a.key, b.owner, b.key)
 }
 
 // migrate moves every overflow event inside the current wheel window into
@@ -540,13 +505,14 @@ func (e *Engine) migrate() {
 	}
 }
 
-// Run dispatches events in time order until the queue empties, Stop is
-// called, or the clock would pass until. Events scheduled exactly at until
-// still run. It returns the time of the last dispatched event (or the
-// starting time if nothing ran).
+// Run dispatches events in time order up to and including cycle until and
+// returns the reached time. That is until itself — the clock advances to
+// until even when the queue empties earlier — unless Stop ended the run
+// early, in which case it is the cycle of the event that called Stop. The
+// clock never moves past until; a Run whose until already lies behind the
+// clock dispatches nothing and returns Now.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
-	e.pkValid = false
 	for e.pending > 0 && !e.stopped {
 		if e.wheelCount == 0 {
 			// Nothing inside the window: jump straight to the earliest
@@ -619,83 +585,6 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// AdvanceTo moves the clock to t without dispatching; t must not precede
-// now and no pending event may precede t. The sharded engine uses it to
-// keep every shard's notion of "now" aligned during merged execution and
-// when fast-forwarding empty queues.
-func (e *Engine) AdvanceTo(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: advance to %d before now %d", t, e.now))
-	}
-	e.now = t
-	if e.wheelCount == 0 && e.base < t {
-		e.base = t
-		if len(e.overflow) > 0 && e.overflow[0].at < e.base+wheelSize {
-			e.migrate()
-		}
-	}
-}
-
-// peek returns the (cycle, owner, key) of the earliest pending event
-// without dispatching it. Every queued event is live, so that is the head
-// of the first non-empty bucket, or the overflow minimum when the wheel
-// is empty. The result is cached until a mutation could change it.
-func (e *Engine) peek() (at Time, owner int32, key uint64, ok bool) {
-	if e.pkValid {
-		return e.pkAt, e.pkOwner, e.pkKey, true
-	}
-	switch {
-	case e.wheelCount > 0:
-		c := e.base
-		for e.buckets[c&wheelMask].head < 0 {
-			c++
-		}
-		s := &e.slots[e.buckets[c&wheelMask].head]
-		at, owner, key = s.at, s.owner, s.key
-	case len(e.overflow) > 0:
-		v := &e.overflow[0]
-		at, owner, key = v.at, v.owner, v.key
-	default:
-		return 0, 0, 0, false
-	}
-	e.pkValid, e.pkAt, e.pkOwner, e.pkKey = true, at, owner, key
-	return at, owner, key, true
-}
-
-// stepOne dispatches exactly the earliest pending event (the one peek
-// reports). The merged executor interleaves stepOne across shards in
-// global key order.
-func (e *Engine) stepOne() {
-	at, _, _, ok := e.peek()
-	if !ok {
-		return
-	}
-	e.pkValid = false
-	if at > e.base {
-		// Buckets before at are empty (peek verified); slide the window
-		// and pull overflow events the new horizon covers.
-		e.base = at
-		e.migrate()
-	}
-	b := &e.buckets[at&wheelMask]
-	i := b.head
-	s := &e.slots[i]
-	e.bucketUnlink(b, i)
-	e.wheelCount--
-	e.pending--
-	owner := s.owner
-	fn, afn, arg := s.fn, s.afn, s.arg
-	e.freeSlot(i)
-	e.now = at
-	e.curOwner = owner
-	e.executed++
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
-}
-
 // Drain discards every pending event. SafetyNet recovery uses this to model
 // draining the interconnect and discarding in-flight transaction state;
 // callers must immediately reschedule the periodic machinery (checkpoint
@@ -719,5 +608,4 @@ func (e *Engine) Drain() {
 	e.overflow = e.overflow[:0]
 	e.pending = 0
 	e.base = e.now
-	e.pkValid = false
 }

@@ -40,7 +40,9 @@ func TestEngineRunUntilBoundary(t *testing.T) {
 	ran := map[Time]bool{}
 	e.Schedule(10, func() { ran[10] = true })
 	e.Schedule(11, func() { ran[11] = true })
-	e.Run(10)
+	if got := e.Run(10); got != 10 {
+		t.Fatalf("Run(10) = %d, want 10", got)
+	}
 	if !ran[10] {
 		t.Fatal("event at the until boundary must run")
 	}
@@ -50,9 +52,23 @@ func TestEngineRunUntilBoundary(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
-	e.Run(11)
+	if got := e.Run(11); got != 11 {
+		t.Fatalf("Run(11) = %d, want 11", got)
+	}
 	if !ran[11] {
 		t.Fatal("resumed run must dispatch the remaining event")
+	}
+
+	// Run reaches until whether or not events remain beyond it, and an
+	// empty queue still advances the clock.
+	e = NewEngine()
+	e.Schedule(5, func() {})
+	e.Schedule(500, func() {})
+	if got := e.Run(100); got != 100 || e.Now() != 100 {
+		t.Fatalf("Run(100) = %d (now %d), want 100 with an event pending at 500", got, e.Now())
+	}
+	if got := NewEngine().Run(77); got != 77 {
+		t.Fatalf("Run(77) on an empty engine = %d, want 77", got)
 	}
 }
 
@@ -93,7 +109,9 @@ func TestEngineStop(t *testing.T) {
 	ran := 0
 	e.Schedule(1, func() { ran++; e.Stop() })
 	e.Schedule(2, func() { ran++ })
-	e.Run(10)
+	if got := e.Run(10); got != 1 {
+		t.Fatalf("Run(10) = %d, want 1: a stopped run returns the cycle of the event that stopped it", got)
+	}
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1 (Stop must halt dispatch)", ran)
 	}

@@ -5,9 +5,8 @@ import "testing"
 // FuzzEngineOps decodes its input into a mix of queue operations —
 // schedules of every flavour at horizons from 0 to about 4×wheelSize,
 // cross-node posts from a few owners, cancels of live, fired and
-// already-cancelled handles, drains, runs to random limits, and the
-// merged executor's peek and single step — and applies each to an
-// Engine and to a plain reference model in lock step.
+// already-cancelled handles, drains, and runs to random limits — and
+// applies each to an Engine and to a plain reference model in lock step.
 // The model keeps its live events in a slice and always dispatches the
 // least by (cycle, owner, class, source, sequence), the order the package
 // comment promises. Events may act when they fire (schedule, post or
@@ -19,8 +18,7 @@ func FuzzEngineOps(f *testing.F) {
 	// about 80 events. The first hand-made seed cancels the middle, tail
 	// and head of one cycle's bucket, then a timer below the overflow
 	// heap's root, and schedules into the bucket again; the second
-	// cancels a heap entry whose replacement must sift up; the third
-	// cancels the event a peek just reported.
+	// cancels a heap entry whose replacement must sift up.
 	for seed := uint64(1); seed <= 12; seed++ {
 		r := NewRand(seed)
 		b := make([]byte, 128*int(seed))
@@ -43,10 +41,6 @@ func FuzzEngineOps(f *testing.F) {
 		0x33, 0xa7, 0x10, 0, 0x33, 0xce, 0x20, 0, 0x33, 0xaa, 0xf8, 0,
 		0x33, 0xd2, 0x08, 0, 0x33, 0xd5, 0xf0, 0, 0x33, 0xae, 0xe0, 0,
 		8, 2,
-	})
-	f.Add([]byte{
-		0x33, 2, 0, 0x33, 3, 0, // timers at now+2 and now+3
-		0x0c, 8, 1, 0x1c, // peek, cancel the head peek reported, step
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		newOpsHarness(t, data).run()
@@ -147,8 +141,6 @@ func (h *opsHarness) run() {
 		case 11:
 			h.owner = int32(op>>4)%(fuzzOwners+1) - 1
 			h.e.SetOwner(int(h.owner))
-		case 12:
-			h.peekStep(op&0x10 != 0)
 		case 15:
 			switch op >> 4 {
 			case 15:
@@ -202,7 +194,7 @@ func (h *opsHarness) post() {
 	ev := &fuzzEvent{at: at, owner: to, class: 1, src: h.owner, seq: h.remote[o]}
 	h.remote[o]++
 	h.add(ev)
-	h.e.Post(int(h.owner), int(to), at, h.fireFn, ev)
+	h.e.Post(int(to), at, h.fireFn, ev)
 }
 
 // cancel cancels one of the 256 most recent handles, which may be live,
@@ -234,28 +226,6 @@ func (h *opsHarness) runTo(limit Time) {
 	h.now, h.owner = limit, -1
 	if h.e.Now() != h.now || h.e.Owner() != -1 {
 		h.t.Fatalf("after Run(%d): now %d owner %d, want %d and -1", limit, h.e.Now(), h.e.Owner(), h.now)
-	}
-}
-
-// peekStep checks peek against the model's least live event and, when
-// step is set, dispatches that one event the way the sharded engine's
-// merged executor does.
-func (h *opsHarness) peekStep(step bool) {
-	at, owner, _, ok := h.e.peek()
-	m := h.least()
-	if !ok || m < 0 {
-		if ok || m >= 0 {
-			h.t.Fatalf("peek ok = %v with %d live events", ok, len(h.live))
-		}
-		return
-	}
-	if ev := h.live[m]; at != ev.at || owner != ev.owner {
-		h.t.Fatalf("peek = (%d, %d), want (%d, %d)", at, owner, ev.at, ev.owner)
-	}
-	if step {
-		h.limit = at
-		h.e.AdvanceTo(at)
-		h.e.stepOne()
 	}
 }
 

@@ -1,10 +1,7 @@
-// Event-shard declaration: every bus transaction is a globally ordered
-// event — the shared bus is the serialization point the protocol depends
-// on — so the snooping system declares all of its events global. It
-// always runs on a single sequential engine and ignores the EngineShards
-// axis. (The sharded conservative-lookahead domain in internal/sim
-// parallelizes only the directory/torus machine, whose events are
-// node-local between barrier-synchronized coordination points.)
+// Event order: every bus transaction is a globally ordered event — the
+// shared bus is the serialization point the protocol depends on — so the
+// snooping system never sets an event owner. All of its events are global
+// (owner -1) and fire in FIFO order within a cycle.
 
 package snoop
 

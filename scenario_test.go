@@ -22,6 +22,42 @@ func writeScenario(t *testing.T, sc *Scenario) string {
 	return path
 }
 
+// shortScenarioBudgetCycles mirrors cmd/snsim's -short scaling.
+const shortScenarioBudgetCycles = 1_600_000
+
+// TestExampleScenarios runs every checked-in example scenario once at
+// snsim's -short budget: each must load, retire instructions, and meet
+// its own expectations, as `snsim -scenario <f> -short` requires.
+func TestExampleScenarios(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("examples", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 6 {
+		t.Fatalf("expected the six checked-in example scenarios, found %d: %v", len(paths), paths)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			t.Parallel()
+			sc, err := LoadScenario(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.ScaleTo(shortScenarioBudgetCycles)
+			res, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Instrs == 0 {
+				t.Error("the scenario retired no instructions")
+			}
+			if err := sc.Check(res); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // TestScenarioFlagEquivalence: the two running-example faults produce
 // the same Result whether described by a scenario file or by the legacy
 // hand-wired New/Inject path that cmd/snsim's flags build.
