@@ -8,8 +8,9 @@
 // The check is syntactic and intentionally conservative about what
 // counts as an allocation: escaping composite literals (&T{...} and
 // reference-typed literals), function literals (closure environments),
-// append (growth may reallocate), make of any kind, new, and interface
-// boxing of non-pointer arguments at call sites. Three escapes:
+// append (growth may reallocate), make of any kind, new, interface
+// boxing of non-pointer arguments at call sites, and map stores
+// (m[k] = v, m[k] op= v, m[k]++), which may grow the map. Three escapes:
 // a //snvet:alloc-ok line annotation (amortized pool growth paths),
 // blocks that end in panic (allocation on a failure path is free), and
 // unannotated functions, which allocfree never inspects.
@@ -76,8 +77,30 @@ func (v *visitor) visit(n ast.Node) bool {
 		}
 	case *ast.CallExpr:
 		v.checkCall(n)
+	case *ast.AssignStmt:
+		if n.Tok != token.DEFINE {
+			for _, lhs := range n.Lhs {
+				v.checkMapStore(lhs)
+			}
+		}
+	case *ast.IncDecStmt:
+		v.checkMapStore(n.X)
 	}
 	return true
+}
+
+// checkMapStore flags an assignment target that stores into a map: a
+// new key may grow the map's table.
+func (v *visitor) checkMapStore(lhs ast.Expr) {
+	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
+	if !ok {
+		return
+	}
+	if tv, ok := v.pass.TypesInfo.Types[ix.X]; ok {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			v.report(ix.Pos(), "map store may grow the map")
+		}
+	}
 }
 
 // checkCall flags allocating builtins and interface boxing of call

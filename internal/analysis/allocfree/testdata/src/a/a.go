@@ -69,6 +69,36 @@ func boxes(v uint64) {
 	sink(v) // want `interface boxing of a non-pointer value allocates`
 }
 
+//snvet:alloc-free
+func mapStores(m map[int]int, k int) {
+	m[k] = 1   // want `map store may grow the map`
+	m[k] += 2  // want `map store may grow the map`
+	m[k]++     // want `map store may grow the map`
+	(m)[k] = 3 // want `map store may grow the map`
+}
+
+// mapReadOK: reading, deleting and storing into a slice element never
+// grow anything.
+//
+//snvet:alloc-free
+func mapReadOK(m map[int]int, s []int, k int) int {
+	v, ok := m[k]
+	delete(m, k)
+	s[k] = v
+	s[k]++
+	if ok {
+		return v + m[k]
+	}
+	return 0
+}
+
+// mapStoreOK stores only on an annotated amortized-growth line.
+//
+//snvet:alloc-free
+func mapStoreOK(m map[int]int, k int) {
+	m[k] = 1 //snvet:alloc-ok one entry per key, amortized
+}
+
 // boxPointerOK: a pointer fits the interface word, no allocation.
 //
 //snvet:alloc-free

@@ -286,9 +286,12 @@ func (p Params) Validate() error {
 	case p.ProtocolName() == ProtocolDirectory && p.NumNodes > 32:
 		// The directory's sharer lists and the cache controllers'
 		// invalidation-ack matching are per-node bitmaps (32 and 64 bits);
-		// reject configurations they cannot represent. The snooping bus
-		// has neither structure and scales past this.
+		// reject configurations they cannot represent.
 		return fmt.Errorf("config: NumNodes %d exceeds the directory's 32-node sharer-bitmap limit", p.NumNodes)
+	case p.ProtocolName() == ProtocolSnoop && p.NumNodes > 64:
+		// The snooping bus's presence filter keeps one bit per node in a
+		// 64-bit mask per block.
+		return fmt.Errorf("config: NumNodes %d exceeds the snooping bus's 64-node presence-mask limit", p.NumNodes)
 	// Torus geometry only constrains the directory backend; the snooping
 	// bus has no switches, so resizing a snoop system needs only NumNodes.
 	case p.ProtocolName() == ProtocolDirectory && p.TorusWidth*p.TorusHeight != p.NumNodes:

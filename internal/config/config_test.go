@@ -81,6 +81,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}{
 		{"zero nodes", func(p *Params) { p.NumNodes = 0 }},
 		{"beyond sharer bitmap", func(p *Params) { p.NumNodes = 64; p.TorusWidth = 8; p.TorusHeight = 8 }},
+		{"beyond presence mask", func(p *Params) { p.Protocol = ProtocolSnoop; p.NumNodes = 65 }},
 		{"unknown protocol", func(p *Params) { p.Protocol = "token" }},
 		{"unprotected snoop", func(p *Params) { p.Protocol = ProtocolSnoop; p.SafetyNetEnabled = false }},
 		{"torus mismatch", func(p *Params) { p.TorusWidth = 3 }},

@@ -506,7 +506,7 @@ func (cc *CacheController) startTxn(addr uint64, isStore bool, val uint64, doneL
 		addr: addr, txn: cc.txnID(), isStore: isStore, storeVal: val,
 		startCCN: cc.ccn, doneLoad: doneLoad, doneStore: doneStore,
 	}
-	cc.mshrs[addr] = m
+	cc.mshrs[addr] = m //snvet:alloc-ok amortized: the table grows to the peak of concurrent transactions, then reuses deleted slots
 	cc.busy.Add(m.startCCN)
 	cc.sendRequest(m)
 }
@@ -1028,7 +1028,7 @@ func (cc *CacheController) startWriteback(v *cache.Line) {
 		hasOwnership: true, txn: cc.txnID(), startCCN: cc.ccn,
 		onResolve: wb.onResolve[:0],
 	}
-	cc.wbs[v.Addr] = wb
+	cc.wbs[v.Addr] = wb //snvet:alloc-ok amortized: the table grows to the peak of pending writebacks, then reuses deleted slots
 	cc.busy.Add(wb.startCCN)
 	cc.stats.Writebacks++
 	cc.bw.CoherenceCycles += cc.blockCycles()

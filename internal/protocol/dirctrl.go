@@ -426,7 +426,7 @@ func (dc *DirController) onPUTX(m *msg.Message) {
 			})
 			e.cn = m.CN
 		}
-		dc.mem[m.Addr] = m.Data
+		dc.mem[m.Addr] = m.Data //snvet:alloc-ok amortized: one entry per block ever written back
 		dc.stats.MemWrites++
 		e.owner = MemOwner
 		dc.reply(memReply{typ: msg.WBAck, dst: m.Src, addr: m.Addr, txn: m.Txn})

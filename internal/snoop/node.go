@@ -219,7 +219,7 @@ func (n *Node) probe(addr uint64) slotProbe {
 // exactly one agent supplies data regardless of processing order.
 func (n *Node) snoopWith(r *Request, p slotProbe, hadOwner bool, home int) {
 	// Checkpoint edges happen at K-slot boundaries of the shared order.
-	if iv := msg.CN((r.Slot-1)/n.sys.cfg.CheckpointInterval + 1); iv > n.ccn {
+	if iv := n.sys.slotCN(r.Slot); iv > n.ccn {
 		for n.ccn < iv {
 			n.ccn++
 			n.ring.Add(n.ccn, nodeSnap{gen: n.gen.Snapshot(), instrs: n.instrs})
@@ -484,7 +484,7 @@ func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) 
 			}
 			n.TransfersLogged++
 		}
-		n.wbs[v.Addr] = wbBuf{data: v.Data, cn: core.UpdatedCN(n.ccn), state: v.State}
+		n.wbs[v.Addr] = wbBuf{data: v.Data, cn: core.UpdatedCN(n.ccn), state: v.State} //snvet:alloc-ok amortized: the buffer's table grows to its peak, then reuses deleted slots
 		r := Request{Kind: BusPUTX, Addr: v.Addr, Requestor: n.id, Data: v.Data}
 		n.sys.bus.Issue(&r)
 	}
@@ -511,7 +511,8 @@ func (n *Node) ready() msg.CN {
 	return n.ccn
 }
 
-// recoverTo rolls the node back to checkpoint rpcn.
+// recoverTo rolls the node back to checkpoint rpcn and re-enters the
+// lines it keeps into the cleared presence filter.
 func (n *Node) recoverTo(rpcn msg.CN) {
 	if t := n.txn; t != nil {
 		t.cancel.Cancel()
@@ -551,6 +552,8 @@ func (n *Node) recoverTo(rpcn msg.CN) {
 	n.l2.ForEachValid(func(l *cache.Line) {
 		if l.CN > rpcn {
 			l.State = cache.Invalid
+		} else {
+			n.sys.present[l.Addr] |= 1 << n.id
 		}
 	})
 	snap, ok := n.ring.Get(rpcn)

@@ -26,6 +26,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.Nodes = 1 },
+		func(c *Config) { c.Nodes = 65 },
 		func(c *Config) { c.BlockBytes = 48 },
 		func(c *Config) { c.L2Sets = 0 },
 		func(c *Config) { c.CLBBytes = 10 },

@@ -7,8 +7,8 @@ package snoop
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sync"
 
 	"safetynet/internal/backend"
 	"safetynet/internal/cache"
@@ -86,6 +86,9 @@ func (c Config) Validate() error {
 	switch {
 	case c.Nodes < 2:
 		return fmt.Errorf("snoop: need at least 2 nodes")
+	case c.Nodes > 64:
+		// The presence filter keeps one bit per node in a uint64 mask.
+		return fmt.Errorf("snoop: %d nodes exceed the 64-node presence-mask limit", c.Nodes)
 	case c.BlockBytes <= 0 || c.BlockBytes&(c.BlockBytes-1) != 0:
 		return fmt.Errorf("snoop: block size must be a positive power of two, got %d", c.BlockBytes)
 	case c.L2Sets <= 0 || c.L2Ways <= 0:
@@ -113,8 +116,20 @@ type System struct {
 	eng   *sim.Engine
 	bus   *Bus
 	nodes []*Node
-	// probes holds each node's probe of the slot being dispatched.
+	// probes holds each node's probe of the slot being dispatched; only
+	// the entries of nodes in the slot's presence mask are meaningful.
 	probes []slotProbe
+	// present is the snoop presence filter: per block, a mask with bit i
+	// set if node i may hold the block — a valid L2 line, a parked
+	// writeback, or a transaction whose slot has been ordered. It is a
+	// superset, never exact:
+	// dispatch sets the requestor's bit and clears only the bits its
+	// probes prove stale, and recovery rebuilds it from the surviving
+	// lines. A stale bit costs one probe; a missing bit would skip a
+	// holder, which presenceErrors checks for.
+	present map[uint64]uint64
+	// dataMsgs recycles data-network messages.
+	dataMsgs sim.FreeList[dataMsg]
 
 	rpcn        msg.CN
 	lastAdvance sim.Time
@@ -175,7 +190,8 @@ func New(cfg Config, prof workload.Profile) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg, eng: sim.NewEngine(), rpcn: 1, probes: make([]slotProbe, cfg.Nodes)}
+	s := &System{cfg: cfg, eng: sim.NewEngine(), rpcn: 1, probes: make([]slotProbe, cfg.Nodes),
+		present: make(map[uint64]uint64)}
 	s.bus = NewBus(s.eng, cfg.BusOccupancy)
 	for i := 0; i < cfg.Nodes; i++ {
 		s.nodes = append(s.nodes, newNode(i, s, prof))
@@ -203,17 +219,32 @@ func (s *System) home(addr uint64) int {
 	return int((addr / uint64(s.cfg.BlockBytes)) % uint64(s.cfg.Nodes))
 }
 
-// dispatch delivers one bus slot to every node. A GETS or GETX slot
-// first probes each node once for the block (its L2 lookup plus the
-// in-flight-ownership and parked-writeback checks), and every later use
-// of the block in the slot reads that probe: the wired-OR snoop response
-// hadOwner, each node's respond decision, and the GETX invalidation of
-// shared copies. The probes stay exact because within one slot only node
-// n's own snoop changes node n's L2, writeback buffer or transaction:
-// data replies are scheduled through the engine, not delivered inline,
-// and tryValidate, which edges and completions run inline, touches only
-// logs, register checkpoints and the recovery point. A PUTX slot reads
-// neither value, so it takes no probe.
+// slotCN returns the checkpoint interval that contains a bus slot: logical
+// time advances one checkpoint every CheckpointInterval slots.
+func (s *System) slotCN(slot uint64) msg.CN {
+	return msg.CN((slot-1)/s.cfg.CheckpointInterval + 1)
+}
+
+// dispatch delivers one bus slot. A GETS or GETX slot first probes, once
+// each, the nodes the presence filter names plus the requestor (an L2
+// lookup plus the in-flight-ownership and parked-writeback checks), and
+// every later use of the block in the slot reads those probes: the
+// wired-OR snoop response hadOwner, each node's respond decision, and
+// the GETX invalidation of shared copies. The probes stay exact because
+// within one slot only node n's own snoop changes node n's L2, writeback
+// buffer or transaction: data replies are scheduled through the engine,
+// not delivered inline, and tryValidate, which edges and completions run
+// inline, touches only logs, register checkpoints and the recovery
+// point. A probed node that holds nothing on the block leaves the mask.
+//
+// A node outside the mask holds no line, parked writeback or ordered
+// transaction on the block, so its probe would be empty and its snoop
+// does nothing unless it is the home bank. A slot that crosses a
+// checkpoint edge still visits every node, because counting slots is
+// each node's logical clock (§2.3); all nodes share one CCN, so one test
+// finds those slots. Any other GETS/GETX slot visits only the masked
+// nodes, the requestor and the home bank, in node order. A PUTX slot
+// takes no probe and visits every node.
 //
 //snvet:alloc-free
 func (s *System) dispatch(r *Request) {
@@ -224,19 +255,40 @@ func (s *System) dispatch(r *Request) {
 		}
 		return
 	}
+	was := s.present[r.Addr]
+	mask := was | 1<<r.Requestor
+	kept := mask
 	hadOwner := false
-	for i, n := range s.nodes {
-		s.probes[i] = n.probe(r.Addr)
-		hadOwner = hadOwner || s.probes[i].owns
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		n := s.nodes[i]
+		p := n.probe(r.Addr)
+		s.probes[i] = p
+		hadOwner = hadOwner || p.owns
+		if p.line == nil && !p.owns && (n.txn == nil || n.txn.addr != r.Addr) {
+			kept &^= 1 << i
+		}
 	}
-	for i, n := range s.nodes {
-		n.snoopWith(r, s.probes[i], hadOwner, home)
+	if kept != was {
+		s.present[r.Addr] = kept //snvet:alloc-ok amortized filter growth, one entry per block ever snooped
+	}
+	visit := mask | 1<<home
+	if s.slotCN(r.Slot) > s.nodes[0].ccn {
+		visit = 1<<len(s.nodes) - 1
+	}
+	for m := visit; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		var p slotProbe
+		if mask&(1<<i) != 0 {
+			p = s.probes[i]
+		}
+		s.nodes[i].snoopWith(r, p, hadOwner, home)
 	}
 }
 
-// dataMsg is the pooled in-flight state of one data-network message;
-// pooling plus the engine's AfterArg path keeps the steady-state send
-// free of per-message closure allocations.
+// dataMsg is the recycled in-flight state of one data-network message;
+// the System's free list plus the engine's AfterArg path keeps the
+// steady-state send free of per-message allocations.
 type dataMsg struct {
 	sys     *System
 	to      int
@@ -246,8 +298,6 @@ type dataMsg struct {
 	epoch   int
 	corrupt bool
 }
-
-var dataMsgPool = sync.Pool{New: func() any { return new(dataMsg) }}
 
 // deliverDataArg is the long-lived dispatch function handed to AfterArg.
 func deliverDataArg(a any) { a.(*dataMsg).deliver() }
@@ -264,8 +314,7 @@ func (d *dataMsg) deliver() {
 			s.nodes[d.to].dataArrived(d.addr, d.data, d.cn)
 		}
 	}
-	*d = dataMsg{}
-	dataMsgPool.Put(d)
+	s.dataMsgs.Put(d)
 }
 
 // sendData models the unordered point-to-point data network; this is
@@ -293,7 +342,7 @@ func (s *System) sendData(from, to int, addr, data uint64, cn msg.CN, slot uint6
 			return
 		}
 	}
-	d := dataMsgPool.Get().(*dataMsg)
+	d := s.dataMsgs.Get()
 	*d = dataMsg{sys: s, to: to, addr: addr, data: data, cn: cn, epoch: s.dataEpoch}
 	if takeOne(&f.corruptOnce, now) {
 		// Counted at send like drops, so the loss stays accounted even if
@@ -305,7 +354,7 @@ func (s *System) sendData(from, to int, addr, data uint64, cn msg.CN, slot uint6
 	}
 	s.eng.AfterArg(s.cfg.DataLatency, deliverDataArg, d)
 	if takeOne(&f.duplicateOnce, now) {
-		dup := dataMsgPool.Get().(*dataMsg)
+		dup := s.dataMsgs.Get()
 		*dup = *d
 		s.duplicated++
 		s.dataSent++
@@ -455,6 +504,9 @@ func (s *System) Recover() {
 	s.obs.RecoveryStarted(uint64(started), "fault detected on the snooping substrate")
 	// Modeled drain + per-node unroll + restart barrier.
 	s.eng.After(2_000, func() {
+		// Recovery discards every transaction and parked writeback, so
+		// the presence filter is rebuilt from the lines each node keeps.
+		clear(s.present)
 		for _, n := range s.nodes {
 			n.recoverTo(rpcn)
 		}
@@ -513,7 +565,7 @@ func (s *System) valueOf(addr uint64) uint64 {
 }
 
 // CheckCoherence verifies single-owner and value-coherence invariants at
-// quiescence.
+// quiescence, and that the presence filter names every holder.
 func (s *System) CheckCoherence() []string {
 	var errs []string
 	owners := map[uint64][]int{}
@@ -546,6 +598,37 @@ func (s *System) CheckCoherence() []string {
 				}
 			}
 		})
+	}
+	return append(errs, s.presenceErrors()...)
+}
+
+// presenceErrors lists every node that holds a block without its bit in
+// the presence filter: a valid L2 line, a parked writeback, or a
+// transaction whose slot has been ordered. A transaction still waiting
+// for its slot needs no bit: no snoop reads it before it snoops its own
+// slot, which sets the bit. The invariant holds at every cycle, not only
+// at quiescence.
+func (s *System) presenceErrors() []string {
+	var errs []string
+	check := func(n *Node, addr uint64, what string) {
+		if s.present[addr]&(1<<n.id) == 0 {
+			errs = append(errs, fmt.Sprintf("block %#x: node %d holds %s outside the presence filter (mask %#x)",
+				addr, n.id, what, s.present[addr]))
+		}
+	}
+	for _, n := range s.nodes {
+		n.l2.ForEachValid(func(l *cache.Line) { check(n, l.Addr, "an L2 line") })
+		if t := n.txn; t != nil && t.selfSnooped {
+			check(n, t.addr, "an ordered transaction")
+		}
+		parked := make([]uint64, 0, len(n.wbs))
+		for a := range n.wbs {
+			parked = append(parked, a)
+		}
+		slices.Sort(parked)
+		for _, a := range parked {
+			check(n, a, "a parked writeback")
+		}
 	}
 	return errs
 }
