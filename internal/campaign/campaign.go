@@ -88,6 +88,36 @@ type Variant struct {
 	Expect *scenario.Expect `json:"expect,omitempty"`
 }
 
+// Dimension is one breakdown dimension of a campaign matrix: an axis,
+// or the variant dimension, with its labels in declaration order.
+type Dimension struct {
+	Name   string
+	Labels []string
+}
+
+// Dimensions returns the matrix's breakdown dimensions in report order:
+// every axis in declaration order, then the variant dimension when the
+// campaign declares variants. Campaign and exploration reports both
+// break their results down along these.
+func (c *Campaign) Dimensions() []Dimension {
+	dims := make([]Dimension, 0, len(c.Axes)+1)
+	for _, a := range c.Axes {
+		d := Dimension{Name: a.Name, Labels: make([]string, len(a.Points))}
+		for i, pt := range a.Points {
+			d.Labels[i] = pt.Label
+		}
+		dims = append(dims, d)
+	}
+	if len(c.Variants) > 0 {
+		d := Dimension{Name: LabelVariant, Labels: make([]string, len(c.Variants))}
+		for i, v := range c.Variants {
+			d.Labels[i] = v.Name
+		}
+		dims = append(dims, d)
+	}
+	return dims
+}
+
 // SeedRange replicates every matrix point across Count seeds:
 // Start, Start+Stride, ... A zero stride defaults to 1.
 type SeedRange struct {

@@ -112,31 +112,12 @@ func Reduce(c *Campaign, runs []Run, res []runner.RunResult) *Report {
 	}
 
 	// Breakdowns along every declared axis, plus the variant dimension.
-	type dim struct {
-		name   string
-		labels []string
-	}
-	var dims []dim
-	for _, a := range c.Axes {
-		d := dim{name: a.Name}
-		for _, pt := range a.Points {
-			d.labels = append(d.labels, pt.Label)
-		}
-		dims = append(dims, d)
-	}
-	if len(c.Variants) > 0 {
-		d := dim{name: LabelVariant}
-		for _, v := range c.Variants {
-			d.labels = append(d.labels, v.Name)
-		}
-		dims = append(dims, d)
-	}
-	for _, d := range dims {
-		bd := AxisBreakdown{Axis: d.name}
-		for _, label := range d.labels {
+	for _, d := range c.Dimensions() {
+		bd := AxisBreakdown{Axis: d.Name}
+		for _, label := range d.Labels {
 			var idxs []int
 			for i := range runs {
-				if runs[i].Labels[d.name] == label {
+				if runs[i].Labels[d.Name] == label {
 					idxs = append(idxs, i)
 				}
 			}

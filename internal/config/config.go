@@ -332,8 +332,10 @@ func (p Params) Validate() error {
 				p.MaxOutstandingCheckpoints)
 		case p.CLBEntryBytes <= 0:
 			return fmt.Errorf("config: CLBEntryBytes must be positive")
-		case p.CLBBytes < p.CLBEntryBytes:
-			return fmt.Errorf("config: CLB of %d bytes cannot hold one %d-byte entry",
+		case p.CLBBytes/2 < p.CLBEntryBytes:
+			// Each protected node splits the CLB into a cache-side and a
+			// memory-side half; both must hold an entry.
+			return fmt.Errorf("config: CLB of %d bytes cannot hold one %d-byte entry in each half",
 				p.CLBBytes, p.CLBEntryBytes)
 		case p.CheckpointClockSkewCycles >= p.minMessageLatency():
 			return fmt.Errorf("config: checkpoint clock skew %d must be below the minimum message latency %d (logical-time validity)",

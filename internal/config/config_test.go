@@ -100,6 +100,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero interval", func(p *Params) { p.CheckpointIntervalCycles = 0 }},
 		{"zero ckpts", func(p *Params) { p.MaxOutstandingCheckpoints = 0 }},
 		{"clb too small", func(p *Params) { p.CLBBytes = 8 }},
+		{"clb half too small", func(p *Params) { p.CLBBytes = 2*p.CLBEntryBytes - 1 }},
 		{"skew too large", func(p *Params) { p.CheckpointClockSkewCycles = 10_000 }},
 		{"zero timeout", func(p *Params) { p.RequestTimeoutCycles = 0 }},
 		{"watchdog below interval", func(p *Params) { p.ValidationWatchdogCycles = 1 }},

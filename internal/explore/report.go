@@ -186,33 +186,13 @@ func (x *executor) reduce(finals map[int]armEval, rounds []Round) (*Report, erro
 	}
 	rep.AllArms = arms
 
-	// Per-axis breakdowns over the space's dimensions, in declaration
-	// order, variants last — mirroring campaign reports.
-	type dim struct {
-		name   string
-		labels []string
-	}
-	var dims []dim
-	for _, ax := range e.Space.Axes {
-		d := dim{name: ax.Name}
-		for _, pt := range ax.Points {
-			d.labels = append(d.labels, pt.Label)
-		}
-		dims = append(dims, d)
-	}
-	if len(e.Space.Variants) > 0 {
-		d := dim{name: campaign.LabelVariant}
-		for _, v := range e.Space.Variants {
-			d.labels = append(d.labels, v.Name)
-		}
-		dims = append(dims, d)
-	}
-	for _, d := range dims {
-		bd := AxisBreakdown{Axis: d.name}
-		for _, label := range d.labels {
+	// Per-axis breakdowns over the space's campaign dimensions.
+	for _, d := range e.Space.Dimensions() {
+		bd := AxisBreakdown{Axis: d.Name}
+		for _, label := range d.Labels {
 			g := AxisGroup{Label: label}
 			for _, arm := range arms {
-				if arm.Labels[d.name] != label {
+				if arm.Labels[d.Name] != label {
 					continue
 				}
 				g.Arms++

@@ -23,26 +23,28 @@ func (p Point) Label(key string) string { return p.Labels[key] }
 
 // Experiment declares one table or figure of the evaluation: a grid of
 // concrete runs expanded from the base configuration and options, and a
-// reduce step folding the grid's results into a structured Report.
+// reduce step building the structured Report from the grid's results.
+// Register adds one to the catalog.
 type Experiment struct {
 	// Name is the registry key (e.g. "fig6"); Title and Description are
 	// for humans.
 	Name        string
 	Title       string
 	Description string
-	// Order sorts the catalog listing (paper order, not name order).
+	// Order sorts the catalog listing (paper order, not name order);
+	// ties list by name.
 	Order int
 	// Grid expands the experiment into concrete runs. Nil means the
 	// experiment needs no simulation (table2 prints parameters).
 	Grid func(base config.Params, o runner.Options) []Point
-	// Reduce folds the grid's results — res[i] belongs to pts[i], in
-	// grid order regardless of execution order — into the report.
+	// Reduce builds the report from the grid's results — res[i]
+	// belongs to pts[i], in grid order regardless of execution order.
 	Reduce func(base config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report
 }
 
 // Run expands the grid, executes every point (fanning across
 // o.Workers workers), and reduces the results. Degenerate option
-// sizing is clamped first (see Options.sanitized).
+// sizing is clamped first (see Options.Sanitized).
 func (e Experiment) Run(base config.Params, o runner.Options) *Report {
 	o = o.Sanitized()
 	var pts []Point
@@ -79,9 +81,11 @@ var (
 	registry = map[string]Experiment{}
 )
 
-// register adds an experiment to the package registry, reporting invalid
-// descriptors and duplicate names.
-func register(e Experiment) error {
+// Register adds an experiment to the package registry, reporting an
+// incomplete descriptor or a duplicate name. The built-in tables and
+// figures register from init and panic on the error (two files claimed
+// one figure); other packages register the same way.
+func Register(e Experiment) error {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if e.Name == "" || e.Reduce == nil {
@@ -92,73 +96,6 @@ func register(e Experiment) error {
 	}
 	registry[e.Name] = e
 	return nil
-}
-
-// Register adds an experiment to the package registry. Registering a
-// duplicate name panics (programming error: two files claimed one
-// figure); external packages should prefer the builder's error-returning
-// Register.
-func Register(e Experiment) {
-	if err := register(e); err != nil {
-		panic(err)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------
-
-// Builder assembles one experiment for registration. It is the single
-// definition path — every built-in table and figure registers through it,
-// and the facade re-exports it (safetynet.NewExperiment) so external
-// packages define experiments the same way:
-//
-//	harness.NewExperiment("myexp", "My Experiment", "what it measures").
-//		Order(100).
-//		Grid(func(base config.Params, o runner.Options) []Point { ... }).
-//		Reduce(func(base config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report { ... }).
-//		Register()
-type Builder struct {
-	e Experiment
-}
-
-// NewExperiment starts building an experiment with the given registry
-// key, human-readable title, and one-line description.
-func NewExperiment(name, title, description string) *Builder {
-	return &Builder{e: Experiment{Name: name, Title: title, Description: description, Order: 1 << 20}}
-}
-
-// Order sets the catalog position (paper order); unset experiments list
-// after every ordered one.
-func (b *Builder) Order(n int) *Builder {
-	b.e.Order = n
-	return b
-}
-
-// Grid sets the design-point expansion. Experiments without a grid run
-// no simulations (their Reduce renders static content, like table2).
-func (b *Builder) Grid(g func(base config.Params, o runner.Options) []Point) *Builder {
-	b.e.Grid = g
-	return b
-}
-
-// Reduce sets the fold from grid results to the structured report.
-// Required.
-func (b *Builder) Reduce(r func(base config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report) *Builder {
-	b.e.Reduce = r
-	return b
-}
-
-// Register adds the experiment to the registry, reporting an incomplete
-// descriptor or a duplicate name as an error.
-func (b *Builder) Register() error { return register(b.e) }
-
-// MustRegister registers and panics on error; the built-in experiments
-// use it from init, where a failure is a programming error.
-func (b *Builder) MustRegister() {
-	if err := b.Register(); err != nil {
-		panic(err)
-	}
 }
 
 // Get returns the named experiment.

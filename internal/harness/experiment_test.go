@@ -47,15 +47,13 @@ func TestRunExperimentTable2(t *testing.T) {
 	}
 }
 
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
-		}
-	}()
-	Register(Experiment{Name: "fig5", Reduce: func(config.Params, runner.Options, []Point, []runner.RunResult) *Report {
+func TestDuplicateRegistrationFails(t *testing.T) {
+	err := Register(Experiment{Name: "fig5", Reduce: func(config.Params, runner.Options, []Point, []runner.RunResult) *Report {
 		return &Report{}
 	}})
+	if err == nil || !strings.Contains(err.Error(), `duplicate experiment "fig5"`) {
+		t.Fatalf("duplicate registration: err = %v", err)
+	}
 }
 
 // multiFaultPlan layers periodic message drops with a half-switch kill —
@@ -193,10 +191,10 @@ func TestSnoopRunUnsupportedFaultReportsCrash(t *testing.T) {
 	}
 }
 
-// TestNewExperimentsDeterministicUnderWorkers: snoopdetect and
+// TestSnoopdetectProtocolsDeterministicUnderParallelism: snoopdetect and
 // protocols must render identically whether their points run serially or
 // on a worker pool.
-func TestNewExperimentsDeterministicUnderParallelism(t *testing.T) {
+func TestSnoopdetectProtocolsDeterministicUnderParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}

@@ -4,72 +4,15 @@ import (
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
 	"safetynet/internal/runner"
-	"safetynet/internal/stats"
 	"safetynet/internal/topology"
 	"safetynet/internal/workload"
 )
 
-// Fig5Bar identifies one of the five bars per workload in Figure 5.
-type Fig5Bar int
-
-const (
-	// UnprotectedFaultFree is the baseline system with no faults.
-	UnprotectedFaultFree Fig5Bar = iota
-	// UnprotectedWithFault crashes (rendered as "crash" in the figure).
-	UnprotectedWithFault
-	// SafetyNetFaultFree is Experiment 1's protected system.
-	SafetyNetFaultFree
-	// SafetyNetTransientFaults is Experiment 2: periodic dropped
-	// messages.
-	SafetyNetTransientFaults
-	// SafetyNetHardFault is Experiment 3: a killed half-switch.
-	SafetyNetHardFault
-)
-
-var fig5Bars = []Fig5Bar{UnprotectedFaultFree, UnprotectedWithFault,
-	SafetyNetFaultFree, SafetyNetTransientFaults, SafetyNetHardFault}
-
-var fig5BarNames = map[Fig5Bar]string{
-	UnprotectedFaultFree:     "Unprotected fault-free",
-	UnprotectedWithFault:     "Unprotected with fault",
-	SafetyNetFaultFree:       "SafetyNet fault-free",
-	SafetyNetTransientFaults: "SafetyNet with transient faults",
-	SafetyNetHardFault:       "SafetyNet with a hard fault",
-}
-
-func (b Fig5Bar) String() string { return fig5BarNames[b] }
-
-var fig5BarByName = func() map[string]Fig5Bar {
-	m := make(map[string]Fig5Bar, len(fig5BarNames))
-	for b, n := range fig5BarNames {
-		m[n] = b
-	}
-	return m
-}()
-
-// Fig5Cell is one bar: a normalized-performance sample or a crash.
-type Fig5Cell struct {
-	Perf    stats.Sample
-	Crashed bool
-}
-
-// Fig5Result holds normalized performance per workload per bar,
-// normalized to the unprotected fault-free mean of the same workload.
-type Fig5Result struct {
-	Workloads []string
-	Cells     map[string]map[Fig5Bar]*Fig5Cell
-	Opts      runner.Options
-}
-
-// fig5Config returns the perturbed per-bar parameters: the bars either
-// disable SafetyNet (the unprotected baseline) or enable it.
-func fig5Config(base config.Params, o runner.Options, run int, bar Fig5Bar) config.Params {
-	p := perturbed(base, o, run)
-	p.SafetyNetEnabled = bar >= SafetyNetFaultFree
-	return p
-}
-
-// fig5Fault builds each bar's fault plan.
+// fig5Bars are Figure 5's five bars per workload, in plotting order.
+// Every bar is normalized to the first, the unprotected fault-free
+// baseline; the unprotected system crashes under its fault, and the
+// protected bars are Experiments 1-3. A bar with a nil fault runs
+// fault-free.
 //
 // The transient-fault rate is scaled to the horizon: the paper injects
 // one fault per 100M cycles (ten per second); simulating 100M cycles per
@@ -79,19 +22,24 @@ func fig5Config(base config.Params, o runner.Options, run int, bar Fig5Bar) conf
 // intervals of re-executed work (~150k cycles), so the expected overhead
 // at this rate is a few percent, and under the paper's rate it would be
 // ~0.15% — supporting the "statistically insignificant" conclusion.
-func fig5Fault(o runner.Options, bar Fig5Bar) fault.Plan {
-	switch bar {
-	case UnprotectedWithFault:
+var fig5Bars = []struct {
+	name      string
+	protected bool
+	fault     func(o runner.Options) fault.Plan
+}{
+	{"Unprotected fault-free", false, nil},
+	{"Unprotected with fault", false, func(o runner.Options) fault.Plan {
 		return fault.Plan{fault.DropOnce{At: o.Warmup + o.Measure/8}}
-	case SafetyNetTransientFaults:
+	}},
+	{"SafetyNet fault-free", true, nil},
+	{"SafetyNet with transient faults", true, func(o runner.Options) fault.Plan {
 		return fault.Plan{fault.DropEvery{Start: o.Warmup, Period: o.Measure}}
-	case SafetyNetHardFault:
+	}},
+	{"SafetyNet with a hard fault", true, func(o runner.Options) fault.Plan {
 		return fault.Plan{fault.KillSwitch{
 			Node: victimSwitchNode, Axis: topology.EW, At: o.Warmup + o.Measure/4,
 		}}
-	default:
-		return nil
-	}
+	}},
 }
 
 // fig5Grid expands Figure 5 into workload x bar x perturbed-run points.
@@ -100,14 +48,16 @@ func fig5Grid(base config.Params, o runner.Options) []Point {
 	for _, wl := range workload.PaperWorkloads() {
 		for _, bar := range fig5Bars {
 			for i := 0; i < o.Runs; i++ {
+				p := perturbed(base, o, i)
+				p.SafetyNetEnabled = bar.protected
+				var plan fault.Plan
+				if bar.fault != nil {
+					plan = bar.fault(o)
+				}
 				pts = append(pts, Point{
-					Labels: map[string]string{"workload": wl, "bar": bar.String()},
+					Labels: map[string]string{"workload": wl, "bar": bar.name},
 					Run: runner.RunConfig{
-						Params:   fig5Config(base, o, i, bar),
-						Workload: wl,
-						Warmup:   o.Warmup,
-						Measure:  o.Measure,
-						Fault:    fig5Fault(o, bar),
+						Params: p, Workload: wl, Warmup: o.Warmup, Measure: o.Measure, Fault: plan,
 					},
 				})
 			}
@@ -116,91 +66,36 @@ func fig5Grid(base config.Params, o runner.Options) []Point {
 	return pts
 }
 
-// fig5Fold aggregates grid results into the per-workload, per-bar cells.
-func fig5Fold(o runner.Options, pts []Point, res []runner.RunResult) *Fig5Result {
-	r := &Fig5Result{
-		Workloads: workload.PaperWorkloads(),
-		Cells:     map[string]map[Fig5Bar]*Fig5Cell{},
-		Opts:      o,
-	}
-	for _, wl := range r.Workloads {
-		r.Cells[wl] = map[Fig5Bar]*Fig5Cell{}
-		for _, bar := range fig5Bars {
-			r.Cells[wl][bar] = &Fig5Cell{}
-		}
-	}
-	for i, pt := range pts {
-		cell := r.Cells[pt.Label("workload")][fig5BarByName[pt.Label("bar")]]
-		if res[i].Crashed {
-			cell.Crashed = true
-			continue
-		}
-		cell.Perf.Add(res[i].IPC)
-	}
-	return r
-}
-
-// Fig5 runs the paper's performance evaluation (Experiments 1-3)
-// serially; RunExperiment("fig5", ...) adds parallelism and structured
-// output.
-func Fig5(base config.Params, o runner.Options) *Fig5Result {
-	pts := fig5Grid(base, o)
-	return fig5Fold(o, pts, RunPoints(pts, o.Workers))
-}
-
-// Normalized returns a bar's performance normalized to the workload's
-// unprotected fault-free mean.
-func (r *Fig5Result) Normalized(wl string, bar Fig5Bar) (mean, stddev float64, crashed bool) {
-	base := r.Cells[wl][UnprotectedFaultFree].Perf.Mean()
-	c := r.Cells[wl][bar]
-	if c.Crashed {
-		return 0, 0, true
-	}
-	if base == 0 {
-		return 0, 0, false
-	}
-	return c.Perf.Mean() / base, c.Perf.Stddev() / base, false
-}
-
-// Report converts the result to its structured form.
-func (r *Fig5Result) Report() *Report {
+// fig5Reduce reports each bar's IPC normalized to its workload's
+// unprotected fault-free bar.
+func fig5Reduce(_ config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report {
 	rep := &Report{
-		Experiment: "fig5",
-		Title:      "Figure 5: Performance Evaluation of SafetyNet",
-		Subtitle:   "(normalized to unprotected fault-free; error bars = 1 stddev)",
-		LabelCols:  []string{"workload", "bar"},
-		ValueCols:  []string{"normalized"},
-		Bar:        &BarSpec{Col: 0, Max: 1.2},
+		Subtitle:  "(normalized to unprotected fault-free; error bars = 1 stddev)",
+		LabelCols: []string{"workload", "bar"},
+		ValueCols: []string{"normalized"},
+		Bar:       &BarSpec{Col: 0, Max: 1.2},
 	}
-	for _, wl := range r.Workloads {
-		for _, bar := range fig5Bars {
-			mean, sd, crashed := r.Normalized(wl, bar)
-			v := Value{Mean: mean, Stddev: sd, N: r.Cells[wl][bar].Perf.N()}
-			if crashed {
-				// Surviving-run stats are discarded once any run of the
-				// bar crashes; don't report their N against a zero mean.
-				v = CrashedValue()
-			}
-			rep.Rows = append(rep.Rows, Row{
-				Labels: []string{wl, bar.String()},
-				Values: []Value{v},
-			})
-		}
+	dps := designPoints(pts, res, o.Runs, ipc)
+	for i := range dps {
+		// Each workload's bars are consecutive; the first is its baseline.
+		baseline := &dps[i-i%len(fig5Bars)]
+		rep.Rows = append(rep.Rows, Row{
+			Labels: []string{dps[i].Label("workload"), dps[i].Label("bar")},
+			Values: []Value{dps[i].value(0, baseline)},
+		})
 	}
 	return rep
 }
 
-// Render prints the figure as rows of normalized bars.
-func (r *Fig5Result) Render() string { return r.Report().Render() }
-
 func init() {
-	NewExperiment("fig5",
-		"Figure 5: Performance Evaluation of SafetyNet",
-		"normalized performance of Experiments 1-3 across the five paper workloads").
-		Order(1).
-		Grid(fig5Grid).
-		Reduce(func(_ config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return fig5Fold(o, pts, res).Report()
-		}).
-		MustRegister()
+	if err := Register(Experiment{
+		Name:        "fig5",
+		Title:       "Figure 5: Performance Evaluation of SafetyNet",
+		Description: "normalized performance of Experiments 1-3 across the five paper workloads",
+		Order:       1,
+		Grid:        fig5Grid,
+		Reduce:      fig5Reduce,
+	}); err != nil {
+		panic(err)
+	}
 }

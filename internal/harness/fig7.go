@@ -1,94 +1,52 @@
 package harness
 
 import (
-	"fmt"
-	"safetynet/internal/runner"
-
 	"safetynet/internal/config"
+	"safetynet/internal/runner"
 )
 
-// Fig7Point is one interval design point: the cache-bandwidth breakdown
-// as fractions of total port occupancy (paper Figure 7).
-type Fig7Point struct {
-	IntervalCycles                                uint64
-	HitFrac, FillFrac, CoherenceFrac, LoggingFrac float64
-}
-
-// Fig7Result is the bandwidth sweep for one workload.
-type Fig7Result struct {
-	Workload string
-	Points   []Fig7Point
-}
-
-// Fig7Intervals matches the paper's x axis (10k, 50k, 100k, 500k, 1M).
-func Fig7Intervals() []uint64 { return Fig6Intervals() }
-
-// fig7Grid reuses the fig6 interval sweep: same points, different
-// measured quantity.
-func fig7Grid(base config.Params, o runner.Options) []Point { return fig6Grid(base, o) }
-
-func fig7Fold(pts []Point, res []runner.RunResult) *Fig7Result {
-	r := &Fig7Result{Workload: fig6Workload}
-	for i := range pts {
-		total := float64(res[i].Bandwidth.Total())
-		if total == 0 {
-			total = 1
-		}
-		r.Points = append(r.Points, Fig7Point{
-			IntervalCycles: pts[i].Run.Params.CheckpointIntervalCycles,
-			HitFrac:        float64(res[i].Bandwidth.HitCycles) / total,
-			FillFrac:       float64(res[i].Bandwidth.FillCycles) / total,
-			CoherenceFrac:  float64(res[i].Bandwidth.CoherenceCycles) / total,
-			LoggingFrac:    float64(res[i].Bandwidth.LoggingCycles) / total,
-		})
-	}
-	return r
-}
-
-// Fig7 sweeps the checkpoint interval and measures the cache bandwidth
-// consumed by hits, fills, coherence responses, and logging.
-func Fig7(base config.Params, o runner.Options) *Fig7Result {
-	pts := fig7Grid(base, o)
-	return fig7Fold(pts, RunPoints(pts, o.Workers))
-}
-
-// Report converts the result to its structured form; the values are
-// percentages of cache-port occupancy.
-func (r *Fig7Result) Report() *Report {
+// fig7Reduce reports, per interval of the fig6 sweep, the cache-port
+// occupancy of hits, fills, coherence responses and logging as
+// percentages of the total (paper Figure 7).
+func fig7Reduce(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
 	rep := &Report{
-		Experiment: "fig7",
-		Title:      "Figure 7: Cache Bandwidth vs Checkpoint Interval (" + r.Workload + ")",
-		Subtitle:   "(percent of cache-port occupancy by class)",
-		LabelCols:  []string{"interval"},
-		ValueCols:  []string{"hits", "fills", "coherence", "logging"},
-		ValueFmt:   []string{"%.1f%%", "%.1f%%", "%.1f%%", "%.2f%%"},
+		Title:     "Figure 7: Cache Bandwidth vs Checkpoint Interval (" + fig6Workload + ")",
+		Subtitle:  "(percent of cache-port occupancy by class)",
+		LabelCols: []string{"interval"},
+		ValueCols: []string{"hits", "fills", "coherence", "logging"},
+		ValueFmt:  []string{"%.1f%%", "%.1f%%", "%.1f%%", "%.2f%%"},
 		Notes: []string{
 			"(paper: logging ranges from ~4% at 5k-cycle intervals down to ~0.3% at 1M)",
 		},
 	}
-	for _, pt := range r.Points {
+	for i := range res {
+		r := &res[i]
+		bw := r.Bandwidth
+		total := float64(bw.Total())
+		if total == 0 {
+			total = 1
+		}
 		rep.Rows = append(rep.Rows, Row{
-			Labels: []string{fmt.Sprintf("%dk", pt.IntervalCycles/1000)},
-			Values: []Value{
-				Scalar(100 * pt.HitFrac), Scalar(100 * pt.FillFrac),
-				Scalar(100 * pt.CoherenceFrac), Scalar(100 * pt.LoggingFrac),
-			},
+			Labels: []string{pts[i].Label("interval")},
+			Values: scalars(r,
+				100*(float64(bw.HitCycles)/total), 100*(float64(bw.FillCycles)/total),
+				100*(float64(bw.CoherenceCycles)/total), 100*(float64(bw.LoggingCycles)/total)),
 		})
 	}
 	return rep
 }
 
-// Render prints the stacked-fraction table.
-func (r *Fig7Result) Render() string { return r.Report().Render() }
-
 func init() {
-	NewExperiment("fig7",
-		"Figure 7: Cache Bandwidth vs Checkpoint Interval",
-		"cache-port occupancy split across hits, fills, coherence, and logging").
-		Order(3).
-		Grid(fig7Grid).
-		Reduce(func(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return fig7Fold(pts, res).Report()
-		}).
-		MustRegister()
+	if err := Register(Experiment{
+		Name:        "fig7",
+		Title:       "Figure 7: Cache Bandwidth vs Checkpoint Interval",
+		Description: "cache-port occupancy split across hits, fills, coherence, and logging",
+		Order:       3,
+		// The fig6 interval sweep: same points, different measured
+		// quantity.
+		Grid:   fig6Grid,
+		Reduce: fig7Reduce,
+	}); err != nil {
+		panic(err)
+	}
 }

@@ -2,29 +2,19 @@ package harness
 
 import (
 	"fmt"
-	"safetynet/internal/runner"
 	"strconv"
 
 	"safetynet/internal/config"
-	"safetynet/internal/stats"
+	"safetynet/internal/runner"
 	"safetynet/internal/workload"
 )
 
-// Fig8Result holds normalized performance per workload per CLB size,
-// normalized to the largest CLB (paper Figure 8 normalizes so the biggest
-// buffer is ~1.0).
-type Fig8Result struct {
-	Workloads []string
-	Sizes     []int // bytes
-	Perf      map[string]map[int]*stats.Sample
-	Stalls    map[string]map[int]uint64
-}
-
-// Fig8Sizes are the swept CLB capacities: the paper's 1 MB, 512 KB and
-// 256 KB points, the 128 KB point its text discusses, plus 96 KB and
-// 64 KB to expose the back-pressure cliff, which sits lower in this
-// reproduction because the synthetic workloads log fewer and less bursty
-// entries per interval than the commercial binaries (see EXPERIMENTS.md).
+// Fig8Sizes are the swept CLB capacities, largest first: the paper's
+// 1 MB and 512 KB points, the 128 KB point its text discusses, plus
+// 64 KB, 48 KB and 32 KB to expose the back-pressure cliff, which sits
+// lower in this reproduction because the synthetic workloads log fewer
+// and less bursty entries per interval than the commercial binaries (see
+// the experiment catalog in README.md).
 func Fig8Sizes() []int {
 	return []int{1 << 20, 512 << 10, 128 << 10, 64 << 10, 48 << 10, 32 << 10}
 }
@@ -50,83 +40,41 @@ func fig8Grid(base config.Params, o runner.Options) []Point {
 	return pts
 }
 
-func fig8Fold(pts []Point, res []runner.RunResult) *Fig8Result {
-	r := &Fig8Result{
-		Workloads: workload.PaperWorkloads(),
-		Sizes:     Fig8Sizes(),
-		Perf:      map[string]map[int]*stats.Sample{},
-		Stalls:    map[string]map[int]uint64{},
-	}
-	for _, wl := range r.Workloads {
-		r.Perf[wl] = map[int]*stats.Sample{}
-		r.Stalls[wl] = map[int]uint64{}
-		for _, size := range r.Sizes {
-			r.Perf[wl][size] = &stats.Sample{}
-		}
-	}
-	for i, pt := range pts {
-		wl := pt.Label("workload")
-		size, _ := strconv.Atoi(pt.Label("clb"))
-		r.Perf[wl][size].Add(res[i].IPC)
-		r.Stalls[wl][size] += res[i].CLBStallCycles
-	}
-	return r
-}
-
-// Fig8 sweeps total CLB storage per node and measures performance
-// degradation from log back-pressure.
-func Fig8(base config.Params, o runner.Options) *Fig8Result {
-	pts := fig8Grid(base, o)
-	return fig8Fold(pts, RunPoints(pts, o.Workers))
-}
-
-// Normalized returns performance relative to the largest-CLB mean.
-func (r *Fig8Result) Normalized(wl string, size int) (mean, stddev float64) {
-	base := r.Perf[wl][r.Sizes[0]].Mean()
-	if base == 0 {
-		return 0, 0
-	}
-	s := r.Perf[wl][size]
-	return s.Mean() / base, s.Stddev() / base
-}
-
-// Report converts the result to its structured form: one row per
-// workload, one value column per CLB size.
-func (r *Fig8Result) Report() *Report {
+// fig8Reduce reports one row per workload and one column per CLB size:
+// IPC normalized to the largest CLB, so the biggest buffer reads ~1.0
+// as in the paper's Figure 8.
+func fig8Reduce(_ config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report {
+	sizes := Fig8Sizes()
 	rep := &Report{
-		Experiment: "fig8",
-		Title:      "Figure 8: Performance vs CLB Size",
-		Subtitle:   "(normalized to the 1 MB configuration)",
-		LabelCols:  []string{"workload"},
+		Subtitle:  "(normalized to the 1 MB configuration)",
+		LabelCols: []string{"workload"},
 		Notes: []string{
 			"(paper: 1MB and 512KB statistically equivalent; 256KB degrades jbb and apache; 128KB degrades all)",
 		},
 	}
-	for _, s := range r.Sizes {
+	for _, s := range sizes {
 		rep.ValueCols = append(rep.ValueCols, fmt.Sprintf("%dKB", s>>10))
 	}
-	for _, wl := range r.Workloads {
-		row := Row{Labels: []string{wl}}
-		for _, s := range r.Sizes {
-			m, sd := r.Normalized(wl, s)
-			row.Values = append(row.Values, Value{Mean: m, Stddev: sd, N: r.Perf[wl][s].N()})
+	dps := designPoints(pts, res, o.Runs, ipc)
+	for i := 0; i+len(sizes) <= len(dps); i += len(sizes) {
+		row := Row{Labels: []string{dps[i].Label("workload")}}
+		for j := range sizes {
+			row.Values = append(row.Values, dps[i+j].value(0, &dps[i]))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep
 }
 
-// Render prints the figure.
-func (r *Fig8Result) Render() string { return r.Report().Render() }
-
 func init() {
-	NewExperiment("fig8",
-		"Figure 8: Performance vs CLB Size",
-		"performance degradation from CLB back-pressure as buffer capacity shrinks").
-		Order(4).
-		Grid(fig8Grid).
-		Reduce(func(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return fig8Fold(pts, res).Report()
-		}).
-		MustRegister()
+	if err := Register(Experiment{
+		Name:        "fig8",
+		Title:       "Figure 8: Performance vs CLB Size",
+		Description: "performance degradation from CLB back-pressure as buffer capacity shrinks",
+		Order:       4,
+		Grid:        fig8Grid,
+		Reduce:      fig8Reduce,
+	}); err != nil {
+		panic(err)
+	}
 }

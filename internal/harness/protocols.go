@@ -57,72 +57,40 @@ func protocolsGrid(base config.Params, o runner.Options) []Point {
 	return campaignPoints(protocolsCampaign(o), base)
 }
 
-// protocolsCell aggregates one (workload, protocol) design point.
-type protocolsCell struct {
-	ipc     stats.Sample
-	logRate stats.Sample // CLB appends per 1000 retired instructions
-	crashed bool
-}
-
-func protocolsReduce(pts []Point, res []runner.RunResult) *Report {
-	cells := map[string]map[string]*protocolsCell{}
-	for _, wl := range workload.PaperWorkloads() {
-		cells[wl] = map[string]*protocolsCell{}
-		for _, proto := range protocolNames {
-			cells[wl][proto] = &protocolsCell{}
-		}
-	}
-	for i, pt := range pts {
-		cell := cells[pt.Label("workload")][pt.Label("protocol")]
-		if res[i].Crashed {
-			cell.crashed = true
-			continue
-		}
-		cell.ipc.Add(res[i].IPC)
-		appends := float64(res[i].StoresLogged + res[i].TransfersLogged)
-		cell.logRate.Add(1000 * stats.SafeDiv(appends, float64(res[i].Instrs)))
-	}
-
+// protocolsReduce reports each (workload, protocol) point's IPC and its
+// CLB appends per 1000 retired instructions.
+func protocolsReduce(_ config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report {
 	rep := &Report{
-		Experiment: "protocols",
-		Title:      "Two protocols, one harness: directory vs snooping SafetyNet",
-		Subtitle:   "(same parameters aimed at both backends; IPC is per-substrate, not comparable across rows)",
-		LabelCols:  []string{"workload", "protocol"},
-		ValueCols:  []string{"aggregate IPC", "CLB appends /1k instr"},
-		ValueFmt:   []string{"%.3f", "%.2f"},
+		Title:     "Two protocols, one harness: directory vs snooping SafetyNet",
+		Subtitle:  "(same parameters aimed at both backends; IPC is per-substrate, not comparable across rows)",
+		LabelCols: []string{"workload", "protocol"},
+		ValueCols: []string{"aggregate IPC", "CLB appends /1k instr"},
+		ValueFmt:  []string{"%.3f", "%.2f"},
 		Notes: []string{
 			"(paper fn. 1/§2.3: SafetyNet is protocol-agnostic — on the ordered snooping interconnect logical time is simply the total snoop order; logging overhead per instruction is of the same order on both substrates)",
 		},
 	}
-	for _, wl := range workload.PaperWorkloads() {
-		for _, proto := range protocolNames {
-			cell := cells[wl][proto]
-			vals := []Value{Sampled(&cell.ipc), Sampled(&cell.logRate)}
-			if cell.crashed {
-				vals = []Value{CrashedValue(), CrashedValue()}
-			}
-			rep.Rows = append(rep.Rows, Row{Labels: []string{wl, proto}, Values: vals})
-		}
+	logRate := func(r *runner.RunResult) float64 {
+		return 1000 * stats.SafeDiv(float64(r.StoresLogged+r.TransfersLogged), float64(r.Instrs))
+	}
+	for _, d := range designPoints(pts, res, o.Runs, ipc, logRate) {
+		rep.Rows = append(rep.Rows, Row{
+			Labels: []string{d.Label("workload"), d.Label("protocol")},
+			Values: []Value{d.value(0, nil), d.value(1, nil)},
+		})
 	}
 	return rep
 }
 
-// Protocols runs the directory-vs-snoop comparison across the five paper
-// workloads.
-func Protocols(base config.Params, o runner.Options) *Report {
-	o = o.Sanitized()
-	pts := protocolsGrid(base, o)
-	return protocolsReduce(pts, RunPoints(pts, o.Workers))
-}
-
 func init() {
-	NewExperiment("protocols",
-		"Two protocols, one harness",
-		"side-by-side directory vs snooping IPC and logging overhead across the five paper workloads").
-		Order(8).
-		Grid(protocolsGrid).
-		Reduce(func(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return protocolsReduce(pts, res)
-		}).
-		MustRegister()
+	if err := Register(Experiment{
+		Name:        "protocols",
+		Title:       "Two protocols, one harness",
+		Description: "side-by-side directory vs snooping IPC and logging overhead across the five paper workloads",
+		Order:       8,
+		Grid:        protocolsGrid,
+		Reduce:      protocolsReduce,
+	}); err != nil {
+		panic(err)
+	}
 }

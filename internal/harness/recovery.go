@@ -9,18 +9,6 @@ import (
 	"safetynet/internal/stats"
 )
 
-// RecoveryResult quantifies the §4.2 claim that recovery is a
-// sub-millisecond "speed bump": the coordination latency of recovery
-// itself plus the dominant cost, re-executing lost work.
-type RecoveryResult struct {
-	Workload              string
-	Recoveries            int
-	CoordCycles           stats.Sample // detection -> restart broadcast
-	LostInstrsPerRecovery float64
-	IPCFaultFree          float64
-	IPCWithFaults         float64
-}
-
 const recoveryWorkload = "oltp"
 
 // recoveryCampaign declares the experiment as a campaign: one protected
@@ -61,52 +49,44 @@ func recoveryGrid(base config.Params, o runner.Options) []Point {
 	return campaignPoints(recoveryCampaign(o), base)
 }
 
-func recoveryFold(pts []Point, res []runner.RunResult) *RecoveryResult {
-	r := &RecoveryResult{Workload: recoveryWorkload}
+// recoveryReduce quantifies the §4.2 claim that recovery is a
+// sub-millisecond "speed bump": the coordination latency of recovery
+// itself (detection to restart broadcast) plus the dominant cost,
+// re-executing lost work.
+func recoveryReduce(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
+	var free, faulty runner.RunResult
 	for i, pt := range pts {
 		if pt.Label(campaign.LabelVariant) == "fault-free" {
-			r.IPCFaultFree = res[i].IPC
-			continue
-		}
-		r.IPCWithFaults = res[i].IPC
-		r.Recoveries = res[i].Recoveries
-		for _, d := range res[i].RecoveryCycles {
-			r.CoordCycles.Add(float64(d))
-		}
-		if res[i].Recoveries > 0 {
-			r.LostInstrsPerRecovery = float64(res[i].InstrsRolledBack) / float64(res[i].Recoveries)
+			free = res[i]
+		} else {
+			faulty = res[i]
 		}
 	}
-	return r
-}
-
-// Recovery injects periodic transient faults into an OLTP run and
-// measures recovery latency and lost work.
-func Recovery(base config.Params, o runner.Options) *RecoveryResult {
-	o = o.Sanitized()
-	pts := recoveryGrid(base, o)
-	return recoveryFold(pts, RunPoints(pts, o.Workers))
-}
-
-// Report converts the result to its structured form: one row per
-// reported metric.
-func (r *RecoveryResult) Report() *Report {
-	coord := Sampled(&r.CoordCycles)
+	var coord stats.Sample
+	for _, d := range faulty.RecoveryCycles {
+		coord.Add(float64(d))
+	}
+	lost := 0.0
+	if faulty.Recoveries > 0 {
+		lost = float64(faulty.InstrsRolledBack) / float64(faulty.Recoveries)
+	}
+	row := func(metric, unit string, v Value) Row {
+		return Row{Labels: []string{metric, unit}, Values: []Value{v}}
+	}
 	return &Report{
-		Experiment: "recovery",
-		Title:      "Recovery latency (§4.2: a sub-millisecond speed bump, not a crash)",
-		Subtitle:   "(workload: " + r.Workload + ")",
-		LabelCols:  []string{"metric", "unit"},
-		ValueCols:  []string{"value"},
-		ValueFmt:   []string{"%.3f"},
+		Title:     "Recovery latency (§4.2: a sub-millisecond speed bump, not a crash)",
+		Subtitle:  "(workload: " + recoveryWorkload + ")",
+		LabelCols: []string{"metric", "unit"},
+		ValueCols: []string{"value"},
+		ValueFmt:  []string{"%.3f"},
 		Rows: []Row{
-			{Labels: []string{"recoveries", "count"}, Values: []Value{Scalar(float64(r.Recoveries))}},
-			{Labels: []string{"coordination latency", "cycles"}, Values: []Value{coord}},
-			{Labels: []string{"lost work per recovery", "instructions"}, Values: []Value{Scalar(r.LostInstrsPerRecovery)}},
-			{Labels: []string{"throughput fault-free", "aggregate IPC"}, Values: []Value{Scalar(r.IPCFaultFree)}},
-			{Labels: []string{"throughput with faults", "aggregate IPC"}, Values: []Value{Scalar(r.IPCWithFaults)}},
-			{Labels: []string{"throughput retained", "percent of fault-free"},
-				Values: []Value{Scalar(100 * stats.SafeDiv(r.IPCWithFaults, r.IPCFaultFree))}},
+			row("recoveries", "count", measured(Scalar(float64(faulty.Recoveries)), &faulty)),
+			row("coordination latency", "cycles", measured(Sampled(&coord), &faulty)),
+			row("lost work per recovery", "instructions", measured(Scalar(lost), &faulty)),
+			row("throughput fault-free", "aggregate IPC", measured(Scalar(free.IPC), &free)),
+			row("throughput with faults", "aggregate IPC", measured(Scalar(faulty.IPC), &faulty)),
+			row("throughput retained", "percent of fault-free",
+				measured(Scalar(100*stats.SafeDiv(faulty.IPC, free.IPC)), &free, &faulty)),
 		},
 		Notes: []string{
 			"(paper: recovery latency orders of magnitude below crash/reboot; <1 ms)",
@@ -114,17 +94,15 @@ func (r *RecoveryResult) Report() *Report {
 	}
 }
 
-// Render prints the recovery-latency report.
-func (r *RecoveryResult) Render() string { return r.Report().Render() }
-
 func init() {
-	NewExperiment("recovery",
-		"Recovery latency",
-		"recovery coordination latency and lost work under periodic transient faults (§4.2)").
-		Order(5).
-		Grid(recoveryGrid).
-		Reduce(func(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return recoveryFold(pts, res).Report()
-		}).
-		MustRegister()
+	if err := Register(Experiment{
+		Name:        "recovery",
+		Title:       "Recovery latency",
+		Description: "recovery coordination latency and lost work under periodic transient faults (§4.2)",
+		Order:       5,
+		Grid:        recoveryGrid,
+		Reduce:      recoveryReduce,
+	}); err != nil {
+		panic(err)
+	}
 }

@@ -2,14 +2,14 @@ package harness
 
 import (
 	"fmt"
-	"safetynet/internal/runner"
 
 	"safetynet/internal/config"
+	"safetynet/internal/runner"
 )
 
-// Table2Report builds the target-system parameter table in the shape of
+// table2Reduce builds the target-system parameter table in the shape of
 // the paper's Table 2. It is the one experiment with no simulation grid.
-func Table2Report(p config.Params) *Report {
+func table2Reduce(p config.Params, _ runner.Options, _ []Point, _ []runner.RunResult) *Report {
 	rows := [][2]string{
 		{"L1 Cache (I and D)", fmt.Sprintf("%d KB, %d-way set associative", p.L1Bytes>>10, p.L1Ways)},
 		{"L2 Cache", fmt.Sprintf("%d MB, %d-way set-associative", p.L2Bytes>>20, p.L2Ways)},
@@ -21,19 +21,12 @@ func Table2Report(p config.Params) *Report {
 		{"Outstanding Checkpoints", fmt.Sprintf("%d (detection tolerance %d cycles)", p.MaxOutstandingCheckpoints, p.DetectionToleranceCycles())},
 		{"Processors", fmt.Sprintf("%d, blocking, %d-wide non-memory issue", p.NumNodes, p.NonMemIPC)},
 	}
-	rep := &Report{
-		Experiment: "table2",
-		Title:      "Table 2: Target System Parameters",
-		LabelCols:  []string{"Parameter", "Value"},
-	}
+	rep := &Report{LabelCols: []string{"Parameter", "Value"}}
 	for _, r := range rows {
 		rep.Rows = append(rep.Rows, Row{Labels: []string{r[0], r[1]}})
 	}
 	return rep
 }
-
-// Table2 renders the target-system parameters as text.
-func Table2(p config.Params) string { return Table2Report(p).Render() }
 
 // estimateTwoHopMiss computes the uncontended request-to-data latency of a
 // memory read from an average-distance node (the paper's 180 ns figure).
@@ -48,12 +41,13 @@ func estimateTwoHopMiss(p config.Params) uint64 {
 }
 
 func init() {
-	NewExperiment("table2",
-		"Table 2: Target System Parameters",
-		"the simulated target-system parameters (no simulation runs)").
-		Order(0).
-		Reduce(func(base config.Params, _ runner.Options, _ []Point, _ []runner.RunResult) *Report {
-			return Table2Report(base)
-		}).
-		MustRegister()
+	if err := Register(Experiment{
+		Name:        "table2",
+		Title:       "Table 2: Target System Parameters",
+		Description: "the simulated target-system parameters (no simulation runs)",
+		Order:       0,
+		Reduce:      table2Reduce,
+	}); err != nil {
+		panic(err)
+	}
 }

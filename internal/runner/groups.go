@@ -6,14 +6,15 @@ import (
 	"sync"
 )
 
-// RunGroupsCtx executes runs on a shared worker pool like
-// RunAllStreamCtx, with per-group early cancellation: group[i] names
-// the group (an exploration arm, typically) run i belongs to, and when
-// the onDone callback returns true the whole group is canceled — its
-// queued runs are skipped without executing and its in-flight runs are
-// abandoned at the next stride check (see RunCtx). onDone fires once
-// per completed run, in completion order, serialized; skipped and
-// abandoned runs hold the zero RunResult and fire no callback.
+// RunGroupsCtx executes runs on the package's one worker pool (every
+// RunAll variant dispatches through it), with per-group early
+// cancellation: group[i] names the group (an exploration arm,
+// typically) run i belongs to, and when the onDone callback returns
+// true the whole group is canceled — its queued runs are skipped
+// without executing and its in-flight runs are abandoned at the next
+// stride check (see RunCtx). onDone fires once per completed run, in
+// completion order, serialized; skipped and abandoned runs hold the
+// zero RunResult and fire no callback.
 //
 // The returned results are in input order; the second slice reports,
 // per group, whether it was canceled. Canceling the outer context

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"safetynet/internal/backend"
 	"safetynet/internal/cache"
@@ -308,59 +307,15 @@ func RunAllStream(rcs []RunConfig, workers int, onDone func(i int, r RunResult))
 // stops dispatching queued runs and abandons in-flight ones at the next
 // stride check (see RunCtx), then returns the context's error with the
 // partial results (canceled runs hold the zero RunResult and fire no
-// callback). With a background context it is exactly RunAllStream.
+// callback). With a background context it is exactly RunAllStream. It
+// is RunGroupsCtx with every run in one group that is never pruned.
 func RunAllStreamCtx(ctx context.Context, rcs []RunConfig, workers int, onDone func(i int, r RunResult)) ([]RunResult, error) {
-	res := make([]RunResult, len(rcs))
-	workers = Workers(workers)
-	if workers > len(rcs) {
-		workers = len(rcs)
-	}
-	var mu sync.Mutex
-	done := func(i int) {
-		if onDone == nil {
-			return
-		}
-		mu.Lock()
-		onDone(i, res[i])
-		mu.Unlock()
-	}
-	if workers <= 1 {
-		for i := range rcs {
-			r, err := RunCtx(ctx, rcs[i])
-			if err != nil {
-				return res, err
+	res, _, err := RunGroupsCtx(ctx, rcs, make([]int, len(rcs)), workers,
+		func(i int, r RunResult) bool {
+			if onDone != nil {
+				onDone(i, r)
 			}
-			res[i] = r
-			done(i)
-		}
-		return res, nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r, err := RunCtx(ctx, rcs[i])
-				if err != nil {
-					continue // canceled; keep draining without running
-				}
-				res[i] = r
-				done(i)
-			}
-		}()
-	}
-	for i := range rcs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			close(idx)
-			wg.Wait()
-			return res, ctx.Err()
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return res, ctx.Err()
+			return false
+		})
+	return res, err
 }

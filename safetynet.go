@@ -39,12 +39,11 @@
 // paper's evaluation is exposed through a registry: Experiments() lists
 // the catalog and RunExperiment runs one entry, optionally fanning its
 // independent simulations across a worker pool, and returns a structured
-// Report that renders as text and marshals to JSON or CSV. The registry
-// is open — NewExperiment builds and registers experiments from any
-// package, and every built-in table and figure is defined through the
-// same builder; cmd/snbench drives the registry. (The per-figure
-// RunTable2/RunFig5/... wrappers were retired in favor of the uniform
-// RunExperiment(name, cfg, opts).)
+// Report that renders as text and marshals to JSON or CSV. Every
+// experiment is a grid of runs plus one reduce that builds its Report.
+// The registry is open: RegisterExperiment adds an Experiment from any
+// package, exactly as the built-in tables and figures register;
+// cmd/snbench drives the registry.
 package safetynet
 
 import (
@@ -385,7 +384,7 @@ func RunExperiment(name string, cfg Config, o ExperimentOptions) (*Report, error
 }
 
 // ---------------------------------------------------------------------
-// Public experiment builder
+// Registering experiments
 // ---------------------------------------------------------------------
 
 // Cycles is the simulation-time unit (1 cycle = 1 ns at the modeled
@@ -401,31 +400,33 @@ type ExperimentPoint = harness.Point
 // warmup/measurement windows, and the fault plan armed before it starts.
 type ExperimentRun = runner.RunConfig
 
-// ExperimentRunResult carries everything a run measured; Reduce
-// functions fold a grid of these into a Report.
+// ExperimentRunResult carries everything a run measured; an
+// experiment's Reduce builds its Report from a grid of these.
 type ExperimentRunResult = runner.RunResult
 
-// ExperimentBuilder assembles one experiment for registration; see
-// NewExperiment.
-type ExperimentBuilder = harness.Builder
+// Experiment declares one table or figure: a registry Name, a Title and
+// Description for humans, an Order in the catalog (ties list by name),
+// a Grid expanding the base configuration and options into labeled runs
+// (nil for an experiment that simulates nothing), and a Reduce building
+// the Report from the grid's results, which arrive in grid order.
+type Experiment = harness.Experiment
 
-// NewExperiment starts building an experiment for the registry — the
-// same builder every built-in table and figure of the paper registers
-// through. An experiment declares a grid (expanding a base configuration
-// and options into labeled runs) and a reduce step (folding the grid's
-// results into a structured Report); Register adds it to the catalog
-// that Experiments lists and RunExperiment and cmd/snbench execute:
+// RegisterExperiment adds an experiment to the catalog that Experiments
+// lists and RunExperiment and cmd/snbench execute — the same path every
+// built-in table and figure registers through. A missing name or reduce
+// and a duplicate name are errors:
 //
-//	err := safetynet.NewExperiment("sweep", "My Sweep", "what it measures").
-//		Order(100).
-//		Grid(func(base safetynet.Config, o safetynet.ExperimentOptions) []safetynet.ExperimentPoint {
+//	err := safetynet.RegisterExperiment(safetynet.Experiment{
+//		Name:        "sweep",
+//		Title:       "My Sweep",
+//		Description: "what it measures",
+//		Order:       100,
+//		Grid: func(base safetynet.Config, o safetynet.ExperimentOptions) []safetynet.ExperimentPoint {
 //			...
-//		}).
-//		Reduce(func(base safetynet.Config, o safetynet.ExperimentOptions,
+//		},
+//		Reduce: func(base safetynet.Config, o safetynet.ExperimentOptions,
 //			pts []safetynet.ExperimentPoint, res []safetynet.ExperimentRunResult) *safetynet.Report {
 //			...
-//		}).
-//		Register()
-func NewExperiment(name, title, description string) *ExperimentBuilder {
-	return harness.NewExperiment(name, title, description)
-}
+//		},
+//	})
+func RegisterExperiment(e Experiment) error { return harness.Register(e) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -290,13 +291,15 @@ func TestRunObserverSnoop(t *testing.T) {
 	}
 }
 
-// TestPublicExperimentBuilder: an experiment defined entirely through
-// the public builder registers, lists, and runs like the built-ins.
-func TestPublicExperimentBuilder(t *testing.T) {
-	name := "builder-test"
-	err := NewExperiment(name, "Builder Test", "public-builder registration test").
-		Order(1000).
-		Grid(func(base Config, o ExperimentOptions) []ExperimentPoint {
+// TestRegisterExperimentThroughFacade: an experiment registered through
+// the facade lists and runs like the built-ins.
+func TestRegisterExperimentThroughFacade(t *testing.T) {
+	exp := Experiment{
+		Name:        "facade-test",
+		Title:       "Facade Test",
+		Description: "facade registration test",
+		Order:       1000,
+		Grid: func(base Config, o ExperimentOptions) []ExperimentPoint {
 			return []ExperimentPoint{{
 				Labels: map[string]string{"point": "only"},
 				Run: ExperimentRun{
@@ -306,8 +309,8 @@ func TestPublicExperimentBuilder(t *testing.T) {
 					Measure:  Cycles(100_000),
 				},
 			}}
-		}).
-		Reduce(func(base Config, o ExperimentOptions, pts []ExperimentPoint, res []ExperimentRunResult) *Report {
+		},
+		Reduce: func(base Config, o ExperimentOptions, pts []ExperimentPoint, res []ExperimentRunResult) *Report {
 			rep := &Report{LabelCols: []string{"point"}, ValueCols: []string{"ipc"}}
 			for i, pt := range pts {
 				rep.Rows = append(rep.Rows, Row{
@@ -316,23 +319,23 @@ func TestPublicExperimentBuilder(t *testing.T) {
 				})
 			}
 			return rep
-		}).
-		Register()
-	if err != nil {
+		},
+	}
+	if err := RegisterExperiment(exp); err != nil {
 		t.Fatal(err)
 	}
 
 	listed := false
 	for _, e := range Experiments() {
-		if e.Name == name {
+		if e.Name == exp.Name {
 			listed = true
 		}
 	}
 	if !listed {
-		t.Fatalf("%s not in the catalog", name)
+		t.Fatalf("%s not in the catalog", exp.Name)
 	}
 
-	rep, err := RunExperiment(name, DefaultConfig(), QuickOptions())
+	rep, err := RunExperiment(exp.Name, DefaultConfig(), QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +343,19 @@ func TestPublicExperimentBuilder(t *testing.T) {
 		t.Fatalf("report = %+v", rep)
 	}
 
-	// A second registration under the same name is an error, not a panic.
-	if err := NewExperiment(name, "dup", "dup").Reduce(nil).Register(); err == nil {
-		t.Fatal("duplicate registration must fail")
+	// A second registration of a complete experiment under the same
+	// name is an error, not a panic, and so is an incomplete one.
+	if err := RegisterExperiment(exp); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate registration: err = %v", err)
 	}
-	if err := NewExperiment("", "t", "d").Register(); err == nil {
+	noReduce := exp
+	noReduce.Name, noReduce.Reduce = "facade-test-no-reduce", nil
+	if err := RegisterExperiment(noReduce); err == nil {
+		t.Fatal("experiment without a reduce must fail")
+	}
+	noName := exp
+	noName.Name = ""
+	if err := RegisterExperiment(noName); err == nil {
 		t.Fatal("nameless experiment must fail")
 	}
 }
