@@ -50,7 +50,8 @@ type CampaignRun = campaign.Run
 type CampaignOptions = campaign.Options
 
 // CampaignReport is the statistical result of one campaign; Render
-// prints the text tables, JSON and CSV marshal it losslessly.
+// prints the text tables, Table returns the flat CSV table, and JSON
+// marshals it losslessly.
 type CampaignReport = campaign.Report
 
 // NewCampaign starts a campaign from a base scenario; set Axes,

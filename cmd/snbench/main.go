@@ -13,46 +13,53 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"safetynet"
+	"safetynet/internal/campaign/report"
 )
 
 // main delegates to run so deferred cleanup — flushing the CPU profile,
 // writing the heap profile — happens on every exit path, including errors.
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the testable entry point: flags in argv, reports on stdout,
+// errors on stderr.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp        = flag.String("exp", "all", "experiment name (see -list), or all")
-		scenFile   = flag.String("scenario", "", "run one declarative scenario file and print its result")
-		list       = flag.Bool("list", false, "list registered experiments and exit")
-		quick      = flag.Bool("quick", false, "single-run, short-window sizing")
-		runs       = flag.Int("runs", 0, "override the number of perturbed runs per point")
-		par        = flag.Int("j", runtime.NumCPU(), "simulations run in parallel (1 = serial)")
-		format     = flag.String("format", "text", "output format: text, json, csv")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		exp        = fs.String("exp", "all", "experiment name (see -list), or all")
+		scenFile   = fs.String("scenario", "", "run one declarative scenario file and print its result")
+		list       = fs.Bool("list", false, "list registered experiments and exit")
+		quick      = fs.Bool("quick", false, "single-run, short-window sizing")
+		runs       = fs.Int("runs", 0, "override the number of perturbed runs per point")
+		par        = fs.Int("j", runtime.NumCPU(), "simulations run in parallel (1 = serial)")
+		format     = fs.String("format", "text", "output format: text, json, csv")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 1
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+			fmt.Fprintf(stderr, "snbench: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+			fmt.Fprintf(stderr, "snbench: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -61,13 +68,13 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+				fmt.Fprintf(stderr, "snbench: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows live objects
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+				fmt.Fprintf(stderr, "snbench: %v\n", err)
 			}
 		}()
 	}
@@ -75,20 +82,21 @@ func run() int {
 	catalog := safetynet.Experiments()
 	if *list {
 		for _, e := range catalog {
-			fmt.Printf("%-12s %s\n", e.Name, e.Description)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.Name, e.Description)
 		}
 		return 0
 	}
 
-	switch *format {
-	case "text", "json", "csv":
-	default:
-		fmt.Fprintf(os.Stderr, "snbench: unknown format %q (have text, json, csv)\n", *format)
+	if err := report.Check(*format); err != nil {
+		fmt.Fprintf(stderr, "snbench: %v\n", err)
 		return 1
+	}
+	if *format == "" {
+		*format = "text"
 	}
 
 	if *scenFile != "" {
-		return runScenario(*scenFile, *format)
+		return runScenario(*scenFile, *format, stdout, stderr)
 	}
 
 	cfg := safetynet.DefaultConfig()
@@ -110,7 +118,7 @@ func run() int {
 		selected = []string{*exp}
 	}
 	if *format == "csv" && len(selected) > 1 {
-		fmt.Fprintln(os.Stderr, "snbench: -format csv needs a single experiment (experiments have different columns); pass -exp")
+		fmt.Fprintln(stderr, "snbench: -format csv needs a single experiment (experiments have different columns); pass -exp")
 		return 1
 	}
 
@@ -119,41 +127,35 @@ func run() int {
 		start := time.Now()
 		rep, err := safetynet.RunExperiment(name, cfg, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+			fmt.Fprintf(stderr, "snbench: %v\n", err)
 			return 1
 		}
-		if *format == "json" {
+		if *format == "json" && len(selected) > 1 {
 			// Collect so a multi-experiment run emits one parseable
 			// document (an array) instead of concatenated objects.
 			reports = append(reports, rep)
 			continue
 		}
-		out, err := rep.Encode(*format)
+		out, err := report.Encode(rep, *format)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+			fmt.Fprintf(stderr, "snbench: %v\n", err)
 			return 1
 		}
 		if *format == "text" {
-			fmt.Println("==================================================================")
-			fmt.Println(out)
-			fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintln(stdout, "==================================================================")
+			fmt.Fprintf(stdout, "%s\n", out)
+			fmt.Fprintf(stdout, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		} else {
-			fmt.Print(out)
+			stdout.Write(out)
 		}
 	}
-	if *format == "json" {
-		var out []byte
-		var err error
-		if len(reports) == 1 {
-			out, err = reports[0].JSON()
-		} else {
-			out, err = json.MarshalIndent(reports, "", "  ")
-		}
+	if reports != nil {
+		out, err := report.JSON(reports)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+			fmt.Fprintf(stderr, "snbench: %v\n", err)
 			return 1
 		}
-		fmt.Println(string(out))
+		stdout.Write(out)
 	}
 	return 0
 }
@@ -161,41 +163,41 @@ func run() int {
 // runScenario executes one declarative scenario file and prints its
 // Result (text summary or JSON). Scenario expectations, when present,
 // are enforced.
-func runScenario(path, format string) int {
+func runScenario(path, format string, stdout, stderr io.Writer) int {
 	if format == "csv" {
-		fmt.Fprintln(os.Stderr, "snbench: -scenario supports text and json output")
+		fmt.Fprintln(stderr, "snbench: -scenario supports text and json output")
 		return 1
 	}
 	sc, err := safetynet.LoadScenario(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+		fmt.Fprintf(stderr, "snbench: %v\n", err)
 		return 1
 	}
 	start := time.Now()
 	res, err := sc.Run()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+		fmt.Fprintf(stderr, "snbench: %v\n", err)
 		return 1
 	}
 	if format == "json" {
-		out, err := json.MarshalIndent(res, "", "  ")
+		out, err := report.JSON(res)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
+			fmt.Fprintf(stderr, "snbench: %v\n", err)
 			return 1
 		}
-		fmt.Println(string(out))
+		stdout.Write(out)
 	} else {
 		name := sc.Name
 		if name == "" {
 			name = path
 		}
-		fmt.Printf("scenario %s: workload %s on the %s backend\n", name, res.Workload, res.Protocol)
-		fmt.Printf("  cycles %d, instrs %d, IPC %.3f, recoveries %d, crashed %v\n",
+		fmt.Fprintf(stdout, "scenario %s: workload %s on the %s backend\n", name, res.Workload, res.Protocol)
+		fmt.Fprintf(stdout, "  cycles %d, instrs %d, IPC %.3f, recoveries %d, crashed %v\n",
 			res.Cycles, res.Instrs, res.IPC, res.Recoveries, res.Crashed)
-		fmt.Printf("[completed in %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[completed in %v]\n", time.Since(start).Round(time.Millisecond))
 	}
 	if err := sc.Check(res); err != nil {
-		fmt.Fprintln(os.Stderr, "snbench: scenario expectation failed:", err)
+		fmt.Fprintln(stderr, "snbench: scenario expectation failed:", err)
 		return 1
 	}
 	return 0

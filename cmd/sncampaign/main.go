@@ -33,6 +33,7 @@ import (
 	"syscall"
 
 	"safetynet"
+	"safetynet/internal/campaign/report"
 )
 
 // shortBudgetCycles is the per-run horizon -short scales a campaign
@@ -68,10 +69,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 		return 1
 	}
-	switch *format {
-	case "text", "json", "csv":
-	default:
-		fmt.Fprintf(stderr, "sncampaign: unknown format %q (have text, json, csv)\n", *format)
+	if err := report.Check(*format); err != nil {
+		fmt.Fprintf(stderr, "sncampaign: %v\n", err)
 		return 1
 	}
 
@@ -138,15 +137,12 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sncampaign: %v\n", err)
 		return 1
 	}
-	out, err := rep.Encode(*format)
+	out, err := report.Encode(rep, *format)
 	if err != nil {
 		fmt.Fprintf(stderr, "sncampaign: %v\n", err)
 		return 1
 	}
-	fmt.Fprint(stdout, out)
-	if *format == "json" {
-		fmt.Fprintln(stdout) // MarshalIndent has no trailing newline
-	}
+	stdout.Write(out)
 	if n := len(rep.ExpectFailures); n > 0 {
 		fmt.Fprintf(stderr, "sncampaign: %d run(s) failed their declared expectations\n", n)
 		return 1

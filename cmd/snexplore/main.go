@@ -30,6 +30,7 @@ import (
 	"syscall"
 
 	"safetynet"
+	"safetynet/internal/campaign/report"
 )
 
 func main() {
@@ -59,10 +60,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 		return 1
 	}
-	switch *format {
-	case "text", "json", "csv":
-	default:
-		fmt.Fprintf(stderr, "snexplore: unknown format %q (have text, json, csv)\n", *format)
+	if err := report.Check(*format); err != nil {
+		fmt.Fprintf(stderr, "snexplore: %v\n", err)
 		return 1
 	}
 
@@ -123,14 +122,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "snexplore: %v\n", err)
 		return 1
 	}
-	out, err := rep.Encode(*format)
+	out, err := report.Encode(rep, *format)
 	if err != nil {
 		fmt.Fprintf(stderr, "snexplore: %v\n", err)
 		return 1
 	}
-	fmt.Fprint(stdout, out)
-	if *format == "json" {
-		fmt.Fprintln(stdout) // MarshalIndent has no trailing newline
-	}
+	stdout.Write(out)
 	return 0
 }

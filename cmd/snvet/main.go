@@ -46,6 +46,10 @@ var deterministicPkgs = map[string]bool{
 	"stats":    true,
 	"scenario": true,
 	"serve":    true,
+	"harness":  true,
+	"explore":  true,
+	"runner":   true,
+	"report":   true,
 }
 
 // jsonFinding is the -json output shape, one object per diagnostic.

@@ -32,7 +32,8 @@ type ExploreStrategy = explore.Strategy
 type ExploreOptions = explore.Options
 
 // ExploreReport is the Pareto-frontier result of one exploration;
-// Render prints the text tables, JSON and CSV marshal it losslessly.
+// Render prints the text tables, Table returns the flat CSV table, and
+// encoding/json marshals it losslessly.
 type ExploreReport = explore.Report
 
 // ExploreObjective describes one entry of the objective vocabulary.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"safetynet"
+	"safetynet/internal/campaign/report"
 )
 
 const exampleExploration = "examples/explorations/clb-vs-interval.json"
@@ -97,7 +98,7 @@ func TestExampleExplorationDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := rep.JSON()
+		data, err := report.Encode(rep, "json")
 		if err != nil {
 			t.Fatal(err)
 		}

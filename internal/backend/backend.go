@@ -14,14 +14,17 @@
 package backend
 
 import (
+	"safetynet/internal/cache"
 	"safetynet/internal/fault"
 	"safetynet/internal/msg"
 	"safetynet/internal/sim"
 )
 
-// Counters is the protocol-neutral statistics slice every backend
-// reports. Fields are cumulative since construction; callers diff
-// snapshots to measure a window.
+// Counters is the statistics slice every backend reports. Fields are
+// cumulative since construction; callers diff snapshots to measure a
+// window. The directory machine fills every field. The snoop backend
+// leaves the detail fields zero: Stores, CoherenceReqs, CLBStallCycles,
+// DirLogged, Bandwidth, CLBPeakBytes and RecoveryCycles.
 type Counters struct {
 	// Instrs is durable forward progress: instructions retired and not
 	// rolled back by recoveries.
@@ -40,6 +43,23 @@ type Counters struct {
 	// protocol's own recovery-time discards.
 	MessagesSent    uint64
 	MessagesDropped uint64
+
+	// Stores counts every store the caches performed, logged or not.
+	Stores uint64
+	// CoherenceReqs counts coherence requests issued, retries included.
+	CoherenceReqs uint64
+	// CLBStallCycles is time the caches spent throttled behind a full
+	// CLB.
+	CLBStallCycles uint64
+	// DirLogged counts memory-side CLB appends.
+	DirLogged uint64
+	// Bandwidth is the caches' port occupancy by cause.
+	Bandwidth cache.Bandwidth
+	// CLBPeakBytes is the largest occupancy any one CLB has reached.
+	CLBPeakBytes int
+	// RecoveryCycles holds each completed recovery's coordination
+	// latency, oldest first; nil before the first recovery.
+	RecoveryCycles []sim.Time
 }
 
 // Observer receives backend-neutral run events. Every field is optional:

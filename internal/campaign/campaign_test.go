@@ -1,11 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
 	"safetynet/internal/runner"
@@ -353,15 +355,15 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, format := range []string{"text", "json", "csv"} {
-		s, err := serial.Encode(format)
+		s, err := report.Encode(serial, format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := sharded.Encode(format)
+		p, err := report.Encode(sharded, format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s != p {
+		if !bytes.Equal(s, p) {
 			t.Fatalf("%s report differs between 1 and 8 workers:\n--- serial ---\n%s\n--- sharded ---\n%s", format, s, p)
 		}
 	}

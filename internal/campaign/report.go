@@ -1,12 +1,12 @@
 package campaign
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/runner"
 	"safetynet/internal/stats"
 )
@@ -193,59 +193,30 @@ func (r *Report) Render() string {
 	return b.String()
 }
 
-// JSON marshals the report with full numeric precision.
+// JSON marshals the report with full numeric precision and no trailing
+// newline: the bytes perfbench hashes.
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// CSV renders the report as one flat table: a row per (scope, metric),
+// Table returns the report as one flat table: a row per (scope, metric),
 // where scope is "overall" or an axis group.
-func (r *Report) CSV() (string, error) {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	header := []string{"axis", "label", "runs", "crashes", "metric",
-		"n", "mean", "stddev", "min", "max", "median", "p5", "p95", "ci95_lo", "ci95_hi"}
-	if err := w.Write(header); err != nil {
-		return "", err
-	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	writeScope := func(axis, label string, runs, crashes int, ms []MetricSummary) error {
+func (r *Report) Table() [][]string {
+	table := [][]string{{"axis", "label", "runs", "crashes", "metric",
+		"n", "mean", "stddev", "min", "max", "median", "p5", "p95", "ci95_lo", "ci95_hi"}}
+	g := report.Float
+	scope := func(axis, label string, runs, crashes int, ms []MetricSummary) {
 		for _, m := range ms {
-			rec := []string{axis, label, strconv.Itoa(runs), strconv.Itoa(crashes), m.Metric,
+			table = append(table, []string{axis, label, strconv.Itoa(runs), strconv.Itoa(crashes), m.Metric,
 				strconv.Itoa(m.N), g(m.Mean), g(m.Stddev), g(m.Min), g(m.Max),
-				g(m.Median), g(m.P5), g(m.P95), g(m.CILo), g(m.CIHi)}
-			if err := w.Write(rec); err != nil {
-				return err
-			}
+				g(m.Median), g(m.P5), g(m.P95), g(m.CILo), g(m.CIHi)})
 		}
-		return nil
 	}
-	if err := writeScope("overall", "", r.Runs, r.Crashes, r.Metrics); err != nil {
-		return "", err
-	}
+	scope("overall", "", r.Runs, r.Crashes, r.Metrics)
 	for _, bd := range r.Axes {
 		for _, grp := range bd.Groups {
-			if err := writeScope(bd.Axis, grp.Label, grp.Runs, grp.Crashes, grp.Metrics); err != nil {
-				return "", err
-			}
+			scope(bd.Axis, grp.Label, grp.Runs, grp.Crashes, grp.Metrics)
 		}
 	}
-	w.Flush()
-	return b.String(), w.Error()
-}
-
-// Encode renders the report in the named format: "text", "json" or
-// "csv".
-func (r *Report) Encode(format string) (string, error) {
-	switch format {
-	case "", "text":
-		return r.Render(), nil
-	case "json":
-		j, err := r.JSON()
-		return string(j), err
-	case "csv":
-		return r.CSV()
-	default:
-		return "", fmt.Errorf("unknown report format %q (have text, json, csv)", format)
-	}
+	return table
 }

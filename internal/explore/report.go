@@ -1,13 +1,12 @@
 package explore
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"safetynet/internal/campaign"
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/stats"
 )
 
@@ -327,49 +326,19 @@ func rank(a Arm) string {
 	return strconv.Itoa(a.Rank)
 }
 
-// JSON marshals the report with full numeric precision.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// CSV renders the report as one flat table: a row per arm.
-func (r *Report) CSV() (string, error) {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	header := []string{"arm", "desc", "status", "rank", "runs"}
-	header = append(header, objectiveNames(r.Objectives)...)
-	if err := w.Write(header); err != nil {
-		return "", err
-	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// Table returns the report as one flat table: a row per arm.
+func (r *Report) Table() [][]string {
+	header := append([]string{"arm", "desc", "status", "rank", "runs"}, objectiveNames(r.Objectives)...)
+	table := [][]string{header}
 	for _, a := range r.AllArms {
 		rec := []string{strconv.Itoa(a.Index), a.Desc, status(a), rank(a), strconv.Itoa(a.Runs)}
 		for _, v := range a.Objectives {
-			rec = append(rec, g(v))
+			rec = append(rec, report.Float(v))
 		}
 		for i := len(a.Objectives); i < len(r.Objectives); i++ {
 			rec = append(rec, "")
 		}
-		if err := w.Write(rec); err != nil {
-			return "", err
-		}
+		table = append(table, rec)
 	}
-	w.Flush()
-	return b.String(), w.Error()
-}
-
-// Encode renders the report in the named format: "text", "json" or
-// "csv".
-func (r *Report) Encode(format string) (string, error) {
-	switch format {
-	case "", "text":
-		return r.Render(), nil
-	case "json":
-		j, err := r.JSON()
-		return string(j), err
-	case "csv":
-		return r.CSV()
-	default:
-		return "", fmt.Errorf("unknown report format %q (have text, json, csv)", format)
-	}
+	return table
 }

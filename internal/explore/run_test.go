@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"safetynet/internal/campaign"
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/fault"
 	"safetynet/internal/scenario"
 )
@@ -19,7 +20,7 @@ func execJSON(t *testing.T, e *Exploration, o Options) (*Report, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rep.JSON()
+	data, err := report.Encode(rep, "json")
 	if err != nil {
 		t.Fatal(err)
 	}

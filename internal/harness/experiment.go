@@ -110,16 +110,16 @@ func Get(name string) (Experiment, bool) {
 func Experiments() []Experiment {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
+	names := make([]string, 0, len(registry))
+	for name := range registry {
+		names = append(names, name)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
+	sort.Strings(names) // ties in Order keep name order
+	out := make([]Experiment, len(names))
+	for i, name := range names {
+		out[i] = registry[name]
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Order < out[j].Order })
 	return out
 }
 

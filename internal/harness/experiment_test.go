@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
 	"safetynet/internal/runner"
@@ -293,8 +294,8 @@ func TestParallelFig6MatchesSerial(t *testing.T) {
 	if sRep.Render() != pRep.Render() {
 		t.Fatal("fig6 parallel rendering differs from serial")
 	}
-	sJSON, _ := sRep.JSON()
-	pJSON, _ := pRep.JSON()
+	sJSON, _ := report.Encode(sRep, "json")
+	pJSON, _ := report.Encode(pRep, "json")
 	if string(sJSON) != string(pJSON) {
 		t.Fatal("fig6 parallel JSON differs from serial")
 	}

@@ -1,12 +1,11 @@
 package harness
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/stats"
 )
 
@@ -40,7 +39,8 @@ type Row struct {
 
 // Report is the structured result of one experiment: a rectangular grid
 // of labeled design points and measured values. It renders as the text
-// tables the paper reports and marshals losslessly to JSON and CSV.
+// tables the paper reports; internal/campaign/report encodes it
+// losslessly as JSON and CSV.
 type Report struct {
 	Experiment string `json:"experiment"`
 	Title      string `json:"title"`
@@ -120,51 +120,23 @@ func (r *Report) Render() string {
 	return b.String()
 }
 
-// JSON marshals the report with full numeric precision.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// CSV renders the report as one flat table: label columns verbatim, then
-// mean/stddev/crashed triplets per value column.
-func (r *Report) CSV() (string, error) {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
+// Table returns the report as one flat table: label columns verbatim,
+// then mean/stddev/crashed triplets per value column.
+func (r *Report) Table() [][]string {
 	header := append([]string{}, r.LabelCols...)
 	for _, c := range r.ValueCols {
 		header = append(header, c+"_mean", c+"_stddev", c+"_crashed")
 	}
-	if err := w.Write(header); err != nil {
-		return "", err
-	}
+	table := [][]string{header}
 	for _, row := range r.Rows {
 		rec := append([]string{}, row.Labels...)
 		for _, v := range row.Values {
 			rec = append(rec,
-				strconv.FormatFloat(v.Mean, 'g', -1, 64),
-				strconv.FormatFloat(v.Stddev, 'g', -1, 64),
+				report.Float(v.Mean),
+				report.Float(v.Stddev),
 				strconv.FormatBool(v.Crashed))
 		}
-		if err := w.Write(rec); err != nil {
-			return "", err
-		}
+		table = append(table, rec)
 	}
-	w.Flush()
-	return b.String(), w.Error()
-}
-
-// Encode renders the report in the named format: "text", "json" or
-// "csv".
-func (r *Report) Encode(format string) (string, error) {
-	switch format {
-	case "", "text":
-		return r.Render(), nil
-	case "json":
-		j, err := r.JSON()
-		return string(j), err
-	case "csv":
-		return r.CSV()
-	default:
-		return "", fmt.Errorf("unknown report format %q (have text, json, csv)", format)
-	}
+	return table
 }

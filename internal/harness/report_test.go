@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"safetynet/internal/campaign/report"
 )
 
 // goldenReport is a fixed report exercising every cell kind: sampled
@@ -56,11 +58,11 @@ func checkGolden(t *testing.T, name string, got string) {
 
 func TestReportGoldenJSON(t *testing.T) {
 	rep := goldenReport()
-	j, err := rep.JSON()
+	j, err := report.Encode(rep, "json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "report.json", string(j)+"\n")
+	checkGolden(t, "report.json", string(j))
 
 	// Round-trip: the JSON encoding carries every structural field.
 	var back Report
@@ -74,12 +76,12 @@ func TestReportGoldenJSON(t *testing.T) {
 }
 
 func TestReportGoldenCSV(t *testing.T) {
-	c, err := goldenReport().CSV()
+	c, err := report.Encode(goldenReport(), "csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "report.csv", c)
-	lines := strings.Split(strings.TrimSpace(c), "\n")
+	checkGolden(t, "report.csv", string(c))
+	lines := strings.Split(strings.TrimSpace(string(c)), "\n")
 	if len(lines) != 1+3 {
 		t.Fatalf("CSV has %d lines, want header + 3 rows", len(lines))
 	}
@@ -100,17 +102,5 @@ func TestReportRenderFormats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestReportEncodeDispatch(t *testing.T) {
-	rep := goldenReport()
-	for _, f := range []string{"", "text", "json", "csv"} {
-		if _, err := rep.Encode(f); err != nil {
-			t.Errorf("Encode(%q): %v", f, err)
-		}
-	}
-	if _, err := rep.Encode("xml"); err == nil {
-		t.Error("unknown format must error")
 	}
 }

@@ -28,7 +28,7 @@ func (m *Machine) FaultTarget() fault.Target {
 // Observe registers a backend-neutral run observer.
 func (m *Machine) Observe(o *backend.Observer) { m.obs = append(m.obs, o) }
 
-// Counters returns the cumulative protocol-neutral statistics.
+// Counters returns the cumulative statistics, detail fields included.
 func (m *Machine) Counters() backend.Counters {
 	ns := m.Net.Stats()
 	// Fault-induced losses only, to line up with the snoop backend:
@@ -49,9 +49,28 @@ func (m *Machine) Counters() backend.Counters {
 		s := n.CC.Stats()
 		c.StoresLogged += s.StoresLogged
 		c.TransfersLogged += s.TransfersLogged
+		c.Stores += s.Stores
+		c.CoherenceReqs += s.RequestsIssued
+		c.CLBStallCycles += s.CLBStallCycles
+		c.DirLogged += n.Dir.Stats().EntriesLogged
+		bw := n.CC.Bandwidth()
+		c.Bandwidth.HitCycles += bw.HitCycles
+		c.Bandwidth.FillCycles += bw.FillCycles
+		c.Bandwidth.CoherenceCycles += bw.CoherenceCycles
+		c.Bandwidth.LoggingCycles += bw.LoggingCycles
+		if clb := n.CC.CLB(); clb != nil {
+			c.CLBPeakBytes = max(c.CLBPeakBytes, clb.PeakBytes())
+		}
+		if clb := n.Dir.CLB(); clb != nil {
+			c.CLBPeakBytes = max(c.CLBPeakBytes, clb.PeakBytes())
+		}
 	}
 	if svc := m.ActiveService(); svc != nil {
-		c.Recoveries = len(svc.Recoveries())
+		recs := svc.Recoveries()
+		c.Recoveries = len(recs)
+		for _, r := range recs {
+			c.RecoveryCycles = append(c.RecoveryCycles, r.Duration())
+		}
 	}
 	return c
 }

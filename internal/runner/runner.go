@@ -97,31 +97,6 @@ func NewBackend(p config.Params, prof workload.Profile) (backend.Backend, error)
 	return nil, fmt.Errorf("unknown protocol %q", p.Protocol)
 }
 
-// counters is the directory machine's detailed measurement snapshot; the
-// protocol-neutral counters shared with the snoop backend come from
-// backend.Counters instead.
-type counters struct {
-	cs map[string]uint64
-	bw cache.Bandwidth
-}
-
-func snapshot(m *machine.Machine) counters {
-	c := counters{cs: map[string]uint64{}}
-	for _, n := range m.Nodes {
-		s := n.CC.Stats()
-		c.cs["stores"] += s.Stores
-		c.cs["reqs"] += s.RequestsIssued
-		c.cs["clbStall"] += s.CLBStallCycles
-		c.cs["dirLog"] += n.Dir.Stats().EntriesLogged
-		bw := n.CC.Bandwidth()
-		c.bw.HitCycles += bw.HitCycles
-		c.bw.FillCycles += bw.FillCycles
-		c.bw.CoherenceCycles += bw.CoherenceCycles
-		c.bw.LoggingCycles += bw.LoggingCycles
-	}
-	return c
-}
-
 // cancelStride is how far RunCtx advances the engine between context
 // checks. It bounds cancellation latency to one stride of simulated
 // work while keeping the check overhead invisible next to the cycles
@@ -164,10 +139,10 @@ func Run(rc RunConfig) RunResult {
 // RunCtx executes one simulation like Run, checking the context every
 // cancelStride simulated cycles so a canceled context abandons the run
 // mid-flight. On cancellation it returns the context's error and a
-// meaningless result; otherwise the error is nil. The protocol-neutral
-// counters (IPC, logging, recoveries, traffic) are measured on every
-// backend; the directory machine additionally reports its detailed
-// bandwidth, directory-log, and CLB-occupancy breakdowns.
+// meaningless result; otherwise the error is nil. Every measurement
+// comes from two backend.Counters readings, at the window's start and
+// end, so the detail fields stay zero on a backend that leaves them
+// zero (the snoop backend).
 func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 	prof, err := workload.ByName(rc.Workload)
 	if err != nil {
@@ -187,8 +162,6 @@ func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 	if rc.Observer != nil {
 		be.Observe(rc.Observer)
 	}
-	m, _ := be.(*machine.Machine) // nil for the snoop backend
-
 	be.Start()
 	if err := runUntil(ctx, be, rc.Warmup); err != nil {
 		return RunResult{}, err
@@ -197,10 +170,6 @@ func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 		return RunResult{Crashed: true, CrashCause: cause}, nil
 	}
 	cBefore := be.Counters()
-	var before counters
-	if m != nil {
-		before = snapshot(m)
-	}
 	if err := runUntil(ctx, be, rc.Warmup+rc.Measure); err != nil {
 		return RunResult{}, err
 	}
@@ -236,39 +205,24 @@ func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 	res.NetSent = sub(cAfter.MessagesSent, cBefore.MessagesSent)
 	res.NetDropped = sub(cAfter.MessagesDropped, cBefore.MessagesDropped)
 
-	if m == nil {
-		return res, nil
-	}
-	after := snapshot(m)
-	res.StoresTotal = after.cs["stores"] - before.cs["stores"]
-	res.CoherenceReqs = after.cs["reqs"] - before.cs["reqs"]
-	res.DirLogged = after.cs["dirLog"] - before.cs["dirLog"]
-	res.CLBStallCycles = after.cs["clbStall"] - before.cs["clbStall"]
+	res.StoresTotal = cAfter.Stores - cBefore.Stores
+	res.CoherenceReqs = cAfter.CoherenceReqs - cBefore.CoherenceReqs
+	res.DirLogged = cAfter.DirLogged - cBefore.DirLogged
+	res.CLBStallCycles = cAfter.CLBStallCycles - cBefore.CLBStallCycles
 	res.Bandwidth = cache.Bandwidth{
-		HitCycles:       after.bw.HitCycles - before.bw.HitCycles,
-		FillCycles:      after.bw.FillCycles - before.bw.FillCycles,
-		CoherenceCycles: after.bw.CoherenceCycles - before.bw.CoherenceCycles,
-		LoggingCycles:   after.bw.LoggingCycles - before.bw.LoggingCycles,
+		HitCycles:       cAfter.Bandwidth.HitCycles - cBefore.Bandwidth.HitCycles,
+		FillCycles:      cAfter.Bandwidth.FillCycles - cBefore.Bandwidth.FillCycles,
+		CoherenceCycles: cAfter.Bandwidth.CoherenceCycles - cBefore.Bandwidth.CoherenceCycles,
+		LoggingCycles:   cAfter.Bandwidth.LoggingCycles - cBefore.Bandwidth.LoggingCycles,
 	}
-	if svc := m.ActiveService(); svc != nil {
-		recs := svc.Recoveries()
-		// Only the measurement window's recoveries (the cumulative list's
-		// tail, matching the res.Recoveries delta).
-		if len(recs) > res.Recoveries {
-			recs = recs[len(recs)-res.Recoveries:]
-		}
-		for _, r := range recs {
-			res.RecoveryCycles = append(res.RecoveryCycles, r.Duration())
-		}
+	// Only the measurement window's recoveries (the cumulative list's
+	// tail, matching the res.Recoveries delta); nil when there are none.
+	recs := cAfter.RecoveryCycles
+	if len(recs) > res.Recoveries {
+		recs = recs[len(recs)-res.Recoveries:]
 	}
-	for _, n := range m.Nodes {
-		if clb := n.CC.CLB(); clb != nil && clb.PeakBytes() > res.CLBPeakBytes {
-			res.CLBPeakBytes = clb.PeakBytes()
-		}
-		if clb := n.Dir.CLB(); clb != nil && clb.PeakBytes() > res.CLBPeakBytes {
-			res.CLBPeakBytes = clb.PeakBytes()
-		}
-	}
+	res.RecoveryCycles = append(res.RecoveryCycles, recs...)
+	res.CLBPeakBytes = cAfter.CLBPeakBytes // a whole-run peak, not a delta
 	return res, nil
 }
 

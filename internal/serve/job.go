@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"safetynet/internal/campaign"
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/runner"
 )
 
@@ -262,8 +263,8 @@ func (s *Server) failJob(j *Job, err error) error {
 // reduction re-reads the checkpoint logs, so it works for jobs that
 // finished in a previous daemon lifetime, and the bytes match the
 // local sncampaign pipeline exactly: campaign.Reduce over the
-// deterministic expansion order, Encode in the requested format, plus
-// the trailing newline the CLI prints after JSON.
+// deterministic expansion order, then report.Encode in the requested
+// format: the bytes sncampaign prints.
 func (s *Server) report(j *Job, format string) ([]byte, error) {
 	j.mu.Lock()
 	if b, ok := j.reports[format]; ok {
@@ -294,14 +295,10 @@ func (s *Server) report(j *Job, format string) ([]byte, error) {
 		}
 		res[i] = r
 	}
-	out, err := campaign.Reduce(cc, runs, res).Encode(format)
+	b, err := report.Encode(campaign.Reduce(cc, runs, res), format)
 	if err != nil {
 		return nil, err
 	}
-	if format == "json" {
-		out += "\n" // match sncampaign, which newline-terminates JSON
-	}
-	b := []byte(out)
 	j.mu.Lock()
 	j.reports[format] = b
 	j.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"safetynet/internal/campaign"
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/fault"
 	"safetynet/internal/runner"
 	"safetynet/internal/scenario"
@@ -73,21 +76,18 @@ func (d *daemon) stop() {
 }
 
 // localReport is the uninterrupted single-worker reference the served
-// bytes must match, including the CLI's JSON trailing newline.
+// bytes must match: what sncampaign prints.
 func localReport(t *testing.T, c *campaign.Campaign, format string) []byte {
 	t.Helper()
 	rep, err := c.Execute(campaign.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := rep.Encode(format)
+	out, err := report.Encode(rep, format)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format == "json" {
-		out += "\n"
-	}
-	return []byte(out)
+	return out
 }
 
 func encodeCampaign(t *testing.T, c *campaign.Campaign) []byte {
@@ -208,13 +208,13 @@ func TestKillRestartResumeByteIdentical(t *testing.T) {
 	}
 	t.Logf("killed at %d/8 checkpointed runs, resumed the remaining %d", checkpointed, 8-checkpointed)
 
-	for _, format := range []string{"text", "json", "csv"} {
+	for _, format := range []string{"", "text", "json", "csv"} {
 		served, err := d2.cl.Report(context.Background(), st.ID, format)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := localReport(t, c, format); !bytes.Equal(served, want) {
-			t.Fatalf("%s report differs from the uninterrupted local run:\n--- served ---\n%s\n--- local ---\n%s",
+			t.Fatalf("%q report differs from the uninterrupted local run:\n--- served ---\n%s\n--- local ---\n%s",
 				format, served, want)
 		}
 	}
@@ -420,6 +420,37 @@ func TestAPIValidation(t *testing.T) {
 	}
 }
 
+// TestReportRejectsBadFormatWhileRunning: the report endpoint checks
+// the format before the job's state, so an unknown format answers 400
+// even while the job runs. A workers-only daemon with no worker keeps
+// the job running.
+func TestReportRejectsBadFormatWhileRunning(t *testing.T) {
+	d := startDaemonWith(t, Options{StoreDir: t.TempDir(), Workers: 1, CheckpointEvery: 1, WorkersOnly: true})
+	ctx := context.Background()
+	st, err := d.cl.Submit(ctx, encodeCampaign(t, testCampaign()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for st.State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started running: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if st, err = d.cl.Status(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var api *APIError
+	if _, err := d.cl.Report(ctx, st.ID, "yaml"); !errors.As(err, &api) || api.Status != http.StatusBadRequest ||
+		!strings.Contains(err.Error(), report.Check("yaml").Error()) {
+		t.Fatalf("bad format on a running job: err = %v, want HTTP 400 with the shared message", err)
+	}
+	if _, err := d.cl.Report(ctx, st.ID, "text"); !errors.As(err, &api) || api.Status != http.StatusConflict {
+		t.Fatalf("good format on a running job: err = %v, want HTTP 409", err)
+	}
+}
+
 // TestScaledSubmitMatchesLocalShort: a scale_to submission reduces to
 // the same bytes as a local -short-scaled execution — the property the
 // CI serve-smoke job leans on.
@@ -444,11 +475,11 @@ func TestScaledSubmitMatchesLocalShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := rep.Encode("text")
+	want, err := report.Encode(rep, "text")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(served) != want {
+	if !bytes.Equal(served, want) {
 		t.Fatalf("scaled served report differs from local -short:\n--- served ---\n%s\n--- local ---\n%s", served, want)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"safetynet/internal/campaign"
+	"safetynet/internal/campaign/report"
 )
 
 // Options sizes the daemon.
@@ -513,6 +514,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	format := r.URL.Query().Get("format")
+	ctype, err := report.ContentType(format)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if format == "" {
+		format = "text" // one cached encoding per format
+	}
 	j, id := s.job(r)
 	if j == nil {
 		httpError(w, http.StatusNotFound, "no campaign %q", id)
@@ -527,22 +537,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	default:
 		st := s.status(j)
 		httpError(w, http.StatusConflict, "campaign %s is %s (%d/%d runs)", id, m.State, st.Done, st.Runs)
-		return
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "text"
-	}
-	var ctype string
-	switch format {
-	case "text":
-		ctype = "text/plain; charset=utf-8"
-	case "json":
-		ctype = "application/json"
-	case "csv":
-		ctype = "text/csv; charset=utf-8"
-	default:
-		httpError(w, http.StatusBadRequest, "unknown format %q (have text, json, csv)", format)
 		return
 	}
 	b, err := s.report(j, format)

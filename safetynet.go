@@ -39,8 +39,9 @@
 // paper's evaluation is exposed through a registry: Experiments() lists
 // the catalog and RunExperiment runs one entry, optionally fanning its
 // independent simulations across a worker pool, and returns a structured
-// Report that renders as text and marshals to JSON or CSV. Every
-// experiment is a grid of runs plus one reduce that builds its Report.
+// Report that renders as text, flattens to a CSV table and marshals to
+// JSON. Every experiment is a grid of runs plus one reduce that builds
+// its Report.
 // The registry is open: RegisterExperiment adds an Experiment from any
 // package, exactly as the built-in tables and figures register;
 // cmd/snbench drives the registry.
@@ -340,7 +341,8 @@ func QuickOptions() ExperimentOptions { return runner.QuickOptions() }
 
 // Report is the structured result of one experiment: labeled design
 // points with mean ± stddev values and crash markers. Render prints the
-// paper-style text table; JSON and CSV marshal it losslessly.
+// paper-style text table, Table returns the flat CSV table, and
+// encoding/json marshals it losslessly.
 type Report = harness.Report
 
 // Row is one report row: label cells followed by numeric cells.
