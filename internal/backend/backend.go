@@ -22,9 +22,11 @@ import (
 
 // Counters is the statistics slice every backend reports. Fields are
 // cumulative since construction; callers diff snapshots to measure a
-// window. The directory machine fills every field. The snoop backend
-// leaves the detail fields zero: Stores, CoherenceReqs, CLBStallCycles,
-// DirLogged, Bandwidth, CLBPeakBytes and RecoveryCycles.
+// window. The logged counts (StoresLogged, TransfersLogged, DirLogged)
+// are read from the CLBs' own append counts. The directory machine fills
+// every field. The snoop backend leaves the detail fields zero: Stores,
+// CoherenceReqs, CLBStallCycles, DirLogged, Bandwidth, CLBPeakBytes and
+// RecoveryCycles.
 type Counters struct {
 	// Instrs is durable forward progress: instructions retired and not
 	// rolled back by recoveries.

@@ -52,6 +52,8 @@ type CLB struct {
 	capEntries int
 	entryBytes int
 	entries    []Entry
+	// logAll is the DisableLogDedup ablation: log every update-action.
+	logAll bool
 
 	// Statistics.
 	appends         uint64
@@ -83,19 +85,19 @@ func (c *CLB) Full() bool { return len(c.entries) >= c.capEntries }
 // Append records an entry. It returns false — and the caller must apply
 // back-pressure (throttle the store or nack the coherence request, paper
 // §3.3) — when the buffer is full.
+//
+//snvet:alloc-free
 func (c *CLB) Append(e Entry) bool {
 	if c.Full() {
 		c.fullRejections++
 		return false
 	}
-	c.entries = append(c.entries, e)
+	c.entries = append(c.entries, e) //snvet:alloc-ok amortized: the log grows to its peak occupancy, then deallocation and unroll keep its capacity
 	c.appends++
 	if e.Transfer {
 		c.transferAppends++
 	}
-	if len(c.entries) > c.peakEntries {
-		c.peakEntries = len(c.entries)
-	}
+	c.peakEntries = max(c.peakEntries, len(c.entries))
 	return true
 }
 
@@ -136,6 +138,7 @@ func (c *CLB) Appends() uint64 { return c.appends }
 func (c *CLB) TransferAppends() uint64 { return c.transferAppends }
 
 // FullRejections returns how many appends were refused by a full buffer.
+// A refused action that is retried counts once per attempt.
 func (c *CLB) FullRejections() uint64 { return c.fullRejections }
 
 // PeakEntries returns the high-water mark of buffered entries.

@@ -47,21 +47,21 @@ func (m *Machine) Counters() backend.Counters {
 	}
 	for _, n := range m.Nodes {
 		s := n.CC.Stats()
-		c.StoresLogged += s.StoresLogged
-		c.TransfersLogged += s.TransfersLogged
 		c.Stores += s.Stores
 		c.CoherenceReqs += s.RequestsIssued
 		c.CLBStallCycles += s.CLBStallCycles
-		c.DirLogged += n.Dir.Stats().EntriesLogged
 		bw := n.CC.Bandwidth()
 		c.Bandwidth.HitCycles += bw.HitCycles
 		c.Bandwidth.FillCycles += bw.FillCycles
 		c.Bandwidth.CoherenceCycles += bw.CoherenceCycles
 		c.Bandwidth.LoggingCycles += bw.LoggingCycles
 		if clb := n.CC.CLB(); clb != nil {
+			c.StoresLogged += clb.Appends() - clb.TransferAppends()
+			c.TransfersLogged += clb.TransferAppends()
 			c.CLBPeakBytes = max(c.CLBPeakBytes, clb.PeakBytes())
 		}
 		if clb := n.Dir.CLB(); clb != nil {
+			c.DirLogged += clb.Appends()
 			c.CLBPeakBytes = max(c.CLBPeakBytes, clb.PeakBytes())
 		}
 	}

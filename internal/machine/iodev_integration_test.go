@@ -18,7 +18,7 @@ func ioMachine(t *testing.T, seed uint64) *Machine {
 }
 
 // TestOutputCommitHoldsUnvalidatedOutputs: outputs never escape before
-// their checkpoint validates (DESIGN.md invariant 7, paper §2.4).
+// their checkpoint validates (paper §2.4).
 func TestOutputCommitHoldsUnvalidatedOutputs(t *testing.T) {
 	m := ioMachine(t, 1)
 	m.Start()

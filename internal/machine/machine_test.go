@@ -215,9 +215,9 @@ func TestKilledSwitchRecoversAndContinues(t *testing.T) {
 	}
 }
 
-// TestCheckpointSoundness is the core SafetyNet property (DESIGN.md
-// invariant 3): the architectural state after a recovery equals the
-// architectural state that existed when the recovery point was created.
+// TestCheckpointSoundness is the core SafetyNet property (paper §3.6):
+// the architectural state after a recovery equals the architectural
+// state that existed when the recovery point was created.
 func TestCheckpointSoundness(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		m := stressMachine(t, true, seed)

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"safetynet/internal/config"
 	"safetynet/internal/msg"
 	"safetynet/internal/workload"
 )
@@ -139,6 +140,29 @@ func TestCLBBackpressureDoesNotDeadlock(t *testing.T) {
 	}
 	if stalls == 0 && nacks == 0 {
 		t.Fatal("tiny CLB exerted no backpressure (suspicious)")
+	}
+}
+
+// TestCLBRefusalsCounted runs Table 2 OLTP with a 32 KB CLB, small
+// enough that the caches throttle. A cache stalls only when its CLB has
+// no room for an entry the action needs, so the cache-side CLBs must
+// count refusals whenever the caches stalled.
+func TestCLBRefusalsCounted(t *testing.T) {
+	p := config.Default()
+	p.CLBBytes = 32 << 10
+	m := New(p, workload.OLTP())
+	m.Start()
+	m.Run(1_500_000)
+	var stalls, refusals uint64
+	for _, n := range m.Nodes {
+		stalls += n.CC.Stats().CLBStallCycles
+		refusals += n.CC.CLB().FullRejections()
+	}
+	if stalls == 0 {
+		t.Fatal("a 32 KB CLB never stalled the caches")
+	}
+	if refusals == 0 {
+		t.Fatalf("the caches stalled %d cycles on a full CLB, but their CLBs counted no refusal", stalls)
 	}
 }
 

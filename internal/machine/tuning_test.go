@@ -37,9 +37,9 @@ func TestTuneWorkloads(t *testing.T) {
 				s.stores += cs.Stores
 				s.misses += cs.Misses
 				s.upg += cs.Upgrades
-				s.sLog += cs.StoresLogged
-				s.tLog += cs.TransfersLogged
-				s.dLog += n.Dir.Stats().EntriesLogged
+				s.sLog += n.CC.CLB().Appends() - n.CC.CLB().TransferAppends()
+				s.tLog += n.CC.CLB().TransferAppends()
+				s.dLog += n.Dir.CLB().Appends()
 			}
 			return s
 		}

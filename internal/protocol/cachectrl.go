@@ -17,12 +17,6 @@ type CacheStats struct {
 	L1Hits, L2Hits uint64
 	Misses         uint64
 	Upgrades       uint64
-	// StoresLogged counts store overwrites that appended a CLB entry
-	// (Figure 6: "stores that use CLB").
-	StoresLogged uint64
-	// TransfersLogged counts ownership transfers (forwarded requests and
-	// writebacks) that appended a CLB entry.
-	TransfersLogged uint64
 	// RequestsIssued counts GETS/GETX/PUTX injections, including retries
 	// (Figure 6: "all coherence requests").
 	RequestsIssued uint64
@@ -181,6 +175,9 @@ func NewCacheController(node int, eng *sim.Engine, nw *network.Network, p config
 	}
 	if cc.sn {
 		cc.clb = core.NewCLB(p.CLBBytes/2, p.CLBEntryBytes)
+		if p.DisableLogDedup {
+			cc.clb.DisableDedup()
+		}
 	}
 	cc.serveFwdGETSFn = cc.serveFwdGETSArg
 	cc.serveFwdGETXFn = cc.serveFwdGETXArg
@@ -250,15 +247,6 @@ func (cc *CacheController) OnValidate(rpcn msg.CN) {
 // interval completed successfully). It reads the head of the busy queue,
 // which counts in-flight MSHRs and writebacks by start CN.
 func (cc *CacheController) ReadyCkpt() msg.CN { return cc.busy.Ready(cc.ccn) }
-
-// shouldLog applies the update-action logging rule, or logs
-// unconditionally under the dedup ablation.
-func (cc *CacheController) shouldLog(blockCN msg.CN, ccn msg.CN) bool {
-	if cc.p.DisableLogDedup {
-		return true
-	}
-	return core.ShouldLog(blockCN, ccn)
-}
 
 func (cc *CacheController) blockCycles() uint64 {
 	return uint64(cc.p.BlockBytes) / 8 // cache port moves 8 bytes/cycle
@@ -343,10 +331,10 @@ func (cc *CacheController) storeInner(addr uint64, val uint64, done func()) {
 }
 
 // FastAccess attempts a reference without engine involvement: cache hits
-// (including stores to Modified blocks with inline logging) return their
-// latency immediately so the processor can batch hit runs into a single
-// event. It returns ok=false when the access needs the transactional slow
-// path (miss, upgrade, writeback race, or CLB back-pressure).
+// (including stores to Modified blocks) return their latency immediately
+// so the processor can batch hit runs into a single event. It returns
+// ok=false when the access needs the transactional slow path (miss,
+// upgrade, writeback race, or CLB back-pressure).
 //
 //snvet:alloc-free
 func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (sim.Time, bool) {
@@ -374,58 +362,56 @@ func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (si
 	if l2.State != cache.Modified {
 		return 0, false
 	}
-	lat := sim.Time(cc.p.L1HitCycles)
-	if cc.sn && cc.shouldLog(l2.CN, cc.ccn) {
-		if cc.clb.Full() {
-			return 0, false // slow path throttles
-		}
-		cc.clb.Append(core.Entry{
-			Addr: l2.Addr, Tag: core.UpdatedCN(cc.ccn),
-			OldData: l2.Data, OldCN: l2.CN, OldState: l2.State,
-		})
-		cc.stats.StoresLogged++
-		cc.bw.LoggingCycles += cc.p.LogStoreCycles
-		lat += sim.Time(cc.p.LogStoreCycles)
+	logLat, ok := cc.storeApply(l2, val)
+	if !ok {
+		return 0, false // slow path throttles
 	}
 	cc.stats.Stores++
 	cc.l2.Touch(l2)
-	if cc.sn {
-		l2.CN = core.UpdatedCN(cc.ccn)
-	}
-	l2.Data = val
 	cc.bw.HitCycles += cc.blockCycles()
-	cc.fillL1(addr)
-	return lat, true
+	return sim.Time(cc.p.L1HitCycles) + logLat, true
 }
 
-// storeHit performs a store to a Modified block, logging the old copy
-// first when the update-action rule requires it. A full CLB throttles the
+// storeHit performs a store to a Modified block. A full CLB throttles the
 // store (paper §3.3: "we can throttle requests from the CPU").
 //
 //snvet:alloc-free
 func (cc *CacheController) storeHit(l2 *cache.Line, val uint64, done func()) {
-	lat := sim.Time(cc.p.L1HitCycles)
-	if cc.sn && cc.shouldLog(l2.CN, cc.ccn) {
-		if cc.clb.Full() {
-			cc.stats.CLBStallCycles += clbRetryCycles
-			cc.later(clbRetryCycles, deferred{kind: deferStore, addr: l2.Addr, val: val, epoch: cc.epoch, doneStore: done})
-			return
+	logLat, ok := cc.storeApply(l2, val)
+	if !ok {
+		cc.stats.CLBStallCycles += clbRetryCycles
+		cc.later(clbRetryCycles, deferred{kind: deferStore, addr: l2.Addr, val: val, epoch: cc.epoch, doneStore: done})
+		return
+	}
+	cc.bw.HitCycles += cc.blockCycles()
+	cc.eng.After(sim.Time(cc.p.L1HitCycles)+logLat, done)
+}
+
+// storeApply writes val into the Modified line l, logging the old copy
+// first when the update-action rule requires it, and refills the L1. It
+// returns the logging latency, or ok=false, changing nothing, when the
+// CLB refused the entry.
+//
+//snvet:alloc-free
+func (cc *CacheController) storeApply(l *cache.Line, val uint64) (logLat sim.Time, ok bool) {
+	// NeedsLog is asked first so that a store hit needing no entry, the
+	// common case, builds none.
+	if cc.sn && cc.clb.NeedsLog(l.CN, cc.ccn) {
+		if _, refused := cc.clb.Log(cc.ccn, core.Entry{
+			Addr: l.Addr, Tag: core.UpdatedCN(cc.ccn),
+			OldData: l.Data, OldCN: l.CN, OldState: l.State,
+		}); refused {
+			return 0, false
 		}
-		cc.clb.Append(core.Entry{
-			Addr: l2.Addr, Tag: core.UpdatedCN(cc.ccn),
-			OldData: l2.Data, OldCN: l2.CN, OldState: l2.State,
-		})
-		cc.stats.StoresLogged++
 		cc.bw.LoggingCycles += cc.p.LogStoreCycles
-		lat += sim.Time(cc.p.LogStoreCycles)
+		logLat = sim.Time(cc.p.LogStoreCycles)
 	}
 	if cc.sn {
-		l2.CN = core.UpdatedCN(cc.ccn)
+		l.CN = core.UpdatedCN(cc.ccn)
 	}
-	l2.Data = val
-	cc.bw.HitCycles += cc.blockCycles()
-	cc.fillL1(l2.Addr)
-	cc.eng.After(lat, done)
+	l.Data = val
+	cc.fillL1(l.Addr)
+	return logLat, true
 }
 
 const clbRetryCycles = 100
@@ -722,19 +708,16 @@ func (cc *CacheController) tryCompleteGETX(mm *mshr) {
 	// is an ownership-transfer update-action and must be logged with the
 	// transaction's CN. A recovery past that CN then restores the O line
 	// (and the directory unroll restores the old owner/sharers).
-	if existing := cc.l2.Lookup(mm.addr); existing != nil && existing.State.IsOwner() &&
-		cc.sn && cc.shouldLog(existing.CN, cc.ccn) {
-		if cc.clb.Full() {
+	if existing := cc.l2.Lookup(mm.addr); existing != nil && existing.State.IsOwner() && cc.sn {
+		if _, refused := cc.clb.Log(cc.ccn, core.Entry{
+			Addr: mm.addr, Tag: mm.dataCN,
+			OldData: existing.Data, OldCN: existing.CN, OldState: existing.State,
+			Transfer: true,
+		}); refused {
 			cc.stats.CLBStallCycles += clbRetryCycles
 			cc.later(clbRetryCycles, deferred{kind: deferGETX, addr: mm.addr, txn: mm.txn})
 			return
 		}
-		cc.clb.Append(core.Entry{
-			Addr: mm.addr, Tag: mm.dataCN,
-			OldData: existing.Data, OldCN: existing.CN, OldState: existing.State,
-			Transfer: true,
-		})
-		cc.stats.TransfersLogged++
 	}
 	// Ownership arrives first: the line becomes Modified tagged with the
 	// transaction's point-of-atomicity CN...
@@ -750,24 +733,11 @@ func (cc *CacheController) tryCompleteGETX(mm *mshr) {
 	// with the pre-store data; rolling back past the transfer CN
 	// invalidates the line and the directory unroll restores the old
 	// owner.
-	if cc.sn && cc.shouldLog(l2.CN, cc.ccn) {
-		if cc.clb.Full() {
-			cc.stats.CLBStallCycles += clbRetryCycles
-			cc.later(clbRetryCycles, deferred{kind: deferGETX, addr: mm.addr, txn: mm.txn})
-			return
-		}
-		cc.clb.Append(core.Entry{
-			Addr: l2.Addr, Tag: core.UpdatedCN(cc.ccn),
-			OldData: l2.Data, OldCN: l2.CN, OldState: l2.State,
-		})
-		cc.stats.StoresLogged++
-		cc.bw.LoggingCycles += cc.p.LogStoreCycles
+	if _, ok := cc.storeApply(l2, mm.storeVal); !ok {
+		cc.stats.CLBStallCycles += clbRetryCycles
+		cc.later(clbRetryCycles, deferred{kind: deferGETX, addr: mm.addr, txn: mm.txn})
+		return
 	}
-	if cc.sn {
-		l2.CN = core.UpdatedCN(cc.ccn)
-	}
-	l2.Data = mm.storeVal
-	cc.fillL1(mm.addr)
 	ack := msg.Alloc()
 	*ack = msg.Message{Type: msg.AckDone, Src: cc.node, Dst: cc.home(mm.addr), Addr: mm.addr, CN: mm.dataCN, Txn: mm.txn}
 	cc.nw.Send(ack)
@@ -864,8 +834,12 @@ func (cc *CacheController) serveFwdGETX(m *msg.Message) {
 		msg.Release(m)
 		return
 	}
-	if cc.sn && cc.shouldLog(oldCN, cc.ccn) {
-		if cc.clb.Full() {
+	if cc.sn {
+		if _, refused := cc.clb.Log(cc.ccn, core.Entry{
+			Addr: m.Addr, Tag: core.UpdatedCN(cc.ccn),
+			OldData: data, OldCN: oldCN, OldState: oldState,
+			Transfer: true,
+		}); refused {
 			// Hold the response until validation frees space; the
 			// requestor's transaction simply takes longer. Recovery via
 			// the requestor's timeout is the backstop if validation
@@ -874,12 +848,6 @@ func (cc *CacheController) serveFwdGETX(m *msg.Message) {
 			cc.eng.AfterArg(clbRetryCycles, cc.serveFwdGETXFn, m)
 			return
 		}
-		cc.clb.Append(core.Entry{
-			Addr: m.Addr, Tag: core.UpdatedCN(cc.ccn),
-			OldData: data, OldCN: oldCN, OldState: oldState,
-			Transfer: true,
-		})
-		cc.stats.TransfersLogged++
 	}
 	if wb := cc.wbs[m.Addr]; wb != nil && wb.hasOwnership {
 		wb.hasOwnership = false
@@ -972,7 +940,7 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 		// its upgrades pin one line per set).
 		panic(fmt.Sprintf("protocol: node %d has no evictable frame for %#x", cc.node, addr))
 	}
-	if v.State.IsOwner() && cc.sn && cc.shouldLog(v.CN, cc.ccn) && cc.clb.Full() {
+	if v.State.IsOwner() && cc.sn && cc.clb.NeedsLog(v.CN, cc.ccn) && cc.clb.Full() {
 		// Evicting this block requires logging the ownership transfer;
 		// prefer a victim that does not.
 		alt := cc.l2.Victim(addr, cc.noLogEvictFn)
@@ -999,7 +967,7 @@ func (cc *CacheController) evictable(l *cache.Line) bool {
 // evictableWithoutLog also rules out owned blocks whose eviction would
 // need a transfer log entry.
 func (cc *CacheController) evictableWithoutLog(l *cache.Line) bool {
-	return cc.evictable(l) && !(l.State.IsOwner() && cc.shouldLog(l.CN, cc.ccn))
+	return cc.evictable(l) && !(l.State.IsOwner() && cc.clb.NeedsLog(l.CN, cc.ccn))
 }
 
 // startWriteback moves an evicted owned block into the writeback buffer
@@ -1009,16 +977,13 @@ func (cc *CacheController) evictableWithoutLog(l *cache.Line) bool {
 func (cc *CacheController) startWriteback(v *cache.Line) {
 	cn := msg.Null
 	if cc.sn {
-		if cc.shouldLog(v.CN, cc.ccn) {
-			// installL2 guarantees CLB space before choosing a victim
-			// that requires a transfer log.
-			cc.clb.Append(core.Entry{
-				Addr: v.Addr, Tag: core.UpdatedCN(cc.ccn),
-				OldData: v.Data, OldCN: v.CN, OldState: v.State,
-				Transfer: true,
-			})
-			cc.stats.TransfersLogged++
-		}
+		// installL2 guarantees CLB space before choosing a victim that
+		// requires a transfer log.
+		cc.clb.Log(cc.ccn, core.Entry{
+			Addr: v.Addr, Tag: core.UpdatedCN(cc.ccn),
+			OldData: v.Data, OldCN: v.CN, OldState: v.State,
+			Transfer: true,
+		})
 		cn = core.UpdatedCN(cc.ccn)
 	}
 	cc.txnSeq++
@@ -1085,7 +1050,7 @@ func (cc *CacheController) Recover(rpcn msg.CN, flushToMem func(addr, data uint6
 
 	n := 0
 	if cc.clb != nil {
-		n = cc.clb.Unroll(func(e core.Entry) { cc.undo(e, rpcn, flushToMem) })
+		n = cc.clb.UnrollCache(cc.l2, rpcn, flushToMem)
 	}
 	cc.l2.ForEachValid(func(l *cache.Line) {
 		if l.CN > rpcn {
@@ -1095,28 +1060,4 @@ func (cc *CacheController) Recover(rpcn msg.CN, flushToMem func(addr, data uint6
 	cc.l1.InvalidateAll()
 	cc.ccn = rpcn
 	return n
-}
-
-func (cc *CacheController) undo(e core.Entry, rpcn msg.CN, flushToMem func(addr, data uint64)) {
-	if l := cc.l2.Lookup(e.Addr); l != nil {
-		l.Data = e.OldData
-		l.CN = e.OldCN
-		l.State = e.OldState
-		return
-	}
-	// The block was evicted after this update-action; restore it into a
-	// frame. Preference: invalid, then non-owners (silent drop), then
-	// owners with unvalidated CNs (their contents are being discarded by
-	// this recovery anyway), then validated owners (flush to memory).
-	v := cc.l2.Victim(e.Addr, func(l *cache.Line) bool { return !l.State.IsOwner() })
-	if v == nil {
-		v = cc.l2.Victim(e.Addr, func(l *cache.Line) bool { return l.State.IsOwner() && l.CN > rpcn })
-	}
-	if v == nil {
-		v = cc.l2.Victim(e.Addr, nil)
-		if v.State.IsOwner() && v.CN <= rpcn {
-			flushToMem(v.Addr, v.Data)
-		}
-	}
-	cc.l2.Install(v, e.Addr, e.OldState, e.OldCN, e.OldData)
 }

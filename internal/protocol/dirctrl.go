@@ -17,9 +17,6 @@ type DirStats struct {
 	Forwards  uint64
 	MemReads  uint64
 	MemWrites uint64
-	// EntriesLogged counts memory-side CLB appends (ownership changes and
-	// writeback absorptions).
-	EntriesLogged uint64
 	// CLBStallCycles counts time AckDone processing waited on a full CLB.
 	CLBStallCycles uint64
 }
@@ -493,7 +490,6 @@ func (dc *DirController) logEntry(e core.Entry) {
 	if !dc.clb.Append(e) {
 		panic("protocol: directory logged into a full CLB (caller must check)")
 	}
-	dc.stats.EntriesLogged++
 }
 
 // Recover rolls the directory and memory image back to checkpoint rpcn:

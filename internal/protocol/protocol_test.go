@@ -294,16 +294,18 @@ func TestConcurrentGETXSerializedByNacks(t *testing.T) {
 func TestLoggingOncePerInterval(t *testing.T) {
 	r := newRig(t, nil)
 	addr := r.addrHomedAt(1, 0)
+	clb := r.ccs[0].CLB()
+	storesLogged := func() uint64 { return clb.Appends() - clb.TransferAppends() }
 	r.store(0, addr, 1)
-	base := r.ccs[0].Stats().StoresLogged
+	base := storesLogged()
 	r.store(0, addr, 2)
 	r.store(0, addr, 3)
-	if got := r.ccs[0].Stats().StoresLogged; got != base {
+	if got := storesLogged(); got != base {
 		t.Fatalf("repeat stores logged %d times, want 0 (paper §3.3)", got-base)
 	}
 	r.edge()
 	r.store(0, addr, 4)
-	if got := r.ccs[0].Stats().StoresLogged; got != base+1 {
+	if got := storesLogged(); got != base+1 {
 		t.Fatalf("first store of new interval logged %d times, want 1", got-base)
 	}
 }
@@ -316,8 +318,8 @@ func TestUnprotectedSkipsLogging(t *testing.T) {
 	if r.ccs[0].CLB() != nil || r.dirs[1].CLB() != nil {
 		t.Fatal("unprotected controllers must not allocate CLBs")
 	}
-	if got := r.ccs[0].Stats().StoresLogged; got != 0 {
-		t.Fatalf("unprotected logged %d stores", got)
+	if got := r.ccs[0].Bandwidth().LoggingCycles; got != 0 {
+		t.Fatalf("unprotected stores spent %d cycles logging", got)
 	}
 }
 

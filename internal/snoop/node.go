@@ -97,7 +97,6 @@ type Node struct {
 
 	// Stats.
 	Loads, Stores, Misses, Upgrades uint64
-	StoresLogged, TransfersLogged   uint64
 	Timeouts                        uint64
 }
 
@@ -307,15 +306,10 @@ func (n *Node) selfSnoop(r *Request, l *cache.Line, hadOwner bool, home int) {
 	// dirty data exists nowhere else), logged before the store applies.
 	if t.kind == BusGETX {
 		if l != nil && l.State.IsOwner() {
-			if core.ShouldLog(l.CN, n.ccn) {
-				if !n.clb.Append(core.Entry{
-					Addr: t.addr, Tag: core.UpdatedCN(n.ccn),
-					OldData: l.Data, OldCN: l.CN, OldState: l.State, Transfer: true,
-				}) {
-					panic("snoop: cache CLB overflow on self-upgrade")
-				}
-				n.TransfersLogged++
-			}
+			n.log(core.Entry{
+				Addr: t.addr, Tag: core.UpdatedCN(n.ccn),
+				OldData: l.Data, OldCN: l.CN, OldState: l.State, Transfer: true,
+			})
 			n.acquire(t, l.Data, core.UpdatedCN(n.ccn))
 			return
 		}
@@ -370,15 +364,10 @@ func (n *Node) respond(r *Request, exclusive bool, l *cache.Line) {
 		}
 	}
 	if exclusive {
-		if core.ShouldLog(oldCN, n.ccn) {
-			if !n.clb.Append(core.Entry{
-				Addr: r.Addr, Tag: core.UpdatedCN(n.ccn),
-				OldData: data, OldCN: oldCN, OldState: oldState, Transfer: true,
-			}) {
-				panic("snoop: cache CLB overflow on transfer (throttle failed)")
-			}
-			n.TransfersLogged++
-		}
+		n.log(core.Entry{
+			Addr: r.Addr, Tag: core.UpdatedCN(n.ccn),
+			OldData: data, OldCN: oldCN, OldState: oldState, Transfer: true,
+		})
 		if l != nil {
 			l.State = cache.Invalid
 		}
@@ -408,17 +397,7 @@ func (n *Node) acquire(t *txn, data uint64, cn msg.CN) {
 	}
 	l := n.installLine(t.addr, st, cn, data)
 	if t.isStore {
-		if core.ShouldLog(l.CN, n.ccn) {
-			if !n.clb.Append(core.Entry{
-				Addr: l.Addr, Tag: core.UpdatedCN(n.ccn),
-				OldData: l.Data, OldCN: l.CN, OldState: l.State,
-			}) {
-				panic("snoop: cache CLB overflow on store (throttle failed)")
-			}
-			n.StoresLogged++
-		}
-		l.CN = core.UpdatedCN(n.ccn)
-		l.Data = t.storeVal
+		n.storeApply(l, t.storeVal)
 	}
 	t.cancel.Cancel()
 	n.txn = nil
@@ -475,15 +454,10 @@ func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) 
 	if v.State.IsOwner() {
 		// Log the transfer at eviction; ownership parks in the buffer
 		// until the PUTX broadcast orders it.
-		if core.ShouldLog(v.CN, n.ccn) {
-			if !n.clb.Append(core.Entry{
-				Addr: v.Addr, Tag: core.UpdatedCN(n.ccn),
-				OldData: v.Data, OldCN: v.CN, OldState: v.State, Transfer: true,
-			}) {
-				panic("snoop: cache CLB overflow on eviction (throttle failed)")
-			}
-			n.TransfersLogged++
-		}
+		n.log(core.Entry{
+			Addr: v.Addr, Tag: core.UpdatedCN(n.ccn),
+			OldData: v.Data, OldCN: v.CN, OldState: v.State, Transfer: true,
+		})
 		n.wbs[v.Addr] = wbBuf{data: v.Data, cn: core.UpdatedCN(n.ccn), state: v.State} //snvet:alloc-ok amortized: the buffer's table grows to its peak, then reuses deleted slots
 		r := Request{Kind: BusPUTX, Addr: v.Addr, Requestor: n.id, Data: v.Data}
 		n.sys.bus.Issue(&r)
@@ -526,23 +500,8 @@ func (n *Node) recoverTo(rpcn msg.CN) {
 	n.inFlight = false
 	n.running = false
 
-	n.clb.Unroll(func(e core.Entry) {
-		if l := n.l2.Lookup(e.Addr); l != nil {
-			l.Data, l.CN, l.State = e.OldData, e.OldCN, e.OldState
-			return
-		}
-		v := n.l2.Victim(e.Addr, func(l *cache.Line) bool { return !l.State.IsOwner() })
-		if v == nil {
-			v = n.l2.Victim(e.Addr, func(l *cache.Line) bool { return l.CN > rpcn })
-		}
-		if v == nil {
-			v = n.l2.Victim(e.Addr, nil)
-			if v.State.IsOwner() && v.CN <= rpcn {
-				home := n.sys.nodes[n.sys.home(v.Addr)]
-				home.mem[v.Addr] = v.Data
-			}
-		}
-		n.l2.Install(v, e.Addr, e.OldState, e.OldCN, e.OldData)
+	n.clb.UnrollCache(n.l2, rpcn, func(addr, data uint64) {
+		n.sys.nodes[n.sys.home(addr)].mem[addr] = data
 	})
 	n.memCLB.Unroll(func(e core.Entry) {
 		if e.HadData {
@@ -636,17 +595,23 @@ func (n *Node) access() {
 //
 //snvet:alloc-free
 func (n *Node) storeApply(l *cache.Line, val uint64) {
-	if core.ShouldLog(l.CN, n.ccn) {
-		if !n.clb.Append(core.Entry{
-			Addr: l.Addr, Tag: core.UpdatedCN(n.ccn),
-			OldData: l.Data, OldCN: l.CN, OldState: l.State,
-		}) {
-			panic("snoop: cache CLB overflow (throttle failed)")
-		}
-		n.StoresLogged++
-	}
+	n.log(core.Entry{
+		Addr: l.Addr, Tag: core.UpdatedCN(n.ccn),
+		OldData: l.Data, OldCN: l.CN, OldState: l.State,
+	})
 	l.CN = core.UpdatedCN(n.ccn)
 	l.Data = val
+}
+
+// log records a cache-side update-action under the logging rule. A
+// snooping agent cannot refuse an ordered broadcast, so a refusal is a
+// modeling error: step throttles the processor well before the CLB fills.
+//
+//snvet:alloc-free
+func (n *Node) log(e core.Entry) {
+	if _, refused := n.clb.Log(n.ccn, e); refused {
+		panic(fmt.Sprintf("snoop: node %d cache CLB overflow on %#x (throttle failed)", n.id, e.Addr))
+	}
 }
 
 // issue broadcasts a request for the in-flight reference and blocks

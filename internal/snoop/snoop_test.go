@@ -331,7 +331,7 @@ func TestLoggingDedupOnSnoopSubstrate(t *testing.T) {
 	var stores, logged uint64
 	for _, n := range s.nodes {
 		stores += n.Stores
-		logged += n.StoresLogged
+		logged += n.clb.Appends() - n.clb.TransferAppends()
 	}
 	if stores == 0 || logged == 0 {
 		t.Fatalf("no store activity: %d/%d", logged, stores)

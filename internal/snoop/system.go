@@ -438,8 +438,8 @@ func (s *System) Counters() backend.Counters {
 		MessagesDropped:  s.dropped + s.corrupted,
 	}
 	for _, n := range s.nodes {
-		c.StoresLogged += n.StoresLogged
-		c.TransfersLogged += n.TransfersLogged
+		c.StoresLogged += n.clb.Appends() - n.clb.TransferAppends()
+		c.TransfersLogged += n.clb.TransferAppends()
 	}
 	return c
 }
