@@ -221,9 +221,9 @@ func CheckSnoop(o Options) *Report {
 }
 
 func (rep *Report) runSnoop(o Options, seed uint64) {
-	cfg := snoop.DefaultConfig()
-	cfg.Seed = seed
-	s := snoop.New(cfg, workload.Stress())
+	p := config.SmallSnoop()
+	p.Seed = seed
+	s := snoop.New(p, workload.Stress())
 	r := sim.NewRand(seed * 131)
 
 	var plan fault.Plan

@@ -202,6 +202,21 @@ func Unprotected() Params {
 	return p
 }
 
+// SmallSnoop returns an 8-node snooping system with 16 KB L2s, 256 KB
+// CLBs and a 1,536-cycle (128-slot) checkpoint interval, small enough
+// that a stress workload evicts, logs and recovers within a few hundred
+// thousand cycles. The checker's snooping campaign runs on it.
+func SmallSnoop() Params {
+	p := Default()
+	p.Protocol = ProtocolSnoop
+	p.NumNodes = 8
+	p.L2Bytes = 16 << 10
+	p.CLBBytes = 256 << 10
+	p.CheckpointIntervalCycles, p.ValidationSignoffCycles = 1_536, 1_536
+	p.RequestTimeoutCycles, p.ValidationWatchdogCycles = 8_000, 120_000
+	return p
+}
+
 // ProtocolName returns the selected coherence backend, mapping the empty
 // string to ProtocolDirectory.
 func (p Params) ProtocolName() string {
@@ -288,6 +303,8 @@ func (p Params) Validate() error {
 		// invalidation-ack matching are per-node bitmaps (32 and 64 bits);
 		// reject configurations they cannot represent.
 		return fmt.Errorf("config: NumNodes %d exceeds the directory's 32-node sharer-bitmap limit", p.NumNodes)
+	case p.ProtocolName() == ProtocolSnoop && p.NumNodes < 2:
+		return fmt.Errorf("config: the snooping bus needs at least 2 nodes, got %d", p.NumNodes)
 	case p.ProtocolName() == ProtocolSnoop && p.NumNodes > 64:
 		// The snooping bus's presence filter keeps one bit per node in a
 		// 64-bit mask per block.
@@ -337,6 +354,10 @@ func (p Params) Validate() error {
 			// memory-side half; both must hold an entry.
 			return fmt.Errorf("config: CLB of %d bytes cannot hold one %d-byte entry in each half",
 				p.CLBBytes, p.CLBEntryBytes)
+		case p.ProtocolName() == ProtocolSnoop && p.CLBBytes/2 < 8+p.BlockBytes:
+			// A snooping log entry is an 8-byte address tag plus one block.
+			return fmt.Errorf("config: CLB of %d bytes cannot hold one %d-byte snooping log entry in each half",
+				p.CLBBytes, 8+p.BlockBytes)
 		case p.CheckpointClockSkewCycles >= p.minMessageLatency():
 			return fmt.Errorf("config: checkpoint clock skew %d must be below the minimum message latency %d (logical-time validity)",
 				p.CheckpointClockSkewCycles, p.minMessageLatency())
@@ -348,6 +369,9 @@ func (p Params) Validate() error {
 		case p.ValidationWatchdogCycles <= p.CheckpointIntervalCycles:
 			return fmt.Errorf("config: validation watchdog %d must exceed the checkpoint interval %d",
 				p.ValidationWatchdogCycles, p.CheckpointIntervalCycles)
+		case p.ProtocolName() == ProtocolSnoop && p.ValidationWatchdogCycles <= p.RequestTimeoutCycles:
+			return fmt.Errorf("config: validation watchdog %d must exceed the request timeout %d on the snooping bus",
+				p.ValidationWatchdogCycles, p.RequestTimeoutCycles)
 		}
 	}
 	return nil

@@ -2,9 +2,13 @@ package fault_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"safetynet/internal/backend"
+	"safetynet/internal/config"
 	"safetynet/internal/fault"
+	"safetynet/internal/runner"
 	"safetynet/internal/snoop"
 	"safetynet/internal/topology"
 	"safetynet/internal/workload"
@@ -30,7 +34,7 @@ func TestEveryEventArmsOrRejectsOnBothBackends(t *testing.T) {
 	}
 
 	m := newMachine(t, true)
-	sn := snoop.New(snoop.DefaultConfig(), workload.Stress())
+	sn := snoop.New(config.SmallSnoop(), workload.Stress())
 	backends := []struct {
 		name     string
 		target   fault.Target
@@ -87,7 +91,7 @@ func TestCorruptLossAccountingMatchesAcrossBackends(t *testing.T) {
 		t.Fatalf("directory corrupt loss not accounted: %+v", c)
 	}
 
-	sn := snoop.New(snoop.DefaultConfig(), workload.Stress())
+	sn := snoop.New(config.SmallSnoop(), workload.Stress())
 	if err := (fault.CorruptOnce{At: 60_000}).Arm(sn.FaultTarget()); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +105,7 @@ func TestCorruptLossAccountingMatchesAcrossBackends(t *testing.T) {
 // TestSnoopPlanThroughSharedPath arms a composed plan on the snoop
 // backend through Plan.Arm, mirroring what harness.Run does.
 func TestSnoopPlanThroughSharedPath(t *testing.T) {
-	sn := snoop.New(snoop.DefaultConfig(), workload.Stress())
+	sn := snoop.New(config.SmallSnoop(), workload.Stress())
 	plan := fault.Plan{
 		fault.DropOnce{At: 40_000},
 		fault.DropEvery{Start: 100_000, Period: 200_000},
@@ -117,5 +121,44 @@ func TestSnoopPlanThroughSharedPath(t *testing.T) {
 	err := bad.Arm(sn.FaultTarget())
 	if !errors.Is(err, fault.ErrUnsupported) {
 		t.Fatalf("plan with a switch kill on the bus: err = %v", err)
+	}
+}
+
+// TestCoincidentEventsFireAlikeOnBothBackends arms plans whose two events
+// fall due on the same send and checks that the torus and the bus fire
+// them in the same order: drops first, in arm order, and a drop ends the
+// send, so the other event fires on a later message.
+func TestCoincidentEventsFireAlikeOnBothBackends(t *testing.T) {
+	const at = 200_000
+	plans := []fault.Plan{
+		{fault.CorruptOnce{At: at}, fault.DropOnce{At: at}},
+		{fault.DropEvery{Start: at, Period: 10 * at}, fault.DropOnce{At: at}},
+		{fault.DuplicateOnce{At: at}, fault.CorruptOnce{At: at}},
+	}
+	for _, plan := range plans {
+		fired := map[string][]string{}
+		for _, proto := range config.Protocols() {
+			p := config.Default()
+			p.Protocol = proto
+			be, err := runner.NewBackend(p, workload.OLTP())
+			if err != nil {
+				t.Fatal(err)
+			}
+			be.Observe(&backend.Observer{FaultFired: func(_ uint64, kind string) {
+				fired[proto] = append(fired[proto], kind)
+			}})
+			if err := plan.Arm(be.FaultTarget()); err != nil {
+				t.Fatal(err)
+			}
+			be.Start()
+			be.Run(at + 50_000)
+			if len(fired[proto]) != len(plan) {
+				t.Fatalf("%s: plan %s fired %v", proto, plan, fired[proto])
+			}
+		}
+		dir, bus := fired[config.ProtocolDirectory], fired[config.ProtocolSnoop]
+		if !reflect.DeepEqual(dir, bus) {
+			t.Errorf("plan %s: torus fired %v, bus fired %v", plan, dir, bus)
+		}
 	}
 }

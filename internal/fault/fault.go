@@ -1,11 +1,24 @@
-// Package fault defines composable fault-injection plans. A Plan is an
-// ordered list of typed fault events — transient message losses, message
-// corruption, misrouting, duplication, and hard half-switch failures —
-// that are armed together on one simulated system before it starts. A
-// single run can layer any combination (e.g. periodic drops plus a
-// switch kill), which the paper's two running examples exercise
-// individually and the flat fault descriptors of earlier revisions could
-// not express.
+// Package fault defines composable fault-injection plans and the one
+// injector that fires them. A Plan is an ordered list of typed fault
+// events — transient message losses, message corruption, misrouting,
+// duplication, and hard half-switch failures — that are armed together on
+// one simulated system before it starts. A single run can layer any
+// combination (e.g. periodic drops plus a switch kill), which the paper's
+// two running examples exercise individually.
+//
+// Every message-level event arms on an Injector, which both interconnects
+// ask once per eligible send and which fires by one rule on the torus and
+// on the bus. A one-shot event is due at the first eligible send at or
+// after its time; a drop-every is due at the first eligible send at or
+// after its next time, which then becomes that send's time plus the
+// period. On a send, the first due drop, in arm order, loses the message
+// and nothing else fires on it; otherwise every due corrupt, misroute and
+// duplicate event fires, in arm order, and a duplicate copies the message
+// as those events left it. On the torus, drops, corruptions and misroutes
+// need a data-carrying coherence message and a duplicate takes any
+// coherence message; on the bus every data message is eligible.
+// Misroutes and switch kills need the routed torus. Every firing, switch
+// kills included, is reported through the injector's one OnFire hook.
 package fault
 
 import (
@@ -13,7 +26,6 @@ import (
 	"fmt"
 	"strings"
 
-	"safetynet/internal/network"
 	"safetynet/internal/sim"
 	"safetynet/internal/topology"
 )
@@ -23,37 +35,32 @@ import (
 // Arm wraps it, so callers test with errors.Is.
 var ErrUnsupported = errors.New("fault event unsupported on this backend")
 
-// DataNet is the unordered point-to-point data network of the snooping
-// backend. Message-level fault events arm on it when Target.Data is set;
-// snoop.System implements it.
-type DataNet interface {
-	// InjectDropOnce loses the first data message sent at or after at.
-	InjectDropOnce(at sim.Time)
-	// InjectDropEvery loses one data message per period, starting at start.
-	InjectDropEvery(start, period sim.Time)
-	// InjectCorruptOnce damages one data message sent at or after at; the
-	// endpoint's error-detecting code discovers it on arrival.
-	InjectCorruptOnce(at sim.Time)
-	// InjectDuplicateOnce delivers one data message twice at or after at.
-	InjectDuplicateOnce(at sim.Time)
-}
-
-// Target is the slice of a simulated system that fault events act on.
-// Exactly one backend is addressed: the directory machine sets Net (the
-// torus interconnect, for message-level faults) and Topo (for half-switch
-// kills); the snooping system sets Data (its unordered data network).
-// Arm-time validation rejects events the selected backend cannot express
-// with ErrUnsupported.
+// Target is the slice of a simulated system that fault events act on: the
+// injector its interconnect asks on every send, the engine that schedules
+// switch kills, and the torus whose half-switches they kill. The snooping
+// bus has no torus, so Topo is nil there and Arm rejects misroutes and
+// switch kills with ErrUnsupported.
 type Target struct {
-	Net  *network.Network
-	Topo *topology.Torus
-	Data DataNet
+	Faults *Injector
+	Eng    *sim.Engine
+	Topo   *topology.Torus
 }
 
 // validate reports a target with no interconnect at all.
 func (t Target) validate() error {
-	if t.Net == nil && t.Data == nil {
+	if t.Faults == nil {
 		return errors.New("target has no interconnect to arm faults on")
+	}
+	return nil
+}
+
+// validateAt validates a one-shot event due at cycle at.
+func validateAt(t Target, at sim.Time, what string) error {
+	if err := t.validate(); err != nil {
+		return err
+	}
+	if at <= 0 {
+		return fmt.Errorf("%s time must be positive, got %d", what, at)
 	}
 	return nil
 }
@@ -104,17 +111,10 @@ type DropOnce struct {
 }
 
 func (e DropOnce) Arm(t Target) error {
-	if err := t.validate(); err != nil {
+	if err := validateAt(t, e.At, "drop"); err != nil {
 		return err
 	}
-	if e.At <= 0 {
-		return fmt.Errorf("drop time must be positive, got %d", e.At)
-	}
-	if t.Data != nil {
-		t.Data.InjectDropOnce(e.At)
-		return nil
-	}
-	t.Net.InjectDropOnce(e.At)
+	t.Faults.add(dropOnce, e.At, 0)
 	return nil
 }
 
@@ -134,11 +134,7 @@ func (e DropEvery) Arm(t Target) error {
 	if e.Period <= 0 {
 		return fmt.Errorf("drop period must be positive, got %d", e.Period)
 	}
-	if t.Data != nil {
-		t.Data.InjectDropEvery(e.Start, e.Period)
-		return nil
-	}
-	t.Net.InjectDropEvery(e.Start, e.Period)
+	t.Faults.add(dropEvery, e.Start, e.Period)
 	return nil
 }
 
@@ -154,17 +150,10 @@ type CorruptOnce struct {
 }
 
 func (e CorruptOnce) Arm(t Target) error {
-	if err := t.validate(); err != nil {
+	if err := validateAt(t, e.At, "corruption"); err != nil {
 		return err
 	}
-	if e.At <= 0 {
-		return fmt.Errorf("corruption time must be positive, got %d", e.At)
-	}
-	if t.Data != nil {
-		t.Data.InjectCorruptOnce(e.At)
-		return nil
-	}
-	t.Net.InjectCorruptOnce(e.At)
+	t.Faults.add(corruptOnce, e.At, 0)
 	return nil
 }
 
@@ -178,19 +167,16 @@ type MisrouteOnce struct {
 }
 
 func (e MisrouteOnce) Arm(t Target) error {
-	if err := t.validate(); err != nil {
+	if err := validateAt(t, e.At, "misroute"); err != nil {
 		return err
 	}
-	if e.At <= 0 {
-		return fmt.Errorf("misroute time must be positive, got %d", e.At)
-	}
-	if t.Net == nil {
+	if t.Topo == nil {
 		// The snoop data network matches responses to transactions by
 		// address, not by routed destination; a misdelivered message is
 		// indistinguishable from a drop there, so the event is undefined.
 		return fmt.Errorf("%w: misrouting needs the routed torus data network", ErrUnsupported)
 	}
-	t.Net.InjectMisrouteOnce(e.At)
+	t.Faults.add(misrouteOnce, e.At, 0)
 	return nil
 }
 
@@ -204,17 +190,10 @@ type DuplicateOnce struct {
 }
 
 func (e DuplicateOnce) Arm(t Target) error {
-	if err := t.validate(); err != nil {
+	if err := validateAt(t, e.At, "duplication"); err != nil {
 		return err
 	}
-	if e.At <= 0 {
-		return fmt.Errorf("duplication time must be positive, got %d", e.At)
-	}
-	if t.Data != nil {
-		t.Data.InjectDuplicateOnce(e.At)
-		return nil
-	}
-	t.Net.InjectDuplicateOnce(e.At)
+	t.Faults.add(duplicateOnce, e.At, 0)
 	return nil
 }
 
@@ -233,7 +212,7 @@ func (e KillSwitch) Arm(t Target) error {
 	if err := t.validate(); err != nil {
 		return err
 	}
-	if t.Net == nil || t.Topo == nil {
+	if t.Topo == nil {
 		return fmt.Errorf("%w: a snooping bus has no half-switches to kill", ErrUnsupported)
 	}
 	if e.Node < 0 || e.Node >= t.Topo.Nodes() {
@@ -246,7 +225,10 @@ func (e KillSwitch) Arm(t Target) error {
 	if e.Axis == topology.NS {
 		sw = t.Topo.NSSwitch(e.Node)
 	}
-	t.Net.KillSwitchAt(sw, e.At)
+	t.Eng.Schedule(e.At, func() {
+		t.Topo.Kill(sw)
+		t.Faults.note(t.Eng.Now(), killSwitch)
+	})
 	return nil
 }
 

@@ -23,10 +23,6 @@ func newMachine(t *testing.T, protected bool) *machine.Machine {
 	return machine.New(p, prof)
 }
 
-func target(m *machine.Machine) fault.Target {
-	return fault.Target{Net: m.Net, Topo: m.Topo}
-}
-
 func TestPlanString(t *testing.T) {
 	if got := (fault.Plan{}).String(); got != "fault-free" {
 		t.Fatalf("empty plan String = %q", got)
@@ -56,7 +52,7 @@ func TestArmRejectsInvalidEvents(t *testing.T) {
 		{fault.DuplicateOnce{At: 0}},
 	}
 	for _, p := range bad {
-		if err := p.Arm(target(m)); err == nil {
+		if err := p.Arm(m.FaultTarget()); err == nil {
 			t.Errorf("plan %s: invalid event armed without error", p)
 		}
 	}
@@ -69,7 +65,7 @@ func TestArmStopsAtFirstInvalidEvent(t *testing.T) {
 		fault.KillSwitch{Node: -7, At: 100},
 		fault.DropOnce{At: 2000},
 	}
-	err := p.Arm(target(m))
+	err := p.Arm(m.FaultTarget())
 	if err == nil {
 		t.Fatal("invalid middle event must fail the plan")
 	}
@@ -84,7 +80,7 @@ func TestKillSwitchAxes(t *testing.T) {
 		fault.KillSwitch{Node: 3, Axis: topology.EW, At: 1000},
 		fault.KillSwitch{Node: 3, Axis: topology.NS, At: 1000},
 	}
-	if err := p.Arm(target(m)); err != nil {
+	if err := p.Arm(m.FaultTarget()); err != nil {
 		t.Fatal(err)
 	}
 	m.Start()
@@ -99,7 +95,7 @@ func TestKillSwitchAxes(t *testing.T) {
 
 func TestSingleDropRecoversProtected(t *testing.T) {
 	m := newMachine(t, true)
-	if err := (fault.Plan{fault.DropOnce{At: 200_000}}).Arm(target(m)); err != nil {
+	if err := (fault.Plan{fault.DropOnce{At: 200_000}}).Arm(m.FaultTarget()); err != nil {
 		t.Fatal(err)
 	}
 	m.Start()

@@ -23,10 +23,7 @@ const (
 )
 
 // Kinds lists the known fault-event kind tags.
-func Kinds() []string {
-	return []string{KindDropOnce, KindDropEvery, KindCorruptOnce,
-		KindMisrouteOnce, KindDuplicateOnce, KindKillSwitch}
-}
+func Kinds() []string { return append([]string(nil), kindNames[:]...) }
 
 // UnknownKindError reports a fault-plan entry whose "kind" tag names no
 // known event type. Callers test with errors.As.

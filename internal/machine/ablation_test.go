@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"safetynet/internal/fault"
 	"safetynet/internal/sim"
 	"safetynet/internal/workload"
 )
@@ -46,7 +47,7 @@ func TestAblationLogDedupStaysSound(t *testing.T) {
 	m := New(p, workload.Stress())
 	var violations []string
 	m.AfterRecovery = func() { violations = m.CheckCoherence() }
-	m.Net.InjectDropOnce(80_000)
+	arm(t, m, fault.DropOnce{At: 80_000})
 	m.Start()
 	m.Run(600_000)
 	if m.Crashed {
@@ -92,7 +93,7 @@ func TestAblationPipelinedValidation(t *testing.T) {
 // (paper Table 1's dropped-message fault, corruption flavor).
 func TestCorruptionDetectedAndRecovered(t *testing.T) {
 	m := stressMachine(t, true, 22)
-	m.Net.InjectCorruptOnce(60_000)
+	arm(t, m, fault.CorruptOnce{At: 60_000})
 	m.Start()
 	m.Run(600_000)
 	if m.Crashed {
@@ -113,7 +114,7 @@ func TestCorruptionDetectedAndRecovered(t *testing.T) {
 	}
 
 	up := stressMachine(t, false, 22)
-	up.Net.InjectCorruptOnce(60_000)
+	arm(t, up, fault.CorruptOnce{At: 60_000})
 	up.Start()
 	up.Run(600_000)
 	if !up.Crashed {
@@ -126,7 +127,7 @@ func TestCorruptionDetectedAndRecovered(t *testing.T) {
 // owner for it) and the true requestor's timeout triggers recovery.
 func TestMisroutedMessageRecovers(t *testing.T) {
 	m := stressMachine(t, true, 23)
-	m.Net.InjectMisrouteOnce(60_000)
+	arm(t, m, fault.MisrouteOnce{At: 60_000})
 	m.Start()
 	m.Run(600_000)
 	if m.Crashed {
@@ -151,7 +152,7 @@ func TestMisroutedMessageRecovers(t *testing.T) {
 // with or without a recovery.
 func TestDuplicateMessageAbsorbed(t *testing.T) {
 	m := stressMachine(t, true, 24)
-	m.Net.InjectDuplicateOnce(60_000)
+	arm(t, m, fault.DuplicateOnce{At: 60_000})
 	m.Start()
 	m.Run(600_000)
 	if m.Crashed {

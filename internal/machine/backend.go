@@ -20,9 +20,10 @@ func (m *Machine) Resume() { m.ResumeAll() }
 // CrashInfo reports the crash state of the unprotected baseline.
 func (m *Machine) CrashInfo() (bool, string) { return m.Crashed, m.CrashCause }
 
-// FaultTarget returns the interconnect and topology fault events arm on.
+// FaultTarget returns the torus's fault injector, engine and topology,
+// which fault events arm on.
 func (m *Machine) FaultTarget() fault.Target {
-	return fault.Target{Net: m.Net, Topo: m.Topo}
+	return fault.Target{Faults: m.Net.Faults(), Eng: m.Eng, Topo: m.Topo}
 }
 
 // Observe registers a backend-neutral run observer.

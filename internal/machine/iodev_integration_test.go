@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"safetynet/internal/fault"
 	"safetynet/internal/iodev"
 	"safetynet/internal/workload"
 )
@@ -62,7 +63,7 @@ func TestOutputCommitExactlyOnceAcrossRecovery(t *testing.T) {
 	want := collect(ref)
 
 	faulty := ioMachine(t, 2)
-	faulty.Net.InjectDropOnce(150_000)
+	arm(t, faulty, fault.DropOnce{At: 150_000})
 	faulty.Start()
 	faulty.Run(600_000)
 	if len(faulty.ActiveService().Recoveries()) == 0 {

@@ -99,9 +99,7 @@ func New(p config.Params, profile workload.Profile) *Machine {
 		home: protocol.InterleavedHome(p.BlockBytes, p.NumNodes),
 	}
 	m.Net = network.New(eng, m.Topo, p)
-	m.Net.OnInjectedFault(func(kind string) {
-		m.obs.FaultFired(uint64(eng.Now()), kind)
-	})
+	m.Net.Faults().OnFire = func(cycle uint64, kind string) { m.obs.FaultFired(cycle, kind) }
 
 	for n := 0; n < p.NumNodes; n++ {
 		node := &Node{ID: n, m: m, rpcn: 1, lastReady: 1}

@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"safetynet/internal/config"
+	"safetynet/internal/fault"
 	"safetynet/internal/network"
 	"safetynet/internal/sim"
+	"safetynet/internal/topology"
 	"safetynet/internal/workload"
 )
 
@@ -29,6 +31,14 @@ func stressMachine(t *testing.T, sn bool, seed uint64) *Machine {
 	p := smallConfig(sn)
 	p.Seed = seed
 	return New(p, workload.Stress())
+}
+
+// arm arms the given fault events on m's torus.
+func arm(t *testing.T, m *Machine, events ...fault.Event) {
+	t.Helper()
+	if err := fault.Plan(events).Arm(m.FaultTarget()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFaultFreeRunQuiescesCoherent(t *testing.T) {
@@ -138,7 +148,7 @@ func TestUnprotectedRunsWithoutSafetyNetMachinery(t *testing.T) {
 
 func TestDroppedMessageRecoversProtected(t *testing.T) {
 	m := stressMachine(t, true, 5)
-	m.Net.InjectDropOnce(50_000)
+	arm(t, m, fault.DropOnce{At: 50_000})
 	m.Start()
 	m.Run(600_000)
 	if m.Crashed {
@@ -163,7 +173,7 @@ func TestDroppedMessageRecoversProtected(t *testing.T) {
 
 func TestDroppedMessageCrashesUnprotected(t *testing.T) {
 	m := stressMachine(t, false, 5)
-	m.Net.InjectDropOnce(50_000)
+	arm(t, m, fault.DropOnce{At: 50_000})
 	m.Start()
 	m.Run(600_000)
 	if !m.Crashed {
@@ -184,7 +194,7 @@ func TestKilledSwitchRecoversAndContinues(t *testing.T) {
 	lost := false
 	for kill := sim.Time(50_000); kill <= 70_000 && !lost; kill += 1_000 {
 		m = stressMachine(t, true, 6)
-		m.Net.KillSwitchAt(m.Topo.EWSwitch(5), kill)
+		arm(t, m, fault.KillSwitch{Node: 5, Axis: topology.EW, At: kill})
 		m.Start()
 		m.Run(800_000)
 		lost = m.Net.Stats().Dropped[network.DropDeadSwitch] > 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"safetynet/internal/config"
+	"safetynet/internal/fault"
 	"safetynet/internal/msg"
 	"safetynet/internal/workload"
 )
@@ -19,7 +20,7 @@ func TestSkewedCheckpointClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(p, workload.Stress())
-	m.Net.InjectDropOnce(80_000)
+	arm(t, m, fault.DropOnce{At: 80_000})
 	m.Start()
 	m.Run(500_000)
 	if m.Crashed {
@@ -67,7 +68,7 @@ func TestServiceControllerFailover(t *testing.T) {
 		t.Fatalf("standby did not advance validation: %d -> %d", rpcnBefore, got)
 	}
 	// Recovery still works through the standby.
-	m.Net.InjectDropOnce(m.Eng.Now() + 10_000)
+	arm(t, m, fault.DropOnce{At: m.Eng.Now() + 10_000})
 	m.Run(m.Eng.Now() + 300_000)
 	if m.Crashed {
 		t.Fatal("crashed after failover")
@@ -84,7 +85,7 @@ func TestRepeatedRecoveries(t *testing.T) {
 		t.Skip("short mode")
 	}
 	m := stressMachine(t, true, 13)
-	disarm := m.Net.InjectDropEvery(50_000, 120_000)
+	arm(t, m, fault.DropEvery{Start: 50_000, Period: 120_000})
 	m.Start()
 	m.Run(1_500_000)
 	if m.Crashed {
@@ -100,7 +101,7 @@ func TestRepeatedRecoveries(t *testing.T) {
 	// Stop injecting; a timeout from the last drop may still trigger one
 	// more recovery (whose restart resumes the processors), so retry the
 	// freeze until it sticks.
-	disarm()
+	m.Net.Faults().Disarm()
 	settled := false
 	for attempt := 0; attempt < 6 && !settled; attempt++ {
 		for i := 0; i < 500 && m.Recovering(); i++ {
@@ -207,7 +208,7 @@ func TestDroppedControlMessageRecoversViaWatchdog(t *testing.T) {
 // the §4.2 experiment reports.
 func TestRecoveryRecordAccounting(t *testing.T) {
 	m := stressMachine(t, true, 16)
-	m.Net.InjectDropOnce(100_000)
+	arm(t, m, fault.DropOnce{At: 100_000})
 	m.Start()
 	m.Run(800_000)
 	recs := m.ActiveService().Recoveries()

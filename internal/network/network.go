@@ -1,8 +1,9 @@
 // Package network models the 2D-torus interconnection network: source
-// routing over half-switches, per-link bandwidth and contention,
-// store-and-forward hop timing, and the two fault classes of the paper's
-// running examples — a dropped message (transient) and a killed half-switch
-// that loses everything buffered inside it (hard fault).
+// routing over half-switches, per-link bandwidth and contention, and
+// store-and-forward hop timing. Each coherence message sent asks the
+// network's fault.Injector which armed message-level faults fire on it;
+// a killed half-switch (fault.KillSwitch) loses every message that reaches
+// it afterwards.
 //
 // A hop from one node's half-switch to the next node's is posted into
 // the receiving node's context (sim.Engine.Post), so it takes its place
@@ -13,6 +14,7 @@ import (
 	"fmt"
 
 	"safetynet/internal/config"
+	"safetynet/internal/fault"
 	"safetynet/internal/msg"
 	"safetynet/internal/sim"
 	"safetynet/internal/topology"
@@ -41,7 +43,8 @@ const (
 	numDropReasons = 5
 )
 
-// Stats aggregates network activity.
+// Stats aggregates network activity. Corrupted, Misrouted and Duplicated
+// count the injector's firings.
 type Stats struct {
 	Sent       uint64
 	Delivered  uint64
@@ -55,14 +58,11 @@ type Stats struct {
 
 // counters are the network's running totals, from which Stats is built.
 type counters struct {
-	sent       uint64
-	delivered  uint64
-	corrupted  uint64
-	misrouted  uint64
-	duplicated uint64
-	bytesSent  uint64
-	hopsTotal  uint64
-	dropped    [numDropReasons]uint64
+	sent      uint64
+	delivered uint64
+	bytesSent uint64
+	hopsTotal uint64
+	dropped   [numDropReasons]uint64
 }
 
 // transit is the traversal state of one in-flight message: its cached
@@ -90,18 +90,18 @@ type Network struct {
 	busy []sim.Time
 	nEnt int
 
-	// stepFn/deliverFn are bound once so ScheduleArg calls don't allocate
-	// a closure per hop.
+	// stepFn/deliverFn/resendFn are bound once so ScheduleArg calls don't
+	// allocate a closure per hop or duplicate.
 	stepFn    func(any)
 	deliverFn func(any)
+	resendFn  func(any)
 	free      sim.FreeList[transit]
 
 	epoch      int
 	recovering bool
 
+	faults    fault.Injector
 	dropRules []func(*msg.Message) bool
-	onDrop    func(*msg.Message, DropReason)
-	onFault   func(kind string)
 
 	st counters
 }
@@ -122,6 +122,7 @@ func New(eng *sim.Engine, topo *topology.Torus, p config.Params) *Network {
 	}
 	nw.stepFn = nw.step
 	nw.deliverFn = nw.deliverArg
+	nw.resendFn = func(a any) { nw.Send(a.(*msg.Message)) }
 	return nw
 }
 
@@ -141,6 +142,10 @@ func (nw *Network) Attach(n int, h Handler) { nw.handlers[n] = h }
 // inspecting reconfiguration).
 func (nw *Network) Topology() *topology.Torus { return nw.topo }
 
+// Faults returns the injector that fault plans arm on; Send asks it about
+// every coherence message.
+func (nw *Network) Faults() *fault.Injector { return &nw.faults }
+
 // Stats returns a copy of the accumulated statistics.
 func (nw *Network) Stats() Stats {
 	c := &nw.st
@@ -148,9 +153,9 @@ func (nw *Network) Stats() Stats {
 		Dropped:    make(map[DropReason]uint64),
 		Sent:       c.sent,
 		Delivered:  c.delivered,
-		Corrupted:  c.corrupted,
-		Misrouted:  c.misrouted,
-		Duplicated: c.duplicated,
+		Corrupted:  nw.faults.Fired(fault.KindCorruptOnce),
+		Misrouted:  nw.faults.Fired(fault.KindMisrouteOnce),
+		Duplicated: nw.faults.Fired(fault.KindDuplicateOnce),
 		BytesSent:  c.bytesSent,
 		HopsTotal:  c.hopsTotal,
 	}
@@ -185,133 +190,12 @@ func (nw *Network) BumpEpoch() { nw.epoch++ }
 // system-coordination messages still flow.
 func (nw *Network) SetRecovering(r bool) { nw.recovering = r }
 
-// OnDrop installs a callback invoked for every dropped message, after
-// statistics are updated. Useful for tests and fault logging.
-func (nw *Network) OnDrop(f func(*msg.Message, DropReason)) { nw.onDrop = f }
-
-// OnInjectedFault installs a callback invoked each time an armed fault
-// event actually triggers, with the event's stable kind tag (the strings
-// match the fault package's kind constants).
-func (nw *Network) OnInjectedFault(f func(kind string)) { nw.onFault = f }
-
-// noteFault reports an armed fault triggering.
-func (nw *Network) noteFault(kind string) {
-	if nw.onFault != nil {
-		nw.onFault(kind)
-	}
-}
-
-// AddDropRule installs a predicate consulted at injection; returning true
-// silently drops the message (a transient interconnect fault). Rules are
+// AddDropRule installs a predicate consulted at injection, after the
+// fault injector; returning true silently drops the message. It is the
+// test seam for type-targeted drops (fault plans arm on Faults). Rules are
 // responsible for their own arming/disarming state.
 func (nw *Network) AddDropRule(f func(*msg.Message) bool) {
 	nw.dropRules = append(nw.dropRules, f)
-}
-
-// InjectDropEvery arms a periodic transient fault: starting at cycle
-// start, the first data-bearing coherence message sent at or after each
-// multiple of period is dropped. This reproduces the paper's Experiment 2
-// (one dropped message every 100 million cycles = ten per second at 1 GHz).
-// It returns a disarm function.
-func (nw *Network) InjectDropEvery(start, period sim.Time) func() {
-	next := start
-	armed := true
-	nw.AddDropRule(func(m *msg.Message) bool {
-		if !armed || nw.eng.Now() < next || !m.Type.IsCoherence() {
-			return false
-		}
-		if !m.Type.CarriesData() {
-			return false // drop a data response: the highest-impact loss
-		}
-		next = nw.eng.Now() + period
-		nw.noteFault("drop-every")
-		return true
-	})
-	return func() { armed = false }
-}
-
-// InjectCorruptOnce arms a one-shot corruption fault: the first
-// data-bearing coherence message sent at or after cycle at is damaged in
-// flight. It is still delivered — the endpoint's error-detecting code
-// (the paper's CRC example) discovers the damage and reports the fault.
-func (nw *Network) InjectCorruptOnce(at sim.Time) {
-	fired := false
-	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
-			return false
-		}
-		fired = true
-		m.Corrupted = true
-		m.Data ^= 0xdeadbeef // the damage an ECC-less endpoint would consume
-		nw.st.corrupted++
-		nw.noteFault("corrupt-once")
-		return false // delivered, not dropped
-	})
-}
-
-// InjectMisrouteOnce arms a one-shot misrouting fault (paper §5.1): the
-// first data-bearing coherence message sent at or after cycle at is
-// delivered to the wrong node. The bogus endpoint discards it as
-// unexpected and the true requestor's timeout converts the loss into a
-// recovery.
-func (nw *Network) InjectMisrouteOnce(at sim.Time) {
-	fired := false
-	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
-			return false
-		}
-		fired = true
-		m.Dst = (m.Dst + 1) % len(nw.handlers)
-		nw.st.misrouted++
-		nw.noteFault("misroute-once")
-		return false // delivered — to the wrong place
-	})
-}
-
-// InjectDuplicateOnce arms a one-shot duplication fault (paper §5.1's
-// protocol-engine soft fault): the first eligible coherence message sent
-// at or after cycle at is delivered twice. The protocol's transaction
-// matching must absorb the duplicate.
-func (nw *Network) InjectDuplicateOnce(at sim.Time) {
-	fired := false
-	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() {
-			return false
-		}
-		fired = true
-		nw.st.duplicated++
-		nw.noteFault("duplicate-once")
-		dup := msg.Alloc()
-		*dup = *m
-		// Re-inject the duplicate after this send completes; drop rules
-		// are consulted again but fired is already set.
-		nw.eng.After(1, func() { nw.Send(dup) })
-		return false
-	})
-}
-
-// InjectDropOnce arms a one-shot transient fault at cycle at.
-func (nw *Network) InjectDropOnce(at sim.Time) {
-	fired := false
-	nw.AddDropRule(func(m *msg.Message) bool {
-		if fired || nw.eng.Now() < at || !m.Type.IsCoherence() || !m.Type.CarriesData() {
-			return false
-		}
-		fired = true
-		nw.noteFault("drop-once")
-		return true
-	})
-}
-
-// KillSwitchAt schedules the hard fault of the paper's Experiment 3: at
-// cycle at, half-switch s dies, losing all messages buffered in it (any
-// in-flight message that reaches s afterwards is dropped) and forcing
-// routes computed later to detour around it.
-func (nw *Network) KillSwitchAt(s topology.SwitchID, at sim.Time) {
-	nw.eng.Schedule(at, func() {
-		nw.topo.Kill(s)
-		nw.noteFault("kill-switch")
-	})
 }
 
 // Send injects m into the network. Delivery is scheduled on the engine;
@@ -332,6 +216,11 @@ func (nw *Network) Send(m *msg.Message) {
 	if nw.recovering && m.Type.IsCoherence() {
 		nw.drop(m, DropRecovering)
 		return
+	}
+	if m.Type.IsCoherence() {
+		if eff := nw.faults.Decide(nw.eng.Now(), m.Type.CarriesData()); eff != 0 && nw.inject(m, eff) {
+			return
+		}
 	}
 	for _, rule := range nw.dropRules {
 		if rule(m) {
@@ -360,6 +249,35 @@ func (nw *Network) Send(m *msg.Message) {
 	depart := nw.occupy(nw.nodeEnt(m.Src), int(route[0]), ser)
 	arrive := depart + ser + sim.Time(nw.p.SwitchHopCycles)
 	nw.eng.ScheduleArg(arrive, nw.stepFn, t)
+}
+
+// inject applies the faults the injector fired on m and reports whether
+// m was lost. A corrupted message is still delivered: the endpoint's
+// error-detecting code (the paper's CRC example) discovers the damage. A
+// misrouted one reaches the wrong node, which discards it as unexpected,
+// and the requestor's timeout converts the loss into a recovery. A
+// duplicate is sent one cycle later, and the protocol's transaction
+// matching must absorb it.
+//
+//snvet:alloc-free
+func (nw *Network) inject(m *msg.Message, eff fault.Effect) bool {
+	if eff&fault.Drop != 0 {
+		nw.drop(m, DropInjectedFault)
+		return true
+	}
+	if eff&fault.Corrupt != 0 {
+		m.Corrupted = true
+		m.Data ^= 0xdeadbeef // the damage an ECC-less endpoint would consume
+	}
+	if eff&fault.Misroute != 0 {
+		m.Dst = (m.Dst + 1) % len(nw.handlers)
+	}
+	if eff&fault.Duplicate != 0 {
+		dup := msg.Alloc()
+		*dup = *m
+		nw.eng.AfterArg(1, nw.resendFn, dup)
+	}
+	return false
 }
 
 // step runs when a message arrives at its next half-switch (or, once the
@@ -435,13 +353,10 @@ func (nw *Network) deliver(m *msg.Message) {
 	nw.handlers[m.Dst](m)
 }
 
-// drop consumes m: after the callback it returns to the message pool.
+// drop counts m as lost and returns it to the message pool.
 //
 //snvet:alloc-free
 func (nw *Network) drop(m *msg.Message, r DropReason) {
 	nw.st.dropped[r]++
-	if nw.onDrop != nil {
-		nw.onDrop(m, r)
-	}
 	msg.Release(m)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"safetynet/internal/config"
+	"safetynet/internal/fault"
 	"safetynet/internal/msg"
 	"safetynet/internal/sim"
 	"safetynet/internal/topology"
@@ -117,9 +118,17 @@ func TestDropRuleEatsMessage(t *testing.T) {
 	}
 }
 
+// arm arms a fault plan on the network's injector.
+func arm(t *testing.T, eng *sim.Engine, nw *Network, p fault.Plan) {
+	t.Helper()
+	if err := p.Arm(fault.Target{Faults: nw.Faults(), Eng: eng, Topo: nw.Topology()}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInjectDropOnce(t *testing.T) {
 	eng, nw, got := testNet(t)
-	nw.InjectDropOnce(100)
+	arm(t, eng, nw, fault.Plan{fault.DropOnce{At: 100}})
 	send := func(at sim.Time, ty msg.Type, txn uint64) {
 		eng.Schedule(at, func() { nw.Send(&msg.Message{Type: ty, Src: 0, Dst: 5, Txn: txn}) })
 	}
@@ -140,7 +149,7 @@ func TestInjectDropOnce(t *testing.T) {
 
 func TestInjectDropEvery(t *testing.T) {
 	eng, nw, got := testNet(t)
-	disarm := nw.InjectDropEvery(0, 1000)
+	arm(t, eng, nw, fault.Plan{fault.DropEvery{Start: 0, Period: 1000}})
 	for i := 0; i < 5; i++ {
 		at := sim.Time(i * 1000)
 		txn := uint64(i)
@@ -152,7 +161,7 @@ func TestInjectDropEvery(t *testing.T) {
 	if len(*got) != 0 {
 		t.Fatalf("delivered %d, want 0", len(*got))
 	}
-	disarm()
+	nw.Faults().Disarm()
 	nw.Send(&msg.Message{Type: msg.Data, Src: 0, Dst: 5, Txn: 99})
 	eng.Run(1 << 21)
 	if len(*got) != 1 {
@@ -162,9 +171,9 @@ func TestInjectDropEvery(t *testing.T) {
 
 func TestKilledSwitchDropsInFlightAndReroutes(t *testing.T) {
 	eng, nw, got := testNet(t)
-	victim := nw.Topology().EWSwitch(1) // on 0 -> 2's straight path... 0->1 dst switch
-	// Kill at cycle 0 so the in-flight message meets a dead switch.
-	nw.KillSwitchAt(victim, 1)
+	// Kill node 1's EW half-switch, the destination switch of 0 -> 1, at
+	// cycle 1 so the in-flight message meets a dead switch.
+	arm(t, eng, nw, fault.Plan{fault.KillSwitch{Node: 1, Axis: topology.EW, At: 1}})
 	nw.Send(&msg.Message{Type: msg.Data, Src: 0, Dst: 1, Txn: 1}) // routed through victim
 	eng.Run(1 << 20)
 	if nw.Stats().Dropped[DropDeadSwitch] != 1 {

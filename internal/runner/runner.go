@@ -76,9 +76,8 @@ var (
 
 // NewBackend builds the simulated system the parameters select: the MOSI
 // directory machine on its 2D torus, or the broadcast snooping system on
-// its ordered bus (with the snoop configuration derived from the shared
-// parameters; see snoop.FromParams). Every experiment, fault plan, and
-// CLI flag works on the returned backend alike.
+// its ordered bus, both built from the same parameters. Every experiment,
+// fault plan, and CLI flag works on the returned backend alike.
 func NewBackend(p config.Params, prof workload.Profile) (backend.Backend, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -87,11 +86,7 @@ func NewBackend(p config.Params, prof workload.Profile) (backend.Backend, error)
 	case config.ProtocolDirectory:
 		return machine.New(p, prof), nil
 	case config.ProtocolSnoop:
-		c := snoop.FromParams(p)
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("derived snoop configuration: %w", err)
-		}
-		return snoop.New(c, prof), nil
+		return snoop.New(p, prof), nil
 	}
 	// Unreachable: Validate rejects unknown protocols.
 	return nil, fmt.Errorf("unknown protocol %q", p.Protocol)

@@ -16,7 +16,9 @@ import (
 // free list that the collector never empties, so the bound holds with
 // the collector running and under -race.
 func TestWarmSystemAllocsPerMiss(t *testing.T) {
-	s := New(FromParams(config.Default()), workload.OLTP())
+	p := config.Default()
+	p.Protocol = config.ProtocolSnoop
+	s := New(p, workload.OLTP())
 	s.Start()
 	s.Run(1_000_000)
 

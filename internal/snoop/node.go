@@ -123,16 +123,16 @@ type nodeSnap struct {
 
 func newNode(id int, sys *System, prof workload.Profile) *Node {
 	// A log entry is an 8-byte address tag plus one block of old data.
-	entryBytes := 8 + sys.cfg.BlockBytes
+	entryBytes := 8 + sys.p.BlockBytes
 	n := &Node{
 		id:     id,
 		sys:    sys,
-		l2:     cache.NewArray(sys.cfg.L2Sets, sys.cfg.L2Ways, sys.cfg.BlockBytes),
-		clb:    core.NewCLB(sys.cfg.CLBBytes/2, entryBytes),
+		l2:     cache.NewArray(sys.p.L2Sets(), sys.p.L2Ways, sys.p.BlockBytes),
+		clb:    core.NewCLB(sys.p.CLBBytes/2, entryBytes),
 		mem:    make(map[uint64]uint64),
-		memCLB: core.NewCLB(sys.cfg.CLBBytes/2, entryBytes),
+		memCLB: core.NewCLB(sys.p.CLBBytes/2, entryBytes),
 		wbs:    make(map[uint64]wbBuf),
-		gen:    workload.NewSynthetic(prof, id, sys.cfg.Seed),
+		gen:    workload.NewSynthetic(prof, id, sys.p.Seed),
 		ring:   core.NewRegRing(),
 		ccn:    1,
 	}
@@ -632,7 +632,7 @@ func (n *Node) issue(kind ReqKind) {
 	n.txn = t
 	r := Request{Kind: kind, Addr: op.Addr, Requestor: n.id}
 	t.slot = n.sys.bus.Issue(&r)
-	t.cancel = n.sys.eng.ScheduleCancelableArg(n.sys.eng.Now()+n.sys.cfg.TimeoutCycles, txnTimeout, n)
+	t.cancel = n.sys.eng.ScheduleCancelableArg(n.sys.eng.Now()+sim.Time(n.sys.p.RequestTimeoutCycles), txnTimeout, n)
 }
 
 // txnTimeout fires when a transaction went unanswered: a fault ate its

@@ -12,37 +12,62 @@ import (
 	"safetynet/internal/workload"
 )
 
-func testSystem(t *testing.T, seed uint64) *System {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Seed = seed
-	return New(cfg, workload.Stress())
+// testParams returns the small snooping system with the given seed.
+func testParams(seed uint64) config.Params {
+	p := config.SmallSnoop()
+	p.Seed = seed
+	return p
 }
 
-func TestConfigValidation(t *testing.T) {
-	good := DefaultConfig()
-	if err := good.Validate(); err != nil {
+func testSystem(t *testing.T, seed uint64) *System {
+	t.Helper()
+	return New(testParams(seed), workload.Stress())
+}
+
+// arm arms the given fault events on s's data network.
+func arm(t *testing.T, s *System, events ...fault.Event) {
+	t.Helper()
+	if err := fault.Plan(events).Arm(s.FaultTarget()); err != nil {
 		t.Fatal(err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Nodes = 1 },
-		func(c *Config) { c.Nodes = 65 },
-		func(c *Config) { c.BlockBytes = 48 },
-		func(c *Config) { c.L2Sets = 0 },
-		func(c *Config) { c.CLBBytes = 10 },
-		// A CLB that fits 64-byte-block entries but not 128-byte ones.
-		func(c *Config) { c.BlockBytes = 128; c.CLBBytes = 200 },
-		func(c *Config) { c.CheckpointInterval = 0 },
-		func(c *Config) { c.MaxOutstanding = 0 },
-		func(c *Config) { c.BusOccupancy = 0 },
-		func(c *Config) { c.WatchdogCycles = c.TimeoutCycles },
+}
+
+// TestConfigValidation checks that the snooping system refuses the
+// parameters its bus cannot run: Validate rejects each, and New panics.
+func TestConfigValidation(t *testing.T) {
+	if err := testParams(1).Validate(); err != nil {
+		t.Fatal(err)
 	}
-	for i, mut := range bad {
-		c := DefaultConfig()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
+	bad := []struct {
+		name string
+		mut  func(*config.Params)
+	}{
+		{"one node", func(p *config.Params) { p.NumNodes = 1 }},
+		{"beyond presence mask", func(p *config.Params) { p.NumNodes = 65 }},
+		{"block not pow2", func(p *config.Params) { p.BlockBytes = 48 }},
+		{"zero l2", func(p *config.Params) { p.L2Bytes = 0 }},
+		{"clb too small", func(p *config.Params) { p.CLBBytes = 10 }},
+		// A CLB whose halves fit a 72-byte entry but not an 8-byte tag
+		// plus a 128-byte block.
+		{"clb half below one entry", func(p *config.Params) { p.BlockBytes = 128; p.CLBBytes = 200 }},
+		{"zero interval", func(p *config.Params) { p.CheckpointIntervalCycles = 0 }},
+		{"zero ckpts", func(p *config.Params) { p.MaxOutstandingCheckpoints = 0 }},
+		{"watchdog not above timeout", func(p *config.Params) { p.RequestTimeoutCycles = p.ValidationWatchdogCycles }},
+	}
+	for _, b := range bad {
+		p := testParams(1)
+		b.mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted an invalid config", b.name)
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New accepted an invalid config", b.name)
+				}
+			}()
+			New(p, workload.Stress())
+		}()
 	}
 }
 
@@ -93,7 +118,7 @@ func TestValidationAdvances(t *testing.T) {
 
 func TestDroppedDataResponseRecovers(t *testing.T) {
 	s := testSystem(t, 4)
-	s.InjectDropOnce(50_000)
+	arm(t, s, fault.DropOnce{At: 50_000})
 	s.Start()
 	s.Run(400_000)
 	if s.Dropped() != 1 {
@@ -177,9 +202,7 @@ func runUntil(s *System, budget sim.Time, cond func() bool) bool {
 // the system first (the pause is sticky across recoveries) and drives
 // node 0's transactions by hand.
 func TestRollbackRestoresStoreValues(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 9
-	s := New(cfg, workload.Stress())
+	s := testSystem(t, 9)
 	if !s.Quiesce(1_000) {
 		t.Fatal("fresh system failed to quiesce")
 	}
@@ -207,7 +230,7 @@ func TestRollbackRestoresStoreValues(t *testing.T) {
 
 	// Advance logical time past an edge by issuing filler traffic, so
 	// checkpoint k captures value 111, then validate.
-	for i := uint64(0); i < cfg.CheckpointInterval+4; i++ {
+	for i := uint64(0); i < s.interval+4; i++ {
 		write(0x40000+i*64, i)
 	}
 	s.tryValidate()
@@ -234,16 +257,16 @@ func TestRollbackRestoresStoreValues(t *testing.T) {
 // responder: an evicted owned block stays its owner's until the PUTX
 // slot orders the writeback, so a request ordered between the eviction
 // and that slot is served from the buffer. With 1-set, 1-way L2s, node
-// 0's fill of B evicts A; a long bus occupancy and a short data latency
-// let node 1's request for A, issued beside that fill, take the slot
-// after it, before the PUTX the fill issues.
+// 0's fill of B evicts A; a long bus occupancy and a short data latency,
+// set before any traffic, let node 1's request for A, issued beside that
+// fill, take the slot after it, before the PUTX the fill issues.
 func TestParkedWritebackResponds(t *testing.T) {
 	for _, kind := range []ReqKind{BusGETS, BusGETX} {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.L2Sets, cfg.L2Ways = 1, 1
-			cfg.BusOccupancy, cfg.DataLatency = 100, 5
-			s := New(cfg, workload.Stress())
+			p := config.SmallSnoop()
+			p.L2Bytes, p.L2Ways = p.BlockBytes, 1
+			s := New(p, workload.Stress())
+			s.bus.occupancy, s.dataLatency = 100, 5
 			if !s.Quiesce(1_000) {
 				t.Fatal("fresh system failed to quiesce")
 			}
@@ -430,24 +453,24 @@ func TestUnsupportedEventsRejectedAtArmTime(t *testing.T) {
 // function must still spread blocks across every bank, and a full run
 // must stay coherent.
 func TestNonStandardBlockSize(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BlockBytes = 128
-	cfg.Seed = 5
-	s := New(cfg, workload.Stress())
+	p := testParams(5)
+	p.BlockBytes = 128
+	p.L2Bytes = 32 << 10 // 64 sets, as at 64-byte blocks
+	s := New(p, workload.Stress())
 
 	seen := make(map[int]bool)
 	for i := uint64(0); i < 64; i++ {
-		h := s.home(i * uint64(cfg.BlockBytes))
-		if h < 0 || h >= cfg.Nodes {
+		h := s.home(i * uint64(p.BlockBytes))
+		if h < 0 || h >= p.NumNodes {
 			t.Fatalf("home(%d) = %d out of range", i, h)
 		}
 		seen[h] = true
 	}
-	if len(seen) != cfg.Nodes {
+	if len(seen) != p.NumNodes {
 		// The old addr/64 interleave maps 128-byte-aligned addresses onto
 		// even banks only; deriving from the configured block size must
 		// reach all of them.
-		t.Fatalf("homes cover %d of %d banks", len(seen), cfg.Nodes)
+		t.Fatalf("homes cover %d of %d banks", len(seen), p.NumNodes)
 	}
 
 	s.Start()
@@ -463,21 +486,20 @@ func TestNonStandardBlockSize(t *testing.T) {
 	}
 }
 
-func TestFromParamsDerivesConfig(t *testing.T) {
-	p := config.Default()
-	p.BlockBytes = 128
-	c := FromParams(p)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Nodes != p.NumNodes || c.BlockBytes != 128 || c.L2Ways != p.L2Ways {
-		t.Fatalf("geometry not carried over: %+v", c)
-	}
-	if c.L2Sets != p.L2Bytes/(p.BlockBytes*p.L2Ways) {
-		t.Fatalf("L2Sets = %d", c.L2Sets)
-	}
-	if c.CheckpointInterval == 0 || c.TimeoutCycles != 25_000 {
-		t.Fatalf("timing not carried over: %+v", c)
+// TestCheckpointIntervalInSlots checks the one derivation New makes: the
+// checkpoint interval is re-expressed in bus slots, clamped to one.
+func TestCheckpointIntervalInSlots(t *testing.T) {
+	for _, c := range []struct{ cycles, slots uint64 }{
+		{1_536, 128},
+		{100_000, 8_333},
+		{busOccupancy, 1},
+		{busOccupancy - 1, 1},
+	} {
+		p := testParams(1)
+		p.CheckpointIntervalCycles, p.ValidationSignoffCycles = c.cycles, c.cycles
+		if got := New(p, workload.Stress()).interval; got != c.slots {
+			t.Errorf("%d-cycle interval = %d slots, want %d", c.cycles, got, c.slots)
+		}
 	}
 }
 
@@ -485,17 +507,17 @@ func TestFromParamsDerivesConfig(t *testing.T) {
 // network's per-message closure onto the pooled ScheduleArg path: the
 // steady-state send-deliver round trip must not allocate.
 func BenchmarkSnoopDataSend(b *testing.B) {
-	cfg := DefaultConfig()
+	p := config.SmallSnoop()
 	// Push the watchdog beyond the benchmark horizon: the processors are
 	// never started, so a watchdog recovery would wake them and measure
 	// the whole system instead of the data network.
-	cfg.WatchdogCycles = 1 << 40
-	s := New(cfg, workload.Stress())
+	p.ValidationWatchdogCycles = 1 << 40
+	s := New(p, workload.Stress())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.sendData(0, 1, 0x1000, uint64(i), 1, 0)
-		s.eng.Run(s.eng.Now() + cfg.DataLatency + 1)
+		s.eng.Run(s.eng.Now() + s.dataLatency + 1)
 	}
 }
 

@@ -19,103 +19,24 @@ import (
 	"safetynet/internal/workload"
 )
 
-// Config sizes the snooping system.
-type Config struct {
-	Nodes int
-	// BlockBytes is the coherence block size; the home-bank interleave
-	// and the cache geometry both derive from it.
-	BlockBytes     int
-	L2Sets, L2Ways int
-	CLBBytes       int
-	// CheckpointInterval is the logical-time checkpoint period in bus
-	// slots (the §2.3 "every K logical cycles").
-	CheckpointInterval uint64
-	MaxOutstanding     int
-	BusOccupancy       sim.Time
-	DataLatency        sim.Time
-	TimeoutCycles      sim.Time
-	WatchdogCycles     sim.Time
-	Seed               uint64
-}
-
-// DefaultConfig returns an 8-node snooping system.
-func DefaultConfig() Config {
-	return Config{
-		Nodes:      8,
-		BlockBytes: 64,
-		L2Sets:     64, L2Ways: 4,
-		CLBBytes:           256 << 10,
-		CheckpointInterval: 128,
-		MaxOutstanding:     4,
-		BusOccupancy:       12,
-		DataLatency:        40,
-		TimeoutCycles:      8_000,
-		WatchdogCycles:     120_000,
-	}
-}
-
-// FromParams derives a snooping-system configuration from the shared
-// target-system parameters, so the harness and facade can aim one
-// config.Params at either backend. Geometry, logging capacity, and
-// detection latencies carry over directly; the checkpoint interval is
-// re-expressed in bus slots — logical time on the ordered interconnect
-// advances one unit per broadcast, and the blocking processors keep the
-// address bus near saturation (one slot per BusOccupancy cycles), so the
-// wall-clock checkpoint cadence lands near the configured interval.
-func FromParams(p config.Params) Config {
-	c := DefaultConfig()
-	c.Nodes = p.NumNodes
-	c.BlockBytes = p.BlockBytes
-	c.L2Sets = p.L2Sets()
-	c.L2Ways = p.L2Ways
-	c.CLBBytes = p.CLBBytes
-	c.MaxOutstanding = p.MaxOutstandingCheckpoints
-	c.TimeoutCycles = sim.Time(p.RequestTimeoutCycles)
-	c.WatchdogCycles = sim.Time(p.ValidationWatchdogCycles)
-	c.Seed = p.Seed
-	if iv := p.CheckpointIntervalCycles / uint64(c.BusOccupancy); iv > 0 {
-		c.CheckpointInterval = iv
-	} else {
-		c.CheckpointInterval = 1
-	}
-	return c
-}
-
-// Validate reports the first configuration error.
-func (c Config) Validate() error {
-	switch {
-	case c.Nodes < 2:
-		return fmt.Errorf("snoop: need at least 2 nodes")
-	case c.Nodes > 64:
-		// The presence filter keeps one bit per node in a uint64 mask.
-		return fmt.Errorf("snoop: %d nodes exceed the 64-node presence-mask limit", c.Nodes)
-	case c.BlockBytes <= 0 || c.BlockBytes&(c.BlockBytes-1) != 0:
-		return fmt.Errorf("snoop: block size must be a positive power of two, got %d", c.BlockBytes)
-	case c.L2Sets <= 0 || c.L2Ways <= 0:
-		return fmt.Errorf("snoop: bad cache geometry")
-	case c.CLBBytes < 2*(8+c.BlockBytes):
-		// Each of the two CLB halves (cache-side and memory-side) must
-		// hold at least one 8-byte-tag + one-block entry.
-		return fmt.Errorf("snoop: CLB of %d bytes cannot hold one entry per half at %d-byte blocks",
-			c.CLBBytes, c.BlockBytes)
-	case c.CheckpointInterval == 0:
-		return fmt.Errorf("snoop: zero checkpoint interval")
-	case c.MaxOutstanding < 1:
-		return fmt.Errorf("snoop: need outstanding checkpoints")
-	case c.BusOccupancy == 0 || c.DataLatency == 0:
-		return fmt.Errorf("snoop: zero latencies")
-	case c.TimeoutCycles == 0 || c.WatchdogCycles <= c.TimeoutCycles:
-		return fmt.Errorf("snoop: detection latencies inconsistent")
-	}
-	return nil
-}
+// Bus timing: a slot occupies the address bus for busOccupancy cycles,
+// and a data message crosses the unordered data network in dataLatency
+// cycles.
+const (
+	busOccupancy = 12
+	dataLatency  = 40
+)
 
 // System is a complete snooping SafetyNet machine.
 type System struct {
-	cfg   Config
+	p     config.Params
 	eng   *sim.Engine
 	bus   *Bus
 	nodes []*Node
+	// interval is the checkpoint interval in bus slots (the §2.3 "every
+	// K logical cycles").
+	interval    uint64
+	dataLatency sim.Time
 	// probes holds each node's probe of the slot being dispatched; only
 	// the entries of nodes in the slot's presence mask are meaningful.
 	probes []slotProbe
@@ -137,11 +58,8 @@ type System struct {
 	quiescing   bool
 	dataEpoch   int
 
-	faults           dataFaults
+	faults           fault.Injector
 	dataSent         uint64
-	dropped          uint64
-	corrupted        uint64
-	duplicated       uint64
 	instrsRolledBack uint64
 
 	// Recoveries counts completed recoveries.
@@ -156,44 +74,26 @@ type System struct {
 // Observe registers a backend-neutral run observer.
 func (s *System) Observe(o *backend.Observer) { s.obs = append(s.obs, o) }
 
-// dataFaults holds the armed fault events of the unordered data network.
-// One-shot events fire on the first data message sent at or after their
-// scheduled cycle; slices stay nil on fault-free runs so the send path
-// pays only a couple of nil checks.
-type dataFaults struct {
-	dropOnce      []sim.Time
-	corruptOnce   []sim.Time
-	duplicateOnce []sim.Time
-	dropEvery     []periodicDrop
-}
-
-// periodicDrop is one armed DropEvery schedule; schedules layer — each
-// arm installs an independent one, as the directory network's drop rules
-// do.
-type periodicDrop struct {
-	next, period sim.Time
-}
-
-// takeOne consumes and reports an armed one-shot whose cycle has arrived.
-func takeOne(armed *[]sim.Time, now sim.Time) bool {
-	for i, at := range *armed {
-		if now >= at {
-			*armed = append((*armed)[:i], (*armed)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// New builds the system with every processor running the given workload.
-func New(cfg Config, prof workload.Profile) *System {
-	if err := cfg.Validate(); err != nil {
+// New builds the snooping system the parameters describe, with every
+// processor running the given workload. It panics on invalid parameters
+// (a programming error). Geometry, logging capacity, detection latencies
+// and the seed carry over directly. The checkpoint interval is
+// re-expressed in bus slots, clamped to one: logical time on the ordered
+// interconnect advances one unit per broadcast, and the blocking
+// processors keep the address bus near saturation (one slot per
+// busOccupancy cycles), so the wall-clock checkpoint cadence lands near
+// the configured interval.
+func New(p config.Params, prof workload.Profile) *System {
+	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg, eng: sim.NewEngine(), rpcn: 1, probes: make([]slotProbe, cfg.Nodes),
-		present: make(map[uint64]uint64)}
-	s.bus = NewBus(s.eng, cfg.BusOccupancy)
-	for i := 0; i < cfg.Nodes; i++ {
+	s := &System{p: p, eng: sim.NewEngine(), rpcn: 1, probes: make([]slotProbe, p.NumNodes),
+		present:     make(map[uint64]uint64),
+		interval:    max(p.CheckpointIntervalCycles/busOccupancy, 1),
+		dataLatency: dataLatency}
+	s.faults.OnFire = func(cycle uint64, kind string) { s.obs.FaultFired(cycle, kind) }
+	s.bus = NewBus(s.eng, busOccupancy)
+	for i := 0; i < p.NumNodes; i++ {
 		s.nodes = append(s.nodes, newNode(i, s, prof))
 	}
 	// A single fan-out snooper: snapshot whether any cache owns the
@@ -216,13 +116,13 @@ func (s *System) Nodes() []*Node { return s.nodes }
 // home interleaves block homes across the memory banks at the configured
 // block granularity.
 func (s *System) home(addr uint64) int {
-	return int((addr / uint64(s.cfg.BlockBytes)) % uint64(s.cfg.Nodes))
+	return int((addr / uint64(s.p.BlockBytes)) % uint64(s.p.NumNodes))
 }
 
 // slotCN returns the checkpoint interval that contains a bus slot: logical
-// time advances one checkpoint every CheckpointInterval slots.
+// time advances one checkpoint every interval slots.
 func (s *System) slotCN(slot uint64) msg.CN {
-	return msg.CN((slot-1)/s.cfg.CheckpointInterval + 1)
+	return msg.CN((slot-1)/s.interval + 1)
 }
 
 // dispatch delivers one bus slot. A GETS or GETX slot first probes, once
@@ -317,84 +217,50 @@ func (d *dataMsg) deliver() {
 	s.dataMsgs.Put(d)
 }
 
-// sendData models the unordered point-to-point data network; this is
-// where the message-level fault events (dropped, corrupted, duplicated
-// data) live.
+// sendData models the unordered point-to-point data network, where the
+// injector's message-level faults (dropped, corrupted and duplicated
+// data) fire.
 //
 //snvet:alloc-free
 func (s *System) sendData(from, to int, addr, data uint64, cn msg.CN, slot uint64) {
-	now := s.eng.Now()
-	f := &s.faults
-	// Count the send before the fault checks: a dropped message was sent
-	// and then lost, matching the directory network's accounting so
+	// Count the send before the injector decides: a dropped message was
+	// sent and then lost, matching the directory network's accounting so
 	// cross-backend traffic/loss comparisons line up.
 	s.dataSent++
-	if takeOne(&f.dropOnce, now) {
-		s.dropped++
-		s.obs.FaultFired(uint64(now), fault.KindDropOnce)
+	eff := s.faults.Decide(s.eng.Now(), true)
+	if eff&fault.Drop != 0 {
 		return
-	}
-	for i := range f.dropEvery {
-		if p := &f.dropEvery[i]; now >= p.next {
-			p.next = now + p.period
-			s.dropped++
-			s.obs.FaultFired(uint64(now), fault.KindDropEvery)
-			return
-		}
 	}
 	d := s.dataMsgs.Get()
 	*d = dataMsg{sys: s, to: to, addr: addr, data: data, cn: cn, epoch: s.dataEpoch}
-	if takeOne(&f.corruptOnce, now) {
-		// Counted at send like drops, so the loss stays accounted even if
-		// a recovery already in flight discards the damaged message.
-		s.corrupted++
+	if eff&fault.Corrupt != 0 {
+		// The injector counted it at send, like a drop, so the loss stays
+		// accounted even if a recovery already in flight discards the
+		// damaged message.
 		d.corrupt = true
 		d.data ^= 0xbad_c0de_bad_c0de
-		s.obs.FaultFired(uint64(now), fault.KindCorruptOnce)
 	}
-	s.eng.AfterArg(s.cfg.DataLatency, deliverDataArg, d)
-	if takeOne(&f.duplicateOnce, now) {
+	s.eng.AfterArg(s.dataLatency, deliverDataArg, d)
+	if eff&fault.Duplicate != 0 {
 		dup := s.dataMsgs.Get()
 		*dup = *d
-		s.duplicated++
 		s.dataSent++
-		s.obs.FaultFired(uint64(now), fault.KindDuplicateOnce)
 		// The duplicate trails its original by one cycle; transaction
 		// matching at the endpoint must absorb it.
-		s.eng.AfterArg(s.cfg.DataLatency+1, deliverDataArg, dup)
+		s.eng.AfterArg(s.dataLatency+1, deliverDataArg, dup)
 	}
-}
-
-// InjectDropOnce loses the first data message sent at or after at.
-func (s *System) InjectDropOnce(at sim.Time) {
-	s.faults.dropOnce = append(s.faults.dropOnce, at)
-}
-
-// InjectDropEvery loses one data message per period, starting at start.
-// Repeated calls layer independent schedules.
-func (s *System) InjectDropEvery(start, period sim.Time) {
-	s.faults.dropEvery = append(s.faults.dropEvery, periodicDrop{next: start, period: period})
-}
-
-// InjectCorruptOnce damages one data message sent at or after at; the
-// endpoint's error-detecting code discovers it on arrival.
-func (s *System) InjectCorruptOnce(at sim.Time) {
-	s.faults.corruptOnce = append(s.faults.corruptOnce, at)
-}
-
-// InjectDuplicateOnce delivers one data message twice at or after at.
-func (s *System) InjectDuplicateOnce(at sim.Time) {
-	s.faults.duplicateOnce = append(s.faults.duplicateOnce, at)
 }
 
 // Dropped returns injected losses so far.
-func (s *System) Dropped() uint64 { return s.dropped }
+func (s *System) Dropped() uint64 {
+	return s.faults.Fired(fault.KindDropOnce) + s.faults.Fired(fault.KindDropEvery)
+}
 
 // Corrupted returns injected corruptions detected so far.
-func (s *System) Corrupted() uint64 { return s.corrupted }
+func (s *System) Corrupted() uint64 { return s.faults.Fired(fault.KindCorruptOnce) }
 
 // Duplicated returns injected duplications so far.
-func (s *System) Duplicated() uint64 { return s.duplicated }
+func (s *System) Duplicated() uint64 { return s.faults.Fired(fault.KindDuplicateOnce) }
 
 // Start launches the processors.
 func (s *System) Start() {
@@ -423,10 +289,10 @@ func (s *System) TotalInstrs() uint64 {
 // SafetyNet-protected, so it never crashes.
 func (s *System) CrashInfo() (bool, string) { return false, "" }
 
-// FaultTarget returns the unordered data network fault events arm on;
-// events needing the routed torus (misroutes, switch kills) are rejected
-// at arm time with fault.ErrUnsupported.
-func (s *System) FaultTarget() fault.Target { return fault.Target{Data: s} }
+// FaultTarget returns the data network's fault injector and the engine;
+// with no torus, events needing one (misroutes, switch kills) are
+// rejected at arm time with fault.ErrUnsupported.
+func (s *System) FaultTarget() fault.Target { return fault.Target{Faults: &s.faults, Eng: s.eng} }
 
 // Counters returns the cumulative protocol-neutral statistics.
 func (s *System) Counters() backend.Counters {
@@ -435,7 +301,7 @@ func (s *System) Counters() backend.Counters {
 		InstrsRolledBack: s.instrsRolledBack,
 		Recoveries:       s.Recoveries,
 		MessagesSent:     s.bus.Broadcasts + s.dataSent,
-		MessagesDropped:  s.dropped + s.corrupted,
+		MessagesDropped:  s.Dropped() + s.Corrupted(),
 	}
 	for _, n := range s.nodes {
 		c.StoresLogged += n.clb.Appends() - n.clb.TransferAppends()
@@ -455,7 +321,7 @@ func (s *System) txnDone(*Node) { s.tryValidate() }
 // real system exchanges messages; the snooping variant focuses on the
 // logical-time base). It never restarts a processor: Start, Resume and
 // recovery do, and no processor pauses for the outstanding-checkpoint
-// bound (MaxOutstanding is not enforced on this backend).
+// bound (MaxOutstandingCheckpoints is not enforced on this backend).
 func (s *System) tryValidate() {
 	if s.recovering {
 		return
@@ -481,8 +347,9 @@ func (s *System) tryValidate() {
 }
 
 func (s *System) armWatchdog() {
-	s.eng.After(s.cfg.WatchdogCycles/2, func() {
-		if !s.recovering && s.eng.Now()-s.lastAdvance > s.cfg.WatchdogCycles {
+	watchdog := sim.Time(s.p.ValidationWatchdogCycles)
+	s.eng.After(watchdog/2, func() {
+		if !s.recovering && s.eng.Now()-s.lastAdvance > watchdog {
 			s.Recover()
 		}
 		s.armWatchdog()
@@ -510,7 +377,7 @@ func (s *System) Recover() {
 		for _, n := range s.nodes {
 			n.recoverTo(rpcn)
 		}
-		s.bus.ResetSlots(rpcn, s.cfg.CheckpointInterval)
+		s.bus.ResetSlots(rpcn, s.interval)
 		s.eng.After(1_000, func() {
 			s.recovering = false
 			s.lastAdvance = s.eng.Now()

@@ -83,8 +83,9 @@ func DefaultConfig() Config { return config.Default() }
 func UnprotectedConfig() Config { return config.Unprotected() }
 
 // SnoopConfig returns the default configuration aimed at the broadcast
-// snooping backend (always SafetyNet-protected; the snoop system derives
-// its bus-level sizing from these shared parameters).
+// snooping backend (always SafetyNet-protected; the snoop system is
+// built from these same parameters, its checkpoint interval counted in
+// bus slots).
 func SnoopConfig() Config {
 	p := config.Default()
 	p.Protocol = config.ProtocolSnoop

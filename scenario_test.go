@@ -34,8 +34,8 @@ func TestExampleScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 6 {
-		t.Fatalf("expected the six checked-in example scenarios, found %d: %v", len(paths), paths)
+	if len(paths) != 7 {
+		t.Fatalf("expected the seven checked-in example scenarios, found %d: %v", len(paths), paths)
 	}
 	for _, path := range paths {
 		t.Run(filepath.Base(path), func(t *testing.T) {
