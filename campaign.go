@@ -8,7 +8,7 @@ import (
 // Campaign is a declarative, JSON-round-trippable sweep: a base
 // Scenario expanded over a matrix of override axes, fault-plan
 // variants, and a seed range into hundreds of runs, executed on a
-// sharded worker pool and reduced into a statistical report
+// worker pool and reduced into a statistical report
 // (mean/median/percentiles, stddev, bootstrap confidence intervals,
 // per-axis breakdowns):
 //
@@ -99,8 +99,8 @@ func (c *Campaign) Expand() ([]CampaignRun, error) { return c.inner().Expand() }
 // ParseCampaign(Encode()) reproduces the campaign.
 func (c *Campaign) Encode() ([]byte, error) { return c.inner().Encode() }
 
-// Run expands the campaign and executes every run on the sharded
-// worker pool, returning the reduced statistical report.
+// Run expands the campaign and executes every run on the worker pool,
+// returning the reduced statistical report.
 func (c *Campaign) Run(o CampaignOptions) (*CampaignReport, error) {
 	return c.inner().Execute(o)
 }

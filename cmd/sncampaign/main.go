@@ -1,6 +1,6 @@
 // Command sncampaign executes one declarative campaign file: a base
 // scenario expanded over a matrix of override axes, fault-plan
-// variants, and a seed range, executed on a sharded worker pool and
+// variants, and a seed range, executed on a worker pool and
 // reduced into a statistical report (mean/median/percentiles, stddev,
 // bootstrap confidence intervals, per-axis breakdowns).
 //

@@ -1,13 +1,10 @@
 // Command snserved is the campaign-serving daemon: an HTTP/JSON API
-// over a persistent, resumable job queue. Submitted campaigns execute
-// on a sharded worker pool with per-shard completion checkpoints, so a
-// killed-and-restarted daemon resumes mid-campaign and still serves
-// the byte-identical expansion-order report a local sncampaign run
-// would print. Shards are handed out through a fenced lease table:
-// snworker processes pull them over HTTP (heartbeat-kept leases,
-// re-leased on worker death), and with zero live workers the daemon
-// executes in-process — -workers-only disables the in-process
-// fallback, -lease-ttl tunes failure-detection latency.
+// over a persistent, resumable job queue. Each campaign runs in process
+// on a worker pool -j wide, and every completed run is checkpointed to
+// one of up to -j shard logs, so a killed-and-restarted daemon, at any
+// -j, resumes mid-campaign and still serves the byte-identical
+// expansion-order report a local sncampaign run would print. A larger
+// campaign runs on a larger host.
 //
 //	snserved -addr :8321 -store /var/lib/snserved
 //	curl -X POST --data-binary @examples/campaigns/availability-matrix.json \
@@ -30,7 +27,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"safetynet/internal/serve"
 )
@@ -41,13 +37,11 @@ func main() {
 
 func run() int {
 	var (
-		addr        = flag.String("addr", ":8321", "listen address")
-		store       = flag.String("store", "snserved-store", "persistent job-store directory")
-		par         = flag.Int("j", 0, "shards per executing job (0 = one per CPU); also the in-process width")
-		ckpt        = flag.Int("checkpoint-every", 1, "completed runs between checkpoint syncs per shard")
-		queue       = flag.Int("queue", 64, "maximum queued jobs before submissions get 503")
-		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "shard lease time-to-live; a worker missing heartbeats this long loses its shard")
-		workersOnly = flag.Bool("workers-only", false, "never execute shards in-process; hand them out to pulling snworker processes only")
+		addr  = flag.String("addr", ":8321", "listen address")
+		store = flag.String("store", "snserved-store", "persistent job-store directory")
+		par   = flag.Int("j", 0, "worker-pool width and shard logs per executing job (0 = one per CPU)")
+		ckpt  = flag.Int("checkpoint-every", 1, "completed runs between checkpoint syncs per shard")
+		queue = flag.Int("queue", 64, "maximum queued jobs before submissions get 503")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -61,8 +55,6 @@ func run() int {
 		Workers:         *par,
 		CheckpointEvery: *ckpt,
 		MaxQueue:        *queue,
-		LeaseTTL:        *leaseTTL,
-		WorkersOnly:     *workersOnly,
 		Logf:            logger.Printf,
 	})
 	if err != nil {

@@ -16,8 +16,8 @@
 //
 //  2. time.Now / time.Since / time.Until and the global math/rand
 //     functions smuggle wall-clock and process-global state into
-//     simulation results. Legitimate uses (the daemon's lease-TTL
-//     clock, retry jitter) must carry a checked //snvet:wallclock
+//     simulation results. Legitimate uses (the daemon's throughput
+//     gauge, retry jitter) must carry a checked //snvet:wallclock
 //     annotation; annotations that suppress nothing are themselves
 //     reported as stale.
 //

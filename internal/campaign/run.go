@@ -15,9 +15,9 @@ type Options struct {
 	// (see runner.RunCtx), and Execute returns the context's error. Nil
 	// means run to completion (context.Background).
 	Context context.Context
-	// Workers is the sharded worker-pool width; zero and negative
-	// values mean one worker per available CPU — the same sanitization
-	// path the experiment harness uses (runner.Workers).
+	// Workers is the worker-pool width; zero and negative values mean
+	// one worker per available CPU — the same sanitization path the
+	// experiment harness uses (runner.Workers).
 	Workers int
 	// ScaleTo, when nonzero, proportionally shrinks every run so its
 	// total horizon fits the budget (see Campaign.Scaled); the CI smoke
@@ -39,7 +39,7 @@ type Options struct {
 // runs, in expansion order. Expand validated every scenario, so Params
 // cannot fail here; a failure would surface as a crashed run via
 // NewBackend. The observer factory may be nil. Execute and the serve
-// scheduler (internal/serve) share this assembly, so a served shard
+// scheduler (internal/serve) share this assembly, so a served run
 // executes exactly the run a local pool would.
 func RunConfigs(runs []Run, observer func(run Run) *backend.Observer) []runner.RunConfig {
 	rcs := make([]runner.RunConfig, len(runs))

@@ -25,10 +25,9 @@ type Client struct {
 	// httptest.Server.Client()).
 	HTTPClient *http.Client
 	// Retry, when non-nil, retries transient failures (connection
-	// errors, HTTP 5xx) of Submit, Status, Report, Wait, and the worker
-	// protocol calls with capped exponential backoff + jitter. Events is
-	// never retried: replaying a partially consumed stream would
-	// re-deliver events to the callback.
+	// errors, HTTP 5xx) of Submit, Status, Report and Wait with capped
+	// exponential backoff + jitter. Events is never retried: replaying a
+	// partially consumed stream would re-deliver events to the callback.
 	Retry *RetryPolicy
 }
 
@@ -54,8 +53,8 @@ func (c *Client) retryDo(ctx context.Context, op func() error) error {
 
 // APIError is a non-2xx daemon response: the HTTP status plus the
 // decoded {"error": ...} message when the body carried one. Callers
-// branch on Status — the worker treats 409/410 as "the lease is gone,
-// stop" and 5xx as retryable.
+// branch on Status — Transient treats 5xx as retryable and every 4xx
+// as final.
 type APIError struct {
 	Status int
 	Msg    string
@@ -81,7 +80,7 @@ func apiError(resp *http.Response) error {
 }
 
 // ---------------------------------------------------------------------
-// Transient-failure retry (shared by sncampaign -submit and snworker)
+// Transient-failure retry (what sncampaign -submit rides daemon restarts on)
 // ---------------------------------------------------------------------
 
 // RetryPolicy caps transient-failure retries with exponential backoff
@@ -92,7 +91,7 @@ type RetryPolicy struct {
 	Attempts int
 	// Base is the first backoff delay; <=0 means 100ms. Each subsequent
 	// delay doubles, capped at Max, then jitters uniformly over
-	// [delay/2, delay) so a fleet of retriers decorrelates.
+	// [delay/2, delay) so concurrent retriers decorrelate.
 	Base time.Duration
 	// Max caps the backoff delay; <=0 means 5s.
 	Max time.Duration
@@ -153,9 +152,8 @@ func RetryTransient(ctx context.Context, p RetryPolicy, op func() error) error {
 	return err
 }
 
-// doJSON issues one request expecting wantStatus, decoding a JSON body
-// into out when out is non-nil (okStatuses other than wantStatus skip
-// decoding and return errNoContent via the bool).
+// doJSON issues one request expecting wantStatus and decodes the JSON
+// response body into out.
 func (c *Client) doJSON(ctx context.Context, method, u string, body []byte, wantStatus int, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -175,9 +173,6 @@ func (c *Client) doJSON(ctx context.Context, method, u string, body []byte, want
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {
 		return apiError(resp)
-	}
-	if out == nil {
-		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("snserved: decoding response: %w", err)
@@ -240,73 +235,6 @@ func (c *Client) Report(ctx context.Context, id, format string) ([]byte, error) 
 		return err
 	})
 	return out, err
-}
-
-// Lease claims a shard lease for the named worker. A nil grant with a
-// nil error means the daemon has nothing to lease right now (no
-// executing job, or all pending shards held) — poll again later.
-func (c *Client) Lease(ctx context.Context, workerID string) (*LeaseGrant, error) {
-	u := c.BaseURL + "/workers/" + url.PathEscape(workerID) + "/lease"
-	var g *LeaseGrant
-	err := c.retryDo(ctx, func() error {
-		g = nil
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusNoContent:
-			return nil
-		case http.StatusOK:
-			g = &LeaseGrant{}
-			if err := json.NewDecoder(resp.Body).Decode(g); err != nil {
-				g = nil
-				return fmt.Errorf("snserved: decoding lease grant: %w", err)
-			}
-			return nil
-		default:
-			return apiError(resp)
-		}
-	})
-	return g, err
-}
-
-// PushRecords streams a batch of completed run records under the
-// push's fencing token, returning how many the daemon newly
-// checkpointed. Pushes are idempotent by expansion index, so retrying
-// after a lost response is safe: the replayed records commit 0.
-func (c *Client) PushRecords(ctx context.Context, workerID string, p RecordsPush) (int, error) {
-	body, err := json.Marshal(p)
-	if err != nil {
-		return 0, err
-	}
-	u := c.BaseURL + "/workers/" + url.PathEscape(workerID) + "/records"
-	var out struct {
-		Accepted int `json:"accepted"`
-	}
-	err = c.retryDo(ctx, func() error {
-		out.Accepted = 0
-		return c.doJSON(ctx, http.MethodPost, u, body, http.StatusOK, &out)
-	})
-	return out.Accepted, err
-}
-
-// Heartbeat extends a lease before its TTL lapses. A 409/410 APIError
-// means the lease is gone — the worker must abandon the shard.
-func (c *Client) Heartbeat(ctx context.Context, workerID string, h Heartbeat) error {
-	body, err := json.Marshal(h)
-	if err != nil {
-		return err
-	}
-	u := c.BaseURL + "/workers/" + url.PathEscape(workerID) + "/heartbeat"
-	return c.retryDo(ctx, func() error {
-		return c.doJSON(ctx, http.MethodPost, u, body, http.StatusNoContent, nil)
-	})
 }
 
 // Events subscribes to a job's SSE stream from the given sequence

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"safetynet/internal/campaign"
 	"safetynet/internal/campaign/report"
@@ -110,22 +109,17 @@ func completionEvent(run campaign.Run, res runner.RunResult, total int) Event {
 }
 
 // execute runs one job to completion (or resumption-point), the heart
-// of the daemon: expand deterministically, skip checkpointed runs, and
-// hand the rest out shard-by-shard through the fenced lease table —
-// to remote workers pulling over HTTP, to the in-process executor when
-// none are live, or to both across the job's lifetime as workers come
-// and go. Every committed record lands in a per-shard checkpoint log
-// before it is announced, and the full expansion-order result set
-// reduces into the report. A canceled context returns ctx.Err() with
-// the job left running on disk — the state Open re-enqueues — so a
-// killed daemon resumes instead of restarting.
+// of the daemon: expand deterministically, skip every run already in
+// the shard logs, and run the rest on the worker pool campaign.Execute
+// uses. Each completion is appended to its shard's checkpoint log
+// before it is announced on the event stream, and the full
+// expansion-order result set reduces into the report. A store failure
+// cancels the pool and fails the job. A canceled context returns
+// ctx.Err() with the job left running on disk — the state Open
+// re-enqueues — so a killed daemon resumes instead of restarting.
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	m := j.Meta()
 	c, err := s.store.LoadCampaign(m.ID)
-	if err != nil {
-		return s.failJob(j, err)
-	}
-	doc, err := c.Encode()
 	if err != nil {
 		return s.failJob(j, err)
 	}
@@ -146,86 +140,84 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	}
 	j.setMeta(m)
 
+	// Run i goes to shard log i mod shards. Records are keyed by index
+	// and LoadRecords reads every shard log, so a lifetime at any shard
+	// count resumes what an earlier one left.
 	rcs := campaign.RunConfigs(runs, nil)
-	shards := campaign.Shards(s.opts.Workers, len(rcs))
-
-	// Static round-robin shard assignment (campaign.ShardOf): a pure
-	// function of the expansion, so any daemon lifetime (even with a
-	// different shard count) and any remote worker agree on what
-	// remains — records are keyed by index, and LoadRecords reads every
-	// shard log regardless of layout.
+	shards := max(1, min(runner.Workers(s.opts.Workers), len(rcs)))
 	shardDone := make([]int, shards)
 	shardTotal := make([]int, shards)
+	var pending []int
 	for i := range rcs {
-		k := campaign.ShardOf(i, shards)
+		k := i % shards
 		shardTotal[k]++
 		if _, ok := recs[i]; ok {
 			shardDone[k]++
+		} else {
+			pending = append(pending, i)
 		}
 	}
 	j.mu.Lock()
 	j.shardDone, j.shardTotal = shardDone, shardTotal
 	j.mu.Unlock()
 
-	e := newShardExec(s, j, doc, m.ScaleTo, runs, rcs, recs, shards)
-	s.setExec(e)
-	defer s.clearExec(e)
-
-	execCtx, cancel := context.WithCancel(ctx)
+	todo := make([]runner.RunConfig, len(pending))
+	for k, i := range pending {
+		todo[k] = rcs[i]
+	}
+	logs := make([]*ShardLog, shards)
+	var storeErr error
+	poolCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	select {
-	case <-e.done:
-		// Everything was already checkpointed; no leases needed.
-	default:
-		// Reap missed-heartbeat leases on a timer so a dead worker's
-		// shard frees even if no request ever mentions it again.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(s.sweepInterval())
-			defer t.Stop()
-			for {
-				select {
-				case <-execCtx.Done():
-					return
-				case <-e.done:
-					return
-				case <-t.C:
-					e.leases.sweep(time.Now()) //snvet:wallclock expired-lease sweep
-				}
+	// The pool serializes the callback, so it owns logs, recs and
+	// storeErr without locking.
+	_, runErr := runner.RunAllStreamCtx(poolCtx, todo, shards, func(k int, res runner.RunResult) {
+		if storeErr != nil {
+			return
+		}
+		i := pending[k]
+		shard := i % shards
+		if logs[shard] == nil {
+			logs[shard], storeErr = s.store.OpenShardLog(m.ID, shard, s.opts.CheckpointEvery)
+		}
+		if storeErr == nil {
+			storeErr = logs[shard].Append(Record{Index: i, Result: res})
+		}
+		if storeErr != nil {
+			cancel()
+			return
+		}
+		recs[i] = res
+		j.mu.Lock()
+		j.shardDone[shard]++
+		j.mu.Unlock()
+		s.noteRunDone()
+		j.hub.publish(completionEvent(runs[i], res, len(runs)))
+	})
+	// Flush the checkpoint logs before anything else: a meta that says
+	// StateDone must never outrun the records it summarizes.
+	var closeErr error
+	for _, log := range logs {
+		if log != nil {
+			if err := log.Close(); err != nil && closeErr == nil {
+				closeErr = err
 			}
-		}()
-		if !s.opts.WorkersOnly {
-			e.runLocal(execCtx, &wg)
 		}
 	}
-
-	finish := func() error {
-		cancel()
-		wg.Wait()
-		return e.close()
-	}
-	select {
-	case <-ctx.Done():
-		// Killed mid-campaign: close the logs and leave the job running
-		// on disk so the next daemon lifetime resumes from checkpoints.
-		finish()
-		return ctx.Err()
-	case <-e.failc:
-		finish()
-		return s.failJob(j, e.err())
-	case <-e.done:
-	}
-	// Flush the checkpoint logs before declaring the job done: a meta
-	// that says StateDone must never outrun the records it summarizes.
-	if err := finish(); err != nil {
-		return s.failJob(j, err)
+	switch {
+	case storeErr != nil:
+		return s.failJob(j, storeErr)
+	case runErr != nil:
+		// Killed mid-campaign: the job stays running on disk so the
+		// next daemon lifetime resumes from the checkpoints.
+		return runErr
+	case closeErr != nil:
+		return s.failJob(j, closeErr)
 	}
 
-	res, err := e.results()
-	if err != nil {
-		return s.failJob(j, err)
+	res := make([]runner.RunResult, len(runs))
+	for i := range res {
+		res[i] = recs[i]
 	}
 	rep := campaign.Reduce(cc, runs, res)
 	m.State = StateDone

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -43,35 +44,53 @@ func testCampaign() *campaign.Campaign {
 
 // daemon is one in-process snserved lifetime over a shared store dir.
 type daemon struct {
-	s      *Server
-	ts     *httptest.Server
-	cl     *Client
-	cancel context.CancelFunc
-	done   chan struct{}
+	s  *Server
+	ts *httptest.Server
+	cl *Client
+	// stopRun cancels the scheduler and waits for it to checkpoint its
+	// abandonment; nil while the scheduler is not running.
+	stopRun func()
 }
 
+// startDaemon opens a daemon lifetime on dir with the given pool width
+// and starts its scheduler.
 func startDaemon(t *testing.T, dir string, workers int) *daemon {
 	t.Helper()
-	s, err := New(Options{StoreDir: dir, Workers: workers, CheckpointEvery: 1})
+	d := newDaemon(t, Options{StoreDir: dir, Workers: workers, CheckpointEvery: 1})
+	d.start()
+	return d
+}
+
+// newDaemon opens a daemon and serves its HTTP API without starting the
+// scheduler: accepted jobs stay queued until start.
+func newDaemon(t *testing.T, opts Options) *daemon {
+	t.Helper()
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); s.Run(ctx) }()
 	ts := httptest.NewServer(s.Handler())
 	cl := NewClient(ts.URL)
 	cl.HTTPClient = ts.Client()
-	d := &daemon{s: s, ts: ts, cl: cl, cancel: cancel, done: done}
+	d := &daemon{s: s, ts: ts, cl: cl}
 	t.Cleanup(d.stop)
 	return d
 }
 
-// stop kills the daemon (idempotent): cancel the scheduler, wait for
-// it to checkpoint its abandonment, close the HTTP front end.
+func (d *daemon) start() {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); d.s.Run(ctx) }()
+	d.stopRun = func() { cancel(); <-done }
+}
+
+// stop kills the daemon (idempotent): stop the scheduler, then close
+// the HTTP front end.
 func (d *daemon) stop() {
-	d.cancel()
-	<-d.done
+	if d.stopRun != nil {
+		d.stopRun()
+		d.stopRun = nil
+	}
 	d.ts.Close()
 }
 
@@ -97,6 +116,46 @@ func encodeCampaign(t *testing.T, c *campaign.Campaign) []byte {
 		t.Fatal(err)
 	}
 	return doc
+}
+
+// assertOneRecordPerIndex is the no-duplicated-work invariant: every
+// expansion index checkpointed exactly once, across all shard logs and
+// daemon lifetimes, on lines that all parse (a torn tail that was
+// appended over would not).
+func assertOneRecordPerIndex(t *testing.T, dir, id string, total int) {
+	t.Helper()
+	perIndex := map[int]int{}
+	ents, err := os.ReadDir(filepath.Join(dir, "jobs", id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !strings.HasPrefix(e.Name(), "shard-") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "jobs", id, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var r Record
+			if err := json.Unmarshal(line, &r); err != nil {
+				t.Fatalf("%s: unparseable record line %q: %v", e.Name(), line, err)
+			}
+			perIndex[r.Index]++
+		}
+	}
+	if len(perIndex) != total {
+		t.Fatalf("records cover %d/%d indices", len(perIndex), total)
+	}
+	for i, n := range perIndex {
+		if n != 1 {
+			t.Fatalf("run %d checkpointed %d times; work was duplicated", i, n)
+		}
+	}
 }
 
 // TestKillRestartResumeByteIdentical is the acceptance property:
@@ -174,38 +233,7 @@ func TestKillRestartResumeByteIdentical(t *testing.T) {
 
 	// No checkpointed run was re-executed: every expansion index has
 	// exactly one record line across all shard logs.
-	perIndex := map[int]int{}
-	ents, err := os.ReadDir(filepath.Join(dir, "jobs", st.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if !strings.HasPrefix(e.Name(), "shard-") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "jobs", st.ID, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-			if len(line) == 0 {
-				continue
-			}
-			var r Record
-			if err := json.Unmarshal(line, &r); err != nil {
-				t.Fatalf("%s: bad record %q: %v", e.Name(), line, err)
-			}
-			perIndex[r.Index]++
-		}
-	}
-	if len(perIndex) != 8 {
-		t.Fatalf("records cover %d/8 indices", len(perIndex))
-	}
-	for i, n := range perIndex {
-		if n != 1 {
-			t.Fatalf("run %d checkpointed %d times; resumption re-ran completed work", i, n)
-		}
-	}
+	assertOneRecordPerIndex(t, dir, st.ID, 8)
 	t.Logf("killed at %d/8 checkpointed runs, resumed the remaining %d", checkpointed, 8-checkpointed)
 
 	for _, format := range []string{"", "text", "json", "csv"} {
@@ -243,6 +271,132 @@ func TestKillRestartResumeByteIdentical(t *testing.T) {
 		if e.Seq != i || e.Index != i || e.Done != i+1 {
 			t.Fatalf("replay event %d out of order: %+v (replay after restart is expansion-index order)", i, e)
 		}
+	}
+}
+
+// seededCampaign is testCampaign with its seeds staggered by i, so
+// campaigns built from different i report different numbers.
+func seededCampaign(i int) *campaign.Campaign {
+	c := testCampaign()
+	c.Name = fmt.Sprintf("seeded-%d", i)
+	c.Seeds = &campaign.SeedRange{Start: uint64(1 + 10*i), Count: 2}
+	return c
+}
+
+// TestWorkerFleetDrainsQueuedCampaigns: campaigns queued before the
+// scheduler starts drain one after another through the daemon's worker
+// pool, each report byte-identical to an uninterrupted local run.
+func TestWorkerFleetDrainsQueuedCampaigns(t *testing.T) {
+	dir := t.TempDir()
+	d := newDaemon(t, Options{StoreDir: dir, Workers: 2, CheckpointEvery: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	// Queue every job before the scheduler runs: the daemon drains a
+	// backlog, not a trickle.
+	ids := make([]string, 3)
+	for i := range ids {
+		st, err := d.cl.Submit(ctx, encodeCampaign(t, seededCampaign(i)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	d.start()
+
+	for i, id := range ids {
+		fin, err := d.cl.Wait(ctx, id, 10*time.Millisecond)
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+		if fin.State != StateDone || fin.Done != 8 {
+			t.Fatalf("campaign %d final status = %+v", i, fin)
+		}
+		served, err := d.cl.Report(ctx, id, "json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := localReport(t, seededCampaign(i), "json"); !bytes.Equal(served, want) {
+			t.Fatalf("campaign %d report differs from the local run:\n--- served ---\n%s\n--- local ---\n%s",
+				i, served, want)
+		}
+		assertOneRecordPerIndex(t, dir, id, 8)
+	}
+}
+
+// TestTornTailWorkerResume: a shard log ending in the half-written line
+// a kill -9 leaves behind is repaired on resume — the torn tail is
+// trimmed, the intact records are not re-executed, and the resumed
+// pool's appends land on fresh lines, so the final report is
+// byte-identical and every index has exactly one parseable record.
+func TestTornTailWorkerResume(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCampaign()
+	m, err := store.Create(encodeCampaign(t, c), Meta{Name: c.Name, Runs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Pre-seed shard 0 (of 2: indices 0, 2, 4, 6) with the real results
+	// of its first two runs, then tear the log mid-append.
+	runs, err := c.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcs := campaign.RunConfigs(runs, nil)
+	log, err := store.OpenShardLog(m.ID, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		res, err := runner.RunCtx(context.Background(), rcs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(Record{Index: i, Result: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "jobs", m.ID, "shard-0000.log")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"index":4,"result":{"IPC":1.`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// A fresh daemon recovers the queued job and executes only what was
+	// never checkpointed.
+	d := startDaemon(t, dir, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	fin, err := d.cl.Wait(ctx, m.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != StateDone || fin.Done != 8 {
+		t.Fatalf("final status = %+v", fin)
+	}
+
+	// One parseable record per index: the torn fragment is gone (an
+	// untrimmed tail would have merged with the first resumed append and
+	// failed to parse) and indices 0 and 2 were not re-executed.
+	assertOneRecordPerIndex(t, dir, m.ID, 8)
+	served, err := d.cl.Report(ctx, m.ID, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localReport(t, c, "text"); !bytes.Equal(served, want) {
+		t.Fatalf("report differs after torn-tail resume:\n--- served ---\n%s\n--- local ---\n%s", served, want)
 	}
 }
 
@@ -367,6 +521,69 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestShardLogTornTailTrimmedOnReopen exercises the repair directly: a
+// reopened log with a torn tail truncates it, and subsequent appends
+// parse cleanly alongside the intact prefix.
+func TestShardLogTornTailTrimmedOnReopen(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := store.Create(encodeCampaign(t, testCampaign()), Meta{Name: "torn", Runs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := store.OpenShardLog(m.ID, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(Record{Index: 0, Result: runner.RunResult{IPC: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "jobs", m.ID, "shard-0000.log")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"index":1,"result":`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	log, err = store.OpenShardLog(m.ID, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(Record{Index: 1, Result: runner.RunResult{IPC: 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := store.LoadRecords(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].IPC != 0.5 || recs[1].IPC != 1.5 {
+		t.Fatalf("records after torn-tail repair = %+v, want indices 0 and 1 intact", recs)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("line %q unparseable: the torn tail was not trimmed", line)
+		}
+	}
+}
+
 // TestAPIValidation: the HTTP surface rejects what it must — malformed
 // campaigns, unknown jobs, premature report fetches, bad formats — and
 // healthz/metrics answer.
@@ -420,34 +637,88 @@ func TestAPIValidation(t *testing.T) {
 	}
 }
 
-// TestReportRejectsBadFormatWhileRunning: the report endpoint checks
-// the format before the job's state, so an unknown format answers 400
-// even while the job runs. A workers-only daemon with no worker keeps
-// the job running.
-func TestReportRejectsBadFormatWhileRunning(t *testing.T) {
-	d := startDaemonWith(t, Options{StoreDir: t.TempDir(), Workers: 1, CheckpointEvery: 1, WorkersOnly: true})
+// TestReportRejectsBadFormatBeforeDone: the report endpoint checks the
+// format before the job's state, so an unknown format answers 400 even
+// for an unfinished job. A daemon whose scheduler never starts keeps
+// the job queued.
+func TestReportRejectsBadFormatBeforeDone(t *testing.T) {
+	d := newDaemon(t, Options{StoreDir: t.TempDir()})
 	ctx := context.Background()
 	st, err := d.cl.Submit(ctx, encodeCampaign(t, testCampaign()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(time.Minute)
-	for st.State != StateRunning {
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started running: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-		if st, err = d.cl.Status(ctx, st.ID); err != nil {
-			t.Fatal(err)
-		}
+	if st.State != StateQueued {
+		t.Fatalf("submit status = %+v, want queued", st)
 	}
 	var api *APIError
 	if _, err := d.cl.Report(ctx, st.ID, "yaml"); !errors.As(err, &api) || api.Status != http.StatusBadRequest ||
 		!strings.Contains(err.Error(), report.Check("yaml").Error()) {
-		t.Fatalf("bad format on a running job: err = %v, want HTTP 400 with the shared message", err)
+		t.Fatalf("bad format on a queued job: err = %v, want HTTP 400 with the shared message", err)
 	}
 	if _, err := d.cl.Report(ctx, st.ID, "text"); !errors.As(err, &api) || api.Status != http.StatusConflict {
-		t.Fatalf("good format on a running job: err = %v, want HTTP 409", err)
+		t.Fatalf("good format on a queued job: err = %v, want HTTP 409", err)
+	}
+}
+
+// TestConcurrentSubmitsBoundedAndDistinct: submissions racing each
+// other into a full queue get exactly MaxQueue acceptances, each under
+// its own job ID with its own campaign on disk, and 503 for the rest.
+func TestConcurrentSubmitsBoundedAndDistinct(t *testing.T) {
+	const submits, maxQueue = 8, 3
+	dir := t.TempDir()
+	d := newDaemon(t, Options{StoreDir: dir, MaxQueue: maxQueue})
+	docs := make([][]byte, submits)
+	for i := range docs {
+		docs[i] = encodeCampaign(t, seededCampaign(i))
+	}
+	ids := make([]string, submits)
+	errs := make([]error, submits)
+	var ready, wg sync.WaitGroup
+	ready.Add(submits)
+	release := make(chan struct{})
+	for i := range docs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ready.Done()
+			<-release
+			st, err := d.cl.Submit(context.Background(), docs[i], 0)
+			ids[i], errs[i] = st.ID, err
+		}(i)
+	}
+	ready.Wait()
+	close(release)
+	wg.Wait()
+
+	accepted, full := 0, 0
+	seen := map[string]int{}
+	for i, err := range errs {
+		var api *APIError
+		switch {
+		case err == nil:
+			accepted++
+			if j, dup := seen[ids[i]]; dup {
+				t.Fatalf("submissions %d and %d were both given job %s", j, i, ids[i])
+			}
+			seen[ids[i]] = i
+		case errors.As(err, &api) && api.Status == http.StatusServiceUnavailable:
+			full++
+		default:
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	if accepted != maxQueue || full != submits-maxQueue {
+		t.Fatalf("%d accepted and %d refused as full, want %d and %d", accepted, full, maxQueue, submits-maxQueue)
+	}
+	for id, i := range seen {
+		got, err := os.ReadFile(filepath.Join(dir, "jobs", id, "campaign.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, docs[i]) {
+			t.Fatalf("job %s holds another submission's campaign", id)
+		}
 	}
 }
 
@@ -481,5 +752,65 @@ func TestScaledSubmitMatchesLocalShort(t *testing.T) {
 	}
 	if !bytes.Equal(served, want) {
 		t.Fatalf("scaled served report differs from local -short:\n--- served ---\n%s\n--- local ---\n%s", served, want)
+	}
+}
+
+// TestRetryTransient: 5xx and transport failures retry under the
+// policy's backoff; 4xx rejections fail immediately.
+func TestRetryTransient(t *testing.T) {
+	var mu sync.Mutex
+	attempts := 0
+	fail := 2
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		attempts++
+		n := attempts
+		mu.Unlock()
+		if n <= fail {
+			httpError(w, http.StatusServiceUnavailable, "still warming up")
+			return
+		}
+		writeJSON(w, http.StatusOK, JobStatus{ID: "c000001", State: StateDone, Runs: 8, Done: 8})
+	}))
+	defer ts.Close()
+
+	cl := NewClient(ts.URL)
+	cl.Retry = &RetryPolicy{Attempts: 5, Base: time.Millisecond, Max: 4 * time.Millisecond}
+	st, err := cl.Status(context.Background(), "c000001")
+	if err != nil {
+		t.Fatalf("status after transient 503s: %v", err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("status = %+v", st)
+	}
+	mu.Lock()
+	if attempts != 3 {
+		t.Fatalf("server saw %d attempts, want 3 (two 503s then success)", attempts)
+	}
+	// A 4xx is not transient: exactly one more request, immediate error.
+	attempts, fail = 0, 0
+	mu.Unlock()
+	ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		attempts++
+		mu.Unlock()
+		httpError(w, http.StatusBadRequest, "no such thing")
+	})
+	var api *APIError
+	if _, err := cl.Status(context.Background(), "c000001"); !errors.As(err, &api) || api.Status != http.StatusBadRequest {
+		t.Fatalf("4xx err = %v, want APIError 400", err)
+	}
+	mu.Lock()
+	if attempts != 1 {
+		t.Fatalf("server saw %d attempts for a 400, want 1 (no retry)", attempts)
+	}
+	mu.Unlock()
+
+	// Transient classification itself.
+	if Transient(nil) || Transient(context.Canceled) || Transient(&APIError{Status: 404}) {
+		t.Fatal("nil/canceled/4xx misclassified as transient")
+	}
+	if !Transient(&APIError{Status: 503}) || !Transient(fmt.Errorf("dial tcp: connection refused")) {
+		t.Fatal("5xx/transport errors misclassified as permanent")
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,8 +20,9 @@ import (
 type Options struct {
 	// StoreDir is the persistent job-store directory.
 	StoreDir string
-	// Workers is the shard count per executing job (0 = one per CPU,
-	// the shared runner.Workers sanitization).
+	// Workers is both the worker-pool width and the shard count of
+	// each executing job (0 = one per CPU, the shared runner.Workers
+	// sanitization).
 	Workers int
 	// CheckpointEvery is the number of completed runs between
 	// checkpoint syncs of each shard log; <1 means every completion.
@@ -30,26 +30,10 @@ type Options struct {
 	// MaxQueue bounds jobs waiting to execute; submissions past it get
 	// 503. <1 defaults to 64.
 	MaxQueue int
-	// LeaseTTL is a shard lease's time-to-live: a worker (remote or the
-	// in-process executor) that neither heartbeats nor commits within
-	// it loses the shard, which is re-leased at the next fencing token.
-	// <=0 defaults to 15s.
-	LeaseTTL time.Duration
-	// WorkersOnly disables in-process execution: shards are handed out
-	// exclusively to pulling snworker processes. Off by default — with
-	// zero live workers the daemon executes locally, so snserved alone
-	// still works.
-	WorkersOnly bool
 	// Logf, when non-nil, receives one line per daemon event
 	// (submissions, resumptions, completions).
 	Logf func(format string, args ...any)
 }
-
-// defaultLeaseTTL is the lease time-to-live when Options leaves it
-// unset: long enough that heartbeats (sent every TTL/3) survive rough
-// scheduling, short enough that a kill -9'd worker's shard re-leases
-// quickly.
-const defaultLeaseTTL = 15 * time.Second
 
 // rateWindow is the trailing window the runs-per-second gauge averages
 // over.
@@ -59,11 +43,16 @@ const rateWindow = 10 * time.Second
 const maxSubmitBytes = 16 << 20
 
 // Server is the campaign-serving daemon: a persistent job store, a
-// single-job-at-a-time scheduler whose runs fan out across shard
-// workers, and the HTTP/JSON API in front of them.
+// single-job-at-a-time scheduler whose runs fan out across the
+// in-process worker pool, and the HTTP/JSON API in front of them.
 type Server struct {
 	opts  Options
 	store *Store
+
+	// submitMu serializes submissions from the queue-depth check
+	// through the store write to the enqueue, so MaxQueue bounds the
+	// queue and no two submissions share a job ID.
+	submitMu sync.Mutex
 
 	mu   sync.Mutex
 	jobs map[string]*Job
@@ -73,16 +62,6 @@ type Server struct {
 	wake  chan struct{}
 	// executing is the ID of the currently running job ("" when idle).
 	executing string
-	// exec is the executing job's shard session — the lease table and
-	// commit path the worker endpoints operate on (nil when idle).
-	exec *shardExec
-
-	// workerSeen timestamps each remote worker's last contact; a worker
-	// is "live" within one lease TTL of it. leaseMet accumulates lease
-	// events across jobs for /metrics.
-	workerMu   sync.Mutex
-	workerSeen map[string]time.Time
-	leaseMet   leaseMetrics
 
 	// runsDone counts completions this lifetime; doneTimes is the ring
 	// of recent completion instants behind the runs-per-second gauge.
@@ -105,12 +84,11 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opts:       opts,
-		store:      store,
-		jobs:       map[string]*Job{},
-		wake:       make(chan struct{}, 1),
-		schedDone:  make(chan struct{}),
-		workerSeen: map[string]time.Time{},
+		opts:      opts,
+		store:     store,
+		jobs:      map[string]*Job{},
+		wake:      make(chan struct{}, 1),
+		schedDone: make(chan struct{}),
 	}
 	metas, err := store.List()
 	if err != nil {
@@ -131,74 +109,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
 	}
-}
-
-// leaseTTL returns the sanitized shard-lease time-to-live.
-func (s *Server) leaseTTL() time.Duration {
-	if s.opts.LeaseTTL > 0 {
-		return s.opts.LeaseTTL
-	}
-	return defaultLeaseTTL
-}
-
-// sweepInterval is how often the executor reaps missed-heartbeat
-// leases: a quarter TTL bounds re-lease latency well under the TTL
-// itself without busy-polling.
-func (s *Server) sweepInterval() time.Duration {
-	iv := s.leaseTTL() / 4
-	if iv < 10*time.Millisecond {
-		iv = 10 * time.Millisecond
-	}
-	return iv
-}
-
-func (s *Server) setExec(e *shardExec) {
-	s.mu.Lock()
-	s.exec = e
-	s.mu.Unlock()
-}
-
-// clearExec detaches the session when its job stops executing; the
-// pointer comparison keeps a stale defer from clobbering a successor.
-func (s *Server) clearExec(e *shardExec) {
-	s.mu.Lock()
-	if s.exec == e {
-		s.exec = nil
-	}
-	s.mu.Unlock()
-}
-
-func (s *Server) currentExec() *shardExec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.exec
-}
-
-// noteWorker marks one remote worker as recently alive; every
-// /workers/{id}/* request counts as contact.
-func (s *Server) noteWorker(id string) {
-	s.workerMu.Lock()
-	s.workerSeen[id] = time.Now() //snvet:wallclock worker liveness stamp
-	s.workerMu.Unlock()
-}
-
-// liveWorkers counts remote workers heard from within one lease TTL.
-// The in-process executor defers to them: local shard slots lease only
-// while this is zero, so a live worker fleet owns the campaign and a
-// vanished one is picked up after a TTL.
-func (s *Server) liveWorkers(now time.Time) int {
-	window := s.leaseTTL()
-	s.workerMu.Lock()
-	defer s.workerMu.Unlock()
-	n := 0
-	for id, t := range s.workerSeen {
-		if now.Sub(t) <= window {
-			n++
-		} else {
-			delete(s.workerSeen, id)
-		}
-	}
-	return n
 }
 
 // noteRunDone feeds the throughput gauge.
@@ -232,7 +142,7 @@ func (s *Server) runsPerSecond() float64 {
 }
 
 // schedule is the daemon's job loop: one job executes at a time (its
-// runs fan out across the shard workers), in submission order. It
+// runs fan out across the worker pool), in submission order. It
 // returns when ctx ends; an in-flight job is left running on disk for
 // the next lifetime to resume.
 func (s *Server) schedule(ctx context.Context) {
@@ -383,11 +293,8 @@ func (s *Server) status(j *Job) JobStatus {
 //	GET  /campaigns/{id}                 job status
 //	GET  /campaigns/{id}/report?format=  report: text (default), json, csv
 //	GET  /campaigns/{id}/events          SSE completion stream (?from=N replays)
-//	POST /workers/{id}/lease             claim a shard lease (204 = no work)
-//	POST /workers/{id}/records           stream run records (idempotent by index)
-//	POST /workers/{id}/heartbeat         extend a lease before its TTL lapses
 //	GET  /healthz                        liveness
-//	GET  /metrics                        queue depth, throughput, shards, leases
+//	GET  /metrics                        queue depth, throughput, shards
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", s.handleSubmit)
@@ -395,9 +302,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /campaigns/{id}", s.handleStatus)
 	mux.HandleFunc("GET /campaigns/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /campaigns/{id}/events", s.handleEvents)
-	mux.HandleFunc("POST /workers/{id}/lease", s.handleWorkerLease)
-	mux.HandleFunc("POST /workers/{id}/records", s.handleWorkerRecords)
-	mux.HandleFunc("POST /workers/{id}/heartbeat", s.handleWorkerHeartbeat)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, "ok\n")
@@ -439,18 +343,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mu.Lock()
-	depth := len(s.queue)
-	s.mu.Unlock()
-	if depth >= s.opts.MaxQueue {
-		httpError(w, http.StatusServiceUnavailable, "queue full (%d jobs waiting)", depth)
-		return
-	}
 	// Persist the canonical re-encoding, not the submitted bytes: what
 	// the store holds is exactly what Parse round-trips.
 	canon, err := c.Encode()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding campaign: %v", err)
+		return
+	}
+	s.submitMu.Lock()
+	s.mu.Lock()
+	depth := len(s.queue)
+	s.mu.Unlock()
+	if depth >= s.opts.MaxQueue {
+		s.submitMu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "queue full (%d jobs waiting)", depth)
 		return
 	}
 	m, err := s.store.Create(canon, Meta{
@@ -460,6 +366,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		SubmittedUnix: time.Now().Unix(), //snvet:wallclock job submission timestamp
 	})
 	if err != nil {
+		s.submitMu.Unlock()
 		httpError(w, http.StatusInternalServerError, "persisting job: %v", err)
 		return
 	}
@@ -468,6 +375,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[m.ID] = j
 	s.queue = append(s.queue, m.ID)
 	s.mu.Unlock()
+	s.submitMu.Unlock()
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -601,124 +509,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Worker-pull protocol
-// ---------------------------------------------------------------------
-
-// leaseError maps a lease-validation failure onto the protocol's
-// status codes: 410 Gone for an expired lease (re-lease to continue),
-// 409 Conflict for a fenced token or completed shard, 400 for a record
-// the shard does not own.
-func leaseError(w http.ResponseWriter, err error) {
-	var bad errBadIndex
-	switch {
-	case errors.Is(err, errLeaseExpired):
-		httpError(w, http.StatusGone, "%v", err)
-	case errors.Is(err, errStaleToken), errors.Is(err, errShardDone), errors.Is(err, errShardAvail):
-		httpError(w, http.StatusConflict, "%v", err)
-	case errors.As(err, &bad):
-		httpError(w, http.StatusBadRequest, "%v", err)
-	default:
-		httpError(w, http.StatusConflict, "%v", err)
-	}
-}
-
-// handleWorkerLease hands the calling worker a shard lease of the
-// executing job: 200 with a LeaseGrant, or 204 when there is nothing
-// to lease (no executing job, or every pending shard already held).
-func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if id == "" {
-		httpError(w, http.StatusBadRequest, "empty worker id")
-		return
-	}
-	s.noteWorker(id)
-	e := s.currentExec()
-	if e == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	g, _, ok := e.acquire(id, time.Now(), context.Background()) //snvet:wallclock lease acquisition stamp
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	s.logf("job %s: shard %d leased to worker %s (token %d, %d pending)",
-		g.Job, g.Shard, id, g.Token, len(g.Pending))
-	writeJSON(w, http.StatusOK, g)
-}
-
-// decodeWorkerBody reads one worker-protocol request body.
-func decodeWorkerBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid body: %v", err)
-		return false
-	}
-	return true
-}
-
-// workerExec resolves the executing session a worker request names,
-// rejecting jobs that are not (or no longer) executing.
-func (s *Server) workerExec(w http.ResponseWriter, job string) *shardExec {
-	e := s.currentExec()
-	if e == nil || e.jobID != job {
-		httpError(w, http.StatusConflict, "job %q is not executing", job)
-		return nil
-	}
-	return e
-}
-
-// handleWorkerRecords commits a pushed record batch through the fenced
-// checkpoint path. The response's accepted count excludes replayed
-// records, so a retried push that was already applied succeeds with 0.
-func (s *Server) handleWorkerRecords(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.noteWorker(id)
-	var p RecordsPush
-	if !decodeWorkerBody(w, r, &p) {
-		return
-	}
-	e := s.workerExec(w, p.Job)
-	if e == nil {
-		return
-	}
-	accepted, err := e.commit(p.Shard, p.Token, p.Records, p.Done)
-	if err != nil {
-		s.logf("job %s: shard %d: rejected %d record(s) from worker %s: %v",
-			p.Job, p.Shard, len(p.Records), id, err)
-		leaseError(w, err)
-		return
-	}
-	if p.Done {
-		s.logf("job %s: shard %d completed by worker %s", p.Job, p.Shard, id)
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted})
-}
-
-// handleWorkerHeartbeat extends a live lease; expired or re-leased
-// shards are refused so the worker knows to stop and re-lease.
-func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
-	s.noteWorker(r.PathValue("id"))
-	var h Heartbeat
-	if !decodeWorkerBody(w, r, &h) {
-		return
-	}
-	e := s.workerExec(w, h.Job)
-	if e == nil {
-		return
-	}
-	if err := e.leases.validate(h.Shard, h.Token, time.Now()); err != nil { //snvet:wallclock lease TTL check
-		leaseError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	depth := len(s.queue)
@@ -751,29 +541,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP snserved_runs_per_second Completions averaged over the trailing %s.\n", rateWindow)
 	fmt.Fprintf(w, "# TYPE snserved_runs_per_second gauge\n")
 	fmt.Fprintf(w, "snserved_runs_per_second %g\n", s.runsPerSecond())
-	now := time.Now() //snvet:wallclock worker liveness window for /metrics
-	held := 0
-	if e := s.currentExec(); e != nil {
-		held = e.leases.held(now)
-	}
-	fmt.Fprintf(w, "# HELP snserved_workers_live Remote workers heard from within one lease TTL.\n")
-	fmt.Fprintf(w, "# TYPE snserved_workers_live gauge\n")
-	fmt.Fprintf(w, "snserved_workers_live %d\n", s.liveWorkers(now))
-	fmt.Fprintf(w, "# HELP snserved_leases_held Shard leases currently live (unexpired).\n")
-	fmt.Fprintf(w, "# TYPE snserved_leases_held gauge\n")
-	fmt.Fprintf(w, "snserved_leases_held %d\n", held)
-	fmt.Fprintf(w, "# HELP snserved_leases_granted_total Shard leases handed out this daemon lifetime.\n")
-	fmt.Fprintf(w, "# TYPE snserved_leases_granted_total counter\n")
-	fmt.Fprintf(w, "snserved_leases_granted_total %d\n", s.leaseMet.granted.Load())
-	fmt.Fprintf(w, "# HELP snserved_leases_expired_total Leases lost to missed heartbeats.\n")
-	fmt.Fprintf(w, "# TYPE snserved_leases_expired_total counter\n")
-	fmt.Fprintf(w, "snserved_leases_expired_total %d\n", s.leaseMet.expired.Load())
-	fmt.Fprintf(w, "# HELP snserved_leases_fenced_total Stale or expired writes and heartbeats rejected by fencing token.\n")
-	fmt.Fprintf(w, "# TYPE snserved_leases_fenced_total counter\n")
-	fmt.Fprintf(w, "snserved_leases_fenced_total %d\n", s.leaseMet.fenced.Load())
-	fmt.Fprintf(w, "# HELP snserved_releases_total Shards re-leased after a previous holder lost or finished short of completing them.\n")
-	fmt.Fprintf(w, "# TYPE snserved_releases_total counter\n")
-	fmt.Fprintf(w, "snserved_releases_total %d\n", s.leaseMet.releases.Load())
 	if running != nil {
 		id := running.Meta().ID
 		done, total := running.ShardProgress()

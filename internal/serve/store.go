@@ -2,10 +2,9 @@
 // an HTTP/JSON API over a persistent, resumable job queue. A submitted
 // campaign becomes a write-ahead directory — the canonical campaign
 // JSON, a small job-state file, and per-shard completion checkpoints in
-// append-only JSONL — so a killed-and-restarted daemon (or a crashed
-// worker process) resumes from the last checkpoint and still produces
-// the byte-identical expansion-order report the local sncampaign pool
-// would. The persistence reuses the strict canonical-encode discipline
+// append-only JSONL — so a killed-and-restarted daemon resumes from the
+// last checkpoint and still produces the byte-identical expansion-order
+// report the local sncampaign pool would. The persistence reuses the strict canonical-encode discipline
 // of internal/scenario and internal/campaign: what is on disk is what
 // Parse accepts, and the report is a pure function of the campaign plus
 // the recorded results.
@@ -122,6 +121,7 @@ func (s *Store) List() ([]Meta, error) {
 
 // nextID allocates the next sequential job ID (c000001, c000002, ...)
 // by scanning the store, so IDs stay unique across daemon restarts.
+// Callers serialize Create; two concurrent scans would pick one ID.
 func (s *Store) nextID() (string, error) {
 	ents, err := os.ReadDir(filepath.Join(s.root, "jobs"))
 	if err != nil {
@@ -139,7 +139,8 @@ func (s *Store) nextID() (string, error) {
 
 // Create persists a newly submitted job write-ahead: the canonical
 // campaign bytes first (synced), then the meta. The returned meta
-// carries the allocated ID and StateQueued.
+// carries the allocated ID and StateQueued. The job directory must not
+// exist yet, so an ID collision fails instead of overwriting a job.
 func (s *Store) Create(campaignJSON []byte, m Meta) (Meta, error) {
 	id, err := s.nextID()
 	if err != nil {
@@ -148,7 +149,7 @@ func (s *Store) Create(campaignJSON []byte, m Meta) (Meta, error) {
 	m.ID = id
 	m.State = StateQueued
 	dir := s.jobDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		return Meta{}, err
 	}
 	if err := writeFileSync(filepath.Join(dir, "campaign.json"), campaignJSON); err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // ServeOptions sizes the campaign-serving daemon: store directory,
-// shard workers per job, checkpoint cadence, and queue bound (see
-// cmd/snserved for the CLI front end).
+// worker-pool width (also the shard-log count per job), checkpoint
+// cadence, and queue bound (see cmd/snserved for the CLI front end).
 type ServeOptions = serve.Options
 
 // ServeJobStatus is one served campaign's status document: state
@@ -34,9 +34,8 @@ const (
 
 // ServeClient talks to a running snserved daemon: Submit, Status,
 // Report (bytes identical to a local sncampaign run), Events (SSE with
-// replay), Wait, and the worker-pull protocol (Lease, PushRecords,
-// Heartbeat). Setting Retry makes transient failures back off and
-// retry.
+// replay), Wait and Healthy. Setting Retry makes transient failures
+// back off and retry.
 type ServeClient = serve.Client
 
 // NewServeClient builds a client for the daemon at baseURL (e.g.
@@ -48,21 +47,6 @@ func NewServeClient(baseURL string) *ServeClient { return serve.NewClient(baseUR
 // default policy. Install it on a ServeClient's Retry field, or use it
 // with serve-side tooling directly.
 type ServeRetryPolicy = serve.RetryPolicy
-
-// ServeWorker is a distributed pull worker for the snserved daemon: it
-// leases shards of the executing campaign, runs them with the same
-// deterministic machinery a local pool uses, streams records back, and
-// heartbeats its leases (see cmd/snworker for the CLI front end). A
-// worker that dies or partitions away loses its lease after one TTL;
-// the shard is re-leased at a higher fencing token and the dead
-// worker's late writes are rejected, so the final report is
-// byte-identical no matter how many workers lived or died.
-type ServeWorker = serve.Worker
-
-// NewWorker builds a ServeWorker pulling from the daemon at baseURL
-// under the given unique worker id, with the default transient-retry
-// policy installed.
-func NewWorker(baseURL, id string) *ServeWorker { return serve.NewWorker(baseURL, id) }
 
 // Serve runs the campaign-serving daemon on addr until ctx ends: an
 // HTTP/JSON API (submit campaigns, stream per-run completions over
