@@ -160,6 +160,9 @@ type Backend interface {
 	// CheckCoherence verifies the protocol invariants at quiescence and
 	// returns the violations (empty means coherent).
 	CheckCoherence() []string
+	// L2 returns the L2 array of the given node, for invariant checks;
+	// callers must not change it.
+	L2(node int) *cache.Array
 	// CrashInfo reports whether the system crashed and why (always false
 	// for protected systems).
 	CrashInfo() (crashed bool, cause string)

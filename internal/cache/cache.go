@@ -13,6 +13,18 @@
 // (speedup_vs_ref 0.93-0.96 on perfbench's oltp-steady), because the
 // indirection it adds to every access costs more than the smaller
 // footprint saves. Frames therefore stay eager.
+//
+// A line's CN is written only here, by Install and SetCN, and each write
+// that gives a valid line a non-null CN appends (address, CN) to the
+// array's CN journal. Validation prunes the entries at or below the new
+// recovery point (Validate); a recovery, after the CLB unroll, visits the
+// entries above it and invalidates each line whose CN is still above it,
+// then empties the journal (DiscardAbove). That is exactly the set of
+// lines a scan of every frame would invalidate: the recovery point never
+// decreases, so a line whose CN is above rpcn took that CN while the
+// recovery point was at most rpcn, and its entry survived every prune
+// since. A recovery therefore costs the lines written since the recovery
+// point, not the size of the array.
 package cache
 
 import (
@@ -62,12 +74,23 @@ func (s State) IsOwner() bool { return s == Owned || s == Modified }
 type Line struct {
 	Addr  uint64
 	State State
-	// CN is the SafetyNet checkpoint number of the block: the checkpoint
-	// the block's current contents belong to. Null means the contents
-	// belong to the recovery point and all later checkpoints.
-	CN   msg.CN
+	// cn is the SafetyNet checkpoint number of the block (see CN). Only
+	// the Array writes it, so that every write is journaled.
+	cn   msg.CN
 	Data uint64
 	lru  uint64
+}
+
+// CN returns the SafetyNet checkpoint number of the block: the
+// checkpoint the block's current contents belong to. Null means the
+// contents belong to the recovery point and all later checkpoints.
+func (l *Line) CN() msg.CN { return l.cn }
+
+// cnNote is one CN-journal entry: the valid line holding addr took
+// checkpoint number cn.
+type cnNote struct {
+	addr uint64
+	cn   msg.CN
 }
 
 // Array is one set-associative cache level.
@@ -81,6 +104,9 @@ type Array struct {
 	setMask uint64
 	lines   []Line // sets*ways, row-major by set
 	tick    uint64
+	// journal lists, oldest first, each non-null CN a valid line took
+	// since the last recovery, less those Validate pruned.
+	journal []cnNote
 }
 
 // NewArray builds an array with the given geometry. blockBytes must be a
@@ -165,8 +191,57 @@ func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 func (a *Array) Install(l *Line, addr uint64, st State, cn msg.CN, data uint64) Line {
 	old := *l
 	a.tick++
-	*l = Line{Addr: addr, State: st, CN: cn, Data: data, lru: a.tick}
+	*l = Line{Addr: addr, State: st, cn: cn, Data: data, lru: a.tick}
+	if st != Invalid {
+		a.note(addr, cn)
+	}
 	return old
+}
+
+// SetCN changes the CN of the valid line l in place: a store, an
+// upgrade, or a recovery's restore of a resident block.
+func (a *Array) SetCN(l *Line, cn msg.CN) {
+	if cn != l.cn {
+		a.note(l.Addr, cn)
+		l.cn = cn
+	}
+}
+
+// note journals that the line holding addr took cn.
+//
+//snvet:alloc-free
+func (a *Array) note(addr uint64, cn msg.CN) {
+	if cn != msg.Null {
+		a.journal = append(a.journal, cnNote{addr: addr, cn: cn}) //snvet:alloc-ok amortized: the journal grows to its peak over the unvalidated intervals, then pruning and recovery keep its capacity
+	}
+}
+
+// Validate drops the journal entries at or below the new recovery point
+// rpcn: no recovery will discard those lines.
+func (a *Array) Validate(rpcn msg.CN) {
+	kept := a.journal[:0]
+	for _, e := range a.journal {
+		if e.cn > rpcn {
+			kept = append(kept, e)
+		}
+	}
+	a.journal = kept
+}
+
+// DiscardAbove invalidates every line whose CN is above rpcn — the lines
+// filled or written in unvalidated intervals that the CLB unroll did not
+// restore — and empties the journal. A recovery calls it after the
+// unroll, whose restores are journaled like any other CN write.
+func (a *Array) DiscardAbove(rpcn msg.CN) {
+	for _, e := range a.journal {
+		if e.cn <= rpcn {
+			continue
+		}
+		if l := a.Lookup(e.addr); l != nil && l.cn > rpcn {
+			l.State = Invalid
+		}
+	}
+	a.journal = a.journal[:0]
 }
 
 // Invalidate drops addr if present.

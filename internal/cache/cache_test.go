@@ -24,7 +24,7 @@ func TestInstallThenLookup(t *testing.T) {
 	}
 	a.Install(v, 0x1000, Modified, 3, 42)
 	l := a.Lookup(0x1000)
-	if l == nil || l.State != Modified || l.CN != 3 || l.Data != 42 {
+	if l == nil || l.State != Modified || l.CN() != 3 || l.Data != 42 {
 		t.Fatalf("lookup after install = %+v", l)
 	}
 }
@@ -239,7 +239,7 @@ func TestCNRoundTrip(t *testing.T) {
 		a := NewArray(2, 2, 64)
 		a.Install(a.Victim(0, nil), 0, Owned, msg.CN(cn), data)
 		l := a.Lookup(0)
-		return l != nil && l.CN == msg.CN(cn) && l.Data == data
+		return l != nil && l.CN() == msg.CN(cn) && l.Data == data
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

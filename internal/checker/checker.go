@@ -11,9 +11,12 @@ package checker
 import (
 	"fmt"
 
+	"safetynet/internal/backend"
+	"safetynet/internal/cache"
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
 	"safetynet/internal/machine"
+	"safetynet/internal/msg"
 	"safetynet/internal/sim"
 	"safetynet/internal/snoop"
 	"safetynet/internal/topology"
@@ -127,12 +130,37 @@ const (
 	backendSnoop     = "snoop"
 )
 
+// watchRecoveredCNs checks the post-recovery-cn invariant on b's nodes
+// at each recovery's completion, before any processor restarts: no
+// valid L2 line may carry a CN above the recovery point. Recovery finds
+// the lines to discard through each L2's CN journal; this scan of every
+// frame is the oracle the journal replaced.
+func (rep *Report) watchRecoveredCNs(b backend.Backend, nodes int, name string, seed uint64) {
+	b.Observe(&backend.Observer{RecoveryCompleted: func(cycle uint64, ckpt uint32, _ uint64) {
+		rpcn := msg.CN(ckpt)
+		for i := 0; i < nodes; i++ {
+			var bad []cache.Line
+			b.L2(i).ForEachValid(func(l *cache.Line) {
+				if l.CN() > rpcn {
+					bad = append(bad, *l)
+				}
+			})
+			if len(bad) != 0 {
+				rep.violate(name, seed, cycle, "post-recovery-cn",
+					"node %d keeps %d lines above recovery point %d, first block %#x at CN %d",
+					i, len(bad), rpcn, bad[0].Addr, bad[0].CN())
+			}
+		}
+	}})
+}
+
 func (rep *Report) run(o Options, seed uint64) {
 	p := stressConfig(o.Protected, seed)
 	if !o.Protected {
 		p.CheckpointClockSkewCycles = 0
 	}
 	m := machine.New(p, workload.Stress())
+	rep.watchRecoveredCNs(m, p.NumNodes, backendDirectory, seed)
 	r := sim.NewRand(seed * 77)
 
 	// Randomized fault plan (protected runs only), armed through the same
@@ -224,6 +252,7 @@ func (rep *Report) runSnoop(o Options, seed uint64) {
 	p := config.SmallSnoop()
 	p.Seed = seed
 	s := snoop.New(p, workload.Stress())
+	rep.watchRecoveredCNs(s, p.NumNodes, backendSnoop, seed)
 	r := sim.NewRand(seed * 131)
 
 	var plan fault.Plan

@@ -62,22 +62,29 @@ func (c *CLB) Log(ccn msg.CN, e Entry) (logged, refused bool) {
 // (dropped silently), then an owner with a CN above rpcn (this recovery
 // discards its contents anyway), then any frame; a validated owner
 // displaced that way is handed to flush first, with its address and data.
-func (c *CLB) UnrollCache(l2 *cache.Array, rpcn msg.CN, flush func(addr, data uint64)) int {
+// installed, when not nil, receives the address of each block the unroll
+// installs into a frame. Every restore goes through l2's CN writers, so
+// l2's journal names each restored line whose CN is above rpcn.
+func (c *CLB) UnrollCache(l2 *cache.Array, rpcn msg.CN, flush func(addr, data uint64), installed func(addr uint64)) int {
 	return c.Unroll(func(e Entry) {
 		if l := l2.Lookup(e.Addr); l != nil {
-			l.Data, l.CN, l.State = e.OldData, e.OldCN, e.OldState
+			l.Data, l.State = e.OldData, e.OldState
+			l2.SetCN(l, e.OldCN)
 			return
 		}
 		v := l2.Victim(e.Addr, func(l *cache.Line) bool { return !l.State.IsOwner() })
 		if v == nil {
-			v = l2.Victim(e.Addr, func(l *cache.Line) bool { return l.State.IsOwner() && l.CN > rpcn })
+			v = l2.Victim(e.Addr, func(l *cache.Line) bool { return l.State.IsOwner() && l.CN() > rpcn })
 		}
 		if v == nil {
 			v = l2.Victim(e.Addr, nil)
-			if v.State.IsOwner() && v.CN <= rpcn {
+			if v.State.IsOwner() && v.CN() <= rpcn {
 				flush(v.Addr, v.Data)
 			}
 		}
 		l2.Install(v, e.Addr, e.OldState, e.OldCN, e.OldData)
+		if installed != nil {
+			installed(e.Addr)
+		}
 	})
 }

@@ -70,7 +70,8 @@ func TestCLBLog(t *testing.T) {
 }
 
 // TestUnrollCache restores one logged block of address 0 into a 1-set,
-// 2-way array and checks the frame it takes.
+// 2-way array and checks the frame it takes, and that only a block
+// installed into a frame is reported as installed.
 func TestUnrollCache(t *testing.T) {
 	const rpcn = 3
 	type frame struct {
@@ -117,15 +118,23 @@ func TestUnrollCache(t *testing.T) {
 			}
 			c := NewCLB(72*2, 72)
 			c.Append(logged)
-			var flushed []uint64
-			n := c.UnrollCache(a, rpcn, func(addr, data uint64) { flushed = append(flushed, addr, data) })
+			var flushed, installed []uint64
+			n := c.UnrollCache(a, rpcn, func(addr, data uint64) { flushed = append(flushed, addr, data) },
+				func(addr uint64) { installed = append(installed, addr) })
 			if n != 1 || c.Len() != 0 {
 				t.Fatalf("unrolled %d, %d left; want 1, 0", n, c.Len())
 			}
 			if !slices.Equal(flushed, tc.flushed) {
 				t.Fatalf("flushed %v, want %v", flushed, tc.flushed)
 			}
-			if l := a.Lookup(0); l == nil || l.State != cache.Owned || l.CN != 3 || l.Data != 7 {
+			var wantInstalled []uint64
+			if tc.evicted != 0 {
+				wantInstalled = []uint64{0}
+			}
+			if !slices.Equal(installed, wantInstalled) {
+				t.Fatalf("installed %v, want %v", installed, wantInstalled)
+			}
+			if l := a.Lookup(0); l == nil || l.State != cache.Owned || l.CN() != 3 || l.Data != 7 {
 				t.Fatalf("restored line = %+v, want O, CN 3, data 7", l)
 			}
 			for _, f := range tc.frames {
@@ -136,7 +145,7 @@ func TestUnrollCache(t *testing.T) {
 					if l != nil {
 						t.Fatalf("%#x kept, want it evicted", f.addr)
 					}
-				case l == nil || l.State != f.st || l.CN != f.cn || l.Data != f.data:
+				case l == nil || l.State != f.st || l.CN() != f.cn || l.Data != f.data:
 					t.Fatalf("%#x = %+v, want it untouched", f.addr, l)
 				}
 			}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"safetynet/internal/backend"
+	"safetynet/internal/cache"
 	"safetynet/internal/fault"
 	"safetynet/internal/network"
 	"safetynet/internal/sim"
@@ -28,6 +29,9 @@ func (m *Machine) FaultTarget() fault.Target {
 
 // Observe registers a backend-neutral run observer.
 func (m *Machine) Observe(o *backend.Observer) { m.obs = append(m.obs, o) }
+
+// L2 returns the L2 array of the given node.
+func (m *Machine) L2(node int) *cache.Array { return m.Nodes[node].CC.L2() }
 
 // Counters returns the cumulative statistics, detail fields included.
 func (m *Machine) Counters() backend.Counters {

@@ -233,10 +233,12 @@ func (cc *CacheController) LineState(addr uint64) (cache.State, uint64, bool) {
 // edge.
 func (cc *CacheController) OnEdge() { cc.ccn++ }
 
-// OnValidate deallocates log state for validated checkpoints.
+// OnValidate deallocates log state for validated checkpoints and prunes
+// the L2's CN journal to the lines a recovery could still discard.
 func (cc *CacheController) OnValidate(rpcn msg.CN) {
 	if cc.clb != nil {
 		cc.clb.DeallocateThrough(rpcn)
+		cc.l2.Validate(rpcn)
 	}
 }
 
@@ -396,10 +398,10 @@ func (cc *CacheController) storeHit(l2 *cache.Line, val uint64, done func()) {
 func (cc *CacheController) storeApply(l *cache.Line, val uint64) (logLat sim.Time, ok bool) {
 	// NeedsLog is asked first so that a store hit needing no entry, the
 	// common case, builds none.
-	if cc.sn && cc.clb.NeedsLog(l.CN, cc.ccn) {
+	if cc.sn && cc.clb.NeedsLog(l.CN(), cc.ccn) {
 		if _, refused := cc.clb.Log(cc.ccn, core.Entry{
 			Addr: l.Addr, Tag: core.UpdatedCN(cc.ccn),
-			OldData: l.Data, OldCN: l.CN, OldState: l.State,
+			OldData: l.Data, OldCN: l.CN(), OldState: l.State,
 		}); refused {
 			return 0, false
 		}
@@ -407,7 +409,7 @@ func (cc *CacheController) storeApply(l *cache.Line, val uint64) (logLat sim.Tim
 		logLat = sim.Time(cc.p.LogStoreCycles)
 	}
 	if cc.sn {
-		l.CN = core.UpdatedCN(cc.ccn)
+		cc.l2.SetCN(l, core.UpdatedCN(cc.ccn))
 	}
 	l.Data = val
 	cc.fillL1(l.Addr)
@@ -711,7 +713,7 @@ func (cc *CacheController) tryCompleteGETX(mm *mshr) {
 	if existing := cc.l2.Lookup(mm.addr); existing != nil && existing.State.IsOwner() && cc.sn {
 		if _, refused := cc.clb.Log(cc.ccn, core.Entry{
 			Addr: mm.addr, Tag: mm.dataCN,
-			OldData: existing.Data, OldCN: existing.CN, OldState: existing.State,
+			OldData: existing.Data, OldCN: existing.CN(), OldState: existing.State,
 			Transfer: true,
 		}); refused {
 			cc.stats.CLBStallCycles += clbRetryCycles
@@ -824,7 +826,7 @@ func (cc *CacheController) serveFwdGETX(m *msg.Message) {
 	if wb := cc.wbs[m.Addr]; wb != nil && wb.hasOwnership {
 		data, oldCN, oldState = wb.data, wb.cn, wb.state
 	} else if l2 := cc.l2.Lookup(m.Addr); l2 != nil && l2.State.IsOwner() {
-		data, oldCN, oldState = l2.Data, l2.CN, l2.State
+		data, oldCN, oldState = l2.Data, l2.CN(), l2.State
 	} else {
 		// Illegal message (duplicated/misrouted forward): detected at
 		// the end-point, reported, discarded (paper Table 1).
@@ -929,7 +931,7 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 	if l2 := cc.l2.Lookup(addr); l2 != nil {
 		// Upgrade path: the block is already resident.
 		l2.State = st
-		l2.CN = cn
+		cc.l2.SetCN(l2, cn)
 		// Data unchanged: an upgrade grants permission, not data.
 		cc.l2.Touch(l2)
 		return l2, true
@@ -940,7 +942,7 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 		// its upgrades pin one line per set).
 		panic(fmt.Sprintf("protocol: node %d has no evictable frame for %#x", cc.node, addr))
 	}
-	if v.State.IsOwner() && cc.sn && cc.clb.NeedsLog(v.CN, cc.ccn) && cc.clb.Full() {
+	if v.State.IsOwner() && cc.sn && cc.clb.NeedsLog(v.CN(), cc.ccn) && cc.clb.Full() {
 		// Evicting this block requires logging the ownership transfer;
 		// prefer a victim that does not.
 		alt := cc.l2.Victim(addr, cc.noLogEvictFn)
@@ -967,7 +969,7 @@ func (cc *CacheController) evictable(l *cache.Line) bool {
 // evictableWithoutLog also rules out owned blocks whose eviction would
 // need a transfer log entry.
 func (cc *CacheController) evictableWithoutLog(l *cache.Line) bool {
-	return cc.evictable(l) && !(l.State.IsOwner() && cc.clb.NeedsLog(l.CN, cc.ccn))
+	return cc.evictable(l) && !(l.State.IsOwner() && cc.clb.NeedsLog(l.CN(), cc.ccn))
 }
 
 // startWriteback moves an evicted owned block into the writeback buffer
@@ -981,7 +983,7 @@ func (cc *CacheController) startWriteback(v *cache.Line) {
 		// requires a transfer log.
 		cc.clb.Log(cc.ccn, core.Entry{
 			Addr: v.Addr, Tag: core.UpdatedCN(cc.ccn),
-			OldData: v.Data, OldCN: v.CN, OldState: v.State,
+			OldData: v.Data, OldCN: v.CN(), OldState: v.State,
 			Transfer: true,
 		})
 		cn = core.UpdatedCN(cc.ccn)
@@ -1031,9 +1033,11 @@ func (cc *CacheController) wbTimeout(a any) {
 // all transaction state, unroll the CLB in reverse (restoring old data,
 // CN, and state; allocating frames for blocks that were evicted after the
 // recovery point), and invalidate every block still tagged with an
-// unvalidated CN — those were clean fills in unvalidated intervals.
-// flushToMem absorbs validated dirty victims displaced by restores. It
-// returns the number of log entries unrolled (recovery-cost accounting).
+// unvalidated CN — those were clean fills in unvalidated intervals. The
+// L2's CN journal names those blocks, so the cost follows the lines
+// written since the recovery point, not the size of the L2. flushToMem
+// absorbs validated dirty victims displaced by restores. It returns the
+// number of log entries unrolled (recovery-cost accounting).
 func (cc *CacheController) Recover(rpcn msg.CN, flushToMem func(addr, data uint64)) int {
 	for _, m := range cc.mshrs {
 		m.cancelTimeout.Cancel()
@@ -1050,13 +1054,9 @@ func (cc *CacheController) Recover(rpcn msg.CN, flushToMem func(addr, data uint6
 
 	n := 0
 	if cc.clb != nil {
-		n = cc.clb.UnrollCache(cc.l2, rpcn, flushToMem)
+		n = cc.clb.UnrollCache(cc.l2, rpcn, flushToMem, nil)
 	}
-	cc.l2.ForEachValid(func(l *cache.Line) {
-		if l.CN > rpcn {
-			l.State = cache.Invalid
-		}
-	})
+	cc.l2.DiscardAbove(rpcn)
 	cc.l1.InvalidateAll()
 	cc.ccn = rpcn
 	return n

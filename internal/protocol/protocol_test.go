@@ -420,8 +420,8 @@ func TestTransferCNRidesDataResponses(t *testing.T) {
 	r.ccs[0].L2().ForEachValid(func(l *cache.Line) {
 		if l.Addr == addr {
 			found = true
-			if l.CN != 4 {
-				t.Fatalf("line CN = %d, want 4", l.CN)
+			if l.CN() != 4 {
+				t.Fatalf("line CN = %d, want 4", l.CN())
 			}
 		}
 	})

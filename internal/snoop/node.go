@@ -308,7 +308,7 @@ func (n *Node) selfSnoop(r *Request, l *cache.Line, hadOwner bool, home int) {
 		if l != nil && l.State.IsOwner() {
 			n.log(core.Entry{
 				Addr: t.addr, Tag: core.UpdatedCN(n.ccn),
-				OldData: l.Data, OldCN: l.CN, OldState: l.State, Transfer: true,
+				OldData: l.Data, OldCN: l.CN(), OldState: l.State, Transfer: true,
 			})
 			n.acquire(t, l.Data, core.UpdatedCN(n.ccn))
 			return
@@ -356,7 +356,7 @@ func (n *Node) respond(r *Request, exclusive bool, l *cache.Line) {
 		if l == nil || !l.State.IsOwner() {
 			panic(fmt.Sprintf("snoop: node %d responding for %#x it does not own", n.id, r.Addr))
 		}
-		data, oldCN, oldState = l.Data, l.CN, l.State
+		data, oldCN, oldState = l.Data, l.CN(), l.State
 		if exclusive {
 			// Giving up ownership: log, then invalidate.
 		} else if l.State == cache.Modified {
@@ -443,7 +443,7 @@ func (n *Node) finishTxn(a any) {
 func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) *cache.Line {
 	if l := n.l2.Lookup(addr); l != nil {
 		l.State = st
-		l.CN = cn
+		n.l2.SetCN(l, cn)
 		n.l2.Touch(l)
 		return l
 	}
@@ -456,7 +456,7 @@ func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) 
 		// until the PUTX broadcast orders it.
 		n.log(core.Entry{
 			Addr: v.Addr, Tag: core.UpdatedCN(n.ccn),
-			OldData: v.Data, OldCN: v.CN, OldState: v.State, Transfer: true,
+			OldData: v.Data, OldCN: v.CN(), OldState: v.State, Transfer: true,
 		})
 		n.wbs[v.Addr] = wbBuf{data: v.Data, cn: core.UpdatedCN(n.ccn), state: v.State} //snvet:alloc-ok amortized: the buffer's table grows to its peak, then reuses deleted slots
 		r := Request{Kind: BusPUTX, Addr: v.Addr, Requestor: n.id, Data: v.Data}
@@ -485,8 +485,10 @@ func (n *Node) ready() msg.CN {
 	return n.ccn
 }
 
-// recoverTo rolls the node back to checkpoint rpcn and re-enters the
-// lines it keeps into the cleared presence filter.
+// recoverTo rolls the node back to checkpoint rpcn. The presence filter
+// is kept across the recovery: it loses only holders (transactions,
+// parked writebacks and discarded lines go), except for the blocks the
+// CLB unroll installs into frames, whose bits recoverTo sets.
 func (n *Node) recoverTo(rpcn msg.CN) {
 	if t := n.txn; t != nil {
 		t.cancel.Cancel()
@@ -502,19 +504,15 @@ func (n *Node) recoverTo(rpcn msg.CN) {
 
 	n.clb.UnrollCache(n.l2, rpcn, func(addr, data uint64) {
 		n.sys.nodes[n.sys.home(addr)].mem[addr] = data
+	}, func(addr uint64) {
+		n.sys.present[addr] |= 1 << n.id
 	})
 	n.memCLB.Unroll(func(e core.Entry) {
 		if e.HadData {
 			n.mem[e.Addr] = e.OldData
 		}
 	})
-	n.l2.ForEachValid(func(l *cache.Line) {
-		if l.CN > rpcn {
-			l.State = cache.Invalid
-		} else {
-			n.sys.present[l.Addr] |= 1 << n.id
-		}
-	})
+	n.l2.DiscardAbove(rpcn)
 	snap, ok := n.ring.Get(rpcn)
 	if !ok {
 		panic(fmt.Sprintf("snoop: node %d missing register checkpoint %d", n.id, rpcn))
@@ -597,9 +595,9 @@ func (n *Node) access() {
 func (n *Node) storeApply(l *cache.Line, val uint64) {
 	n.log(core.Entry{
 		Addr: l.Addr, Tag: core.UpdatedCN(n.ccn),
-		OldData: l.Data, OldCN: l.CN, OldState: l.State,
+		OldData: l.Data, OldCN: l.CN(), OldState: l.State,
 	})
-	l.CN = core.UpdatedCN(n.ccn)
+	n.l2.SetCN(l, core.UpdatedCN(n.ccn))
 	l.Data = val
 }
 

@@ -28,7 +28,8 @@ func presenceGeometry(nodes, setIdx, wayIdx int) uint16 {
 // forced Recover, then in 3-byte groups up to eight dropped, corrupted
 // or duplicated data messages, armed as one fault plan (a zero time maps
 // to 1, because Arm rejects zero); each drop and corruption ends in a
-// recovery, which rebuilds the filter. State changes only when events
+// recovery, which keeps the filter and sets the bit of each block a
+// node's CLB unroll installs into a frame. State changes only when events
 // fire, and slots are at least one cycle apart, so checking after every
 // cycle that fired an event checks after every slot and every data
 // arrival.

@@ -45,9 +45,10 @@ type System struct {
 	// writeback, or a transaction whose slot has been ordered. It is a
 	// superset, never exact:
 	// dispatch sets the requestor's bit and clears only the bits its
-	// probes prove stale, and recovery rebuilds it from the surviving
-	// lines. A stale bit costs one probe; a missing bit would skip a
-	// holder, which presenceErrors checks for.
+	// probes prove stale, and recovery keeps it, adding the bit of each
+	// block a node's CLB unroll installs into a frame. A stale bit costs
+	// one probe; a missing bit would skip a holder, which presenceErrors
+	// checks for.
 	present map[uint64]uint64
 	// dataMsgs recycles data-network messages.
 	dataMsgs sim.FreeList[dataMsg]
@@ -112,6 +113,9 @@ func (s *System) RPCN() msg.CN { return s.rpcn }
 
 // Nodes returns the node list (for tests).
 func (s *System) Nodes() []*Node { return s.nodes }
+
+// L2 returns the L2 array of the given node.
+func (s *System) L2(node int) *cache.Array { return s.nodes[node].l2 }
 
 // home interleaves block homes across the memory banks at the configured
 // block granularity.
@@ -342,6 +346,7 @@ func (s *System) tryValidate() {
 	for _, n := range s.nodes {
 		n.clb.DeallocateThrough(min)
 		n.memCLB.DeallocateThrough(min)
+		n.l2.Validate(min)
 		n.ring.DropBelow(min)
 	}
 }
@@ -371,9 +376,6 @@ func (s *System) Recover() {
 	s.obs.RecoveryStarted(uint64(started), "fault detected on the snooping substrate")
 	// Modeled drain + per-node unroll + restart barrier.
 	s.eng.After(2_000, func() {
-		// Recovery discards every transaction and parked writeback, so
-		// the presence filter is rebuilt from the lines each node keeps.
-		clear(s.present)
 		for _, n := range s.nodes {
 			n.recoverTo(rpcn)
 		}

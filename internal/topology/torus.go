@@ -133,38 +133,38 @@ func (t *Torus) Route(src, dst int) []SwitchID {
 	return r
 }
 
+// computeRoute finds the route Route caches. It tries the candidates in
+// preference order, checking each switch by switch, and builds only the
+// one it returns, at its exact length.
 func (t *Torus) computeRoute(src, dst int) []SwitchID {
 	if src == dst {
 		return []SwitchID{}
 	}
-	for _, r := range t.candidateRoutes(src, dst) {
-		if t.alive(r) {
-			return r
-		}
+	if r, ok := t.firstAlive(src, dst); ok {
+		return r.appendHops(t, make([]SwitchID, 0, r.len(t)), 0)
 	}
 	// Last resort: detour through every other node.
 	for via := 0; via < t.Nodes(); via++ {
 		if via == src || via == dst {
 			continue
 		}
-		for _, r1 := range t.candidateRoutes(src, via) {
-			if !t.alive(r1) {
-				continue
-			}
-			for _, r2 := range t.candidateRoutes(via, dst) {
-				if !t.alive(r2) {
-					continue
-				}
-				joined := append([]SwitchID{}, r1...)
-				// The detour legs may share the junction half-switch;
-				// physically the message just continues through it.
-				if len(r2) > 0 && joined[len(joined)-1] == r2[0] {
-					r2 = r2[1:]
-				}
-				return append(joined, r2...)
-			}
-			break
+		r1, ok := t.firstAlive(src, via)
+		if !ok {
+			continue
 		}
+		r2, ok := t.firstAlive(via, dst)
+		if !ok {
+			continue
+		}
+		// The detour legs may share the junction half-switch;
+		// physically the message just continues through it.
+		n1, n2 := r1.len(t), r2.len(t)
+		skip := 0
+		if n2 > 0 && r1.hop(t, n1-1) == r2.hop(t, 0) {
+			skip = 1
+		}
+		joined := r1.appendHops(t, make([]SwitchID, 0, n1+n2-skip), 0)
+		return r2.appendHops(t, joined, skip)
 	}
 	return nil
 }
@@ -179,116 +179,111 @@ func (t *Torus) Hops(src, dst int) int {
 	return len(r)
 }
 
-func (t *Torus) alive(route []SwitchID) bool {
-	for _, s := range route {
-		if t.dead[s] {
+// route is one dimension-order route candidate from (sx, sy) to
+// (dx, dy): X then Y, or Y then X when yFirst, travelling ring direction
+// xd (+1 or -1) on the X axis and yd on the Y axis. A direction is 0 on
+// an axis the route does not travel.
+type route struct {
+	sx, sy, dx, dy int
+	xd, yd         int
+	yFirst         bool
+}
+
+// legLen returns the half-switches one axis's leg traverses, every node
+// from a to b inclusive in direction d on a ring of size n, or 0 when
+// the leg does not move.
+func legLen(a, b, d, n int) int {
+	if a == b {
+		return 0
+	}
+	return ((b-a)*d%n+n)%n + 1
+}
+
+// len returns the number of half-switches r traverses.
+func (r route) len(t *Torus) int {
+	return legLen(r.sx, r.dx, r.xd, t.w) + legLen(r.sy, r.dy, r.yd, t.h)
+}
+
+// hop returns the k-th half-switch of r: an X leg uses the EW
+// half-switches of its row, a Y leg the NS half-switches of its column.
+func (r route) hop(t *Torus, k int) SwitchID {
+	if r.yFirst {
+		yn := legLen(r.sy, r.dy, r.yd, t.h)
+		if k < yn {
+			return t.NSSwitch(t.NodeAt(r.sx, r.sy+k*r.yd))
+		}
+		return t.EWSwitch(t.NodeAt(r.sx+(k-yn)*r.xd, r.dy))
+	}
+	xn := legLen(r.sx, r.dx, r.xd, t.w)
+	if k < xn {
+		return t.EWSwitch(t.NodeAt(r.sx+k*r.xd, r.sy))
+	}
+	return t.NSSwitch(t.NodeAt(r.dx, r.sy+(k-xn)*r.yd))
+}
+
+// appendHops appends r's half-switches, from the from-th on, to out.
+func (r route) appendHops(t *Torus, out []SwitchID, from int) []SwitchID {
+	for k := from; k < r.len(t); k++ {
+		out = append(out, r.hop(t, k))
+	}
+	return out
+}
+
+// alive reports whether every half-switch of r is alive.
+func (r route) alive(t *Torus) bool {
+	for k := range r.len(t) {
+		if t.dead[r.hop(t, k)] {
 			return false
 		}
 	}
 	return true
 }
 
-// candidateRoutes generates route candidates in preference order: XY and YX
-// dimension-order routes over the four combinations of ring directions
-// (shortest first).
-func (t *Torus) candidateRoutes(src, dst int) [][]SwitchID {
-	sx, sy := t.Coord(src)
-	dx, dy := t.Coord(dst)
-	xDirs := ringDirections(sx, dx, t.w)
-	yDirs := ringDirections(sy, dy, t.h)
+// firstAlive returns the first candidate from src to dst, in preference
+// order, whose half-switches are all alive, or false if none is.
+func (t *Torus) firstAlive(src, dst int) (route, bool) {
+	for i := 0; ; i++ {
+		r, ok := t.candidate(src, dst, i)
+		if !ok || r.alive(t) {
+			return r, ok
+		}
+	}
+}
 
-	var routes [][]SwitchID
-	add := func(r []SwitchID) {
-		if r != nil {
-			routes = append(routes, r)
-		}
+// candidate returns the i-th route candidate from src to dst in
+// preference order, or false past the last: the XY routes over each pair
+// of ring directions (shortest first, the X direction varying slowest),
+// then the YX routes (the Y direction varying slowest). src != dst.
+func (t *Torus) candidate(src, dst, i int) (route, bool) {
+	r := route{}
+	r.sx, r.sy = t.Coord(src)
+	r.dx, r.dy = t.Coord(dst)
+	xDirs, nx := ringDirections(r.sx, r.dx, t.w)
+	yDirs, ny := ringDirections(r.sy, r.dy, t.h)
+	switch {
+	case i < nx*ny:
+		r.xd, r.yd = xDirs[i/ny], yDirs[i%ny]
+	case i < 2*nx*ny:
+		i -= nx * ny
+		r.yd, r.xd, r.yFirst = yDirs[i/nx], xDirs[i%nx], true
+	default:
+		return route{}, false
 	}
-	for _, xd := range xDirs {
-		for _, yd := range yDirs {
-			add(t.routeXY(src, dst, xd, yd))
-		}
-	}
-	for _, yd := range yDirs {
-		for _, xd := range xDirs {
-			add(t.routeYX(src, dst, xd, yd))
-		}
-	}
-	return routes
+	return r, true
 }
 
 // ringDirections returns the directions (+1/-1) to travel from a to b on a
-// ring of size n, shortest first; equal distances prefer +1. A zero
-// distance yields a single 0 entry meaning "no travel on this axis".
-func ringDirections(a, b, n int) []int {
+// ring of size n, shortest first, and their count; equal distances prefer
+// +1. A zero distance yields a single 0 entry meaning "no travel on this
+// axis".
+func ringDirections(a, b, n int) ([2]int, int) {
 	if a == b {
-		return []int{0}
+		return [2]int{0}, 1
 	}
 	fwd := ((b - a) + n) % n
 	bwd := n - fwd
 	if fwd <= bwd {
-		return []int{+1, -1}
+		return [2]int{+1, -1}, 2
 	}
-	return []int{-1, +1}
-}
-
-// routeXY builds an X-then-Y dimension-order route using ring direction xd
-// on the X axis and yd on the Y axis.
-func (t *Torus) routeXY(src, dst int, xd, yd int) []SwitchID {
-	sx, sy := t.Coord(src)
-	dx, dy := t.Coord(dst)
-	var route []SwitchID
-	x := sx
-	if xd != 0 && sx != dx {
-		for {
-			route = append(route, t.EWSwitch(t.NodeAt(x, sy)))
-			if x == dx {
-				break
-			}
-			x = ((x+xd)%t.w + t.w) % t.w
-		}
-	}
-	if yd != 0 && sy != dy {
-		y := sy
-		for {
-			route = append(route, t.NSSwitch(t.NodeAt(dx, y)))
-			if y == dy {
-				break
-			}
-			y = ((y+yd)%t.h + t.h) % t.h
-		}
-	} else if xd == 0 || sx == dx {
-		// Same row and same column means src == dst; caller handles that.
-		return nil
-	}
-	return route
-}
-
-// routeYX builds a Y-then-X dimension-order route.
-func (t *Torus) routeYX(src, dst int, xd, yd int) []SwitchID {
-	sx, sy := t.Coord(src)
-	dx, dy := t.Coord(dst)
-	var route []SwitchID
-	if yd != 0 && sy != dy {
-		y := sy
-		for {
-			route = append(route, t.NSSwitch(t.NodeAt(sx, y)))
-			if y == dy {
-				break
-			}
-			y = ((y+yd)%t.h + t.h) % t.h
-		}
-	}
-	if xd != 0 && sx != dx {
-		x := sx
-		for {
-			route = append(route, t.EWSwitch(t.NodeAt(x, dy)))
-			if x == dx {
-				break
-			}
-			x = ((x+xd)%t.w + t.w) % t.w
-		}
-	} else if yd == 0 || sy == dy {
-		return nil
-	}
-	return route
+	return [2]int{-1, +1}, 2
 }
