@@ -36,12 +36,26 @@ import (
 // deterministicPkgs names the package basenames whose reports and
 // scheduling decisions must not depend on map order, wall-clock time,
 // or goroutine interleaving (ROADMAP: identical output at any
-// parallelism).
+// parallelism): the simulator's own packages and everything that runs
+// or reports simulations. Every direct child of internal/ is either
+// here or in detExempt (main_test.go checks it).
 var deterministicPkgs = map[string]bool{
 	"sim":      true,
 	"machine":  true,
 	"snoop":    true,
 	"network":  true,
+	"protocol": true,
+	"cache":    true,
+	"core":     true,
+	"proc":     true,
+	"workload": true,
+	"topology": true,
+	"fault":    true,
+	"msg":      true,
+	"iodev":    true,
+	"checker":  true,
+	"config":   true,
+	"backend":  true,
 	"campaign": true,
 	"stats":    true,
 	"scenario": true,
@@ -50,6 +64,13 @@ var deterministicPkgs = map[string]bool{
 	"explore":  true,
 	"runner":   true,
 	"report":   true,
+}
+
+// detExempt lists the internal/ packages detlint does not check, with
+// the reason: none of them runs in a simulation or shapes a report.
+var detExempt = map[string]string{
+	"analysis": "the static analyzers themselves; they read source, never run a simulation",
+	"benchcmp": "compares benchmark output files; its verdicts are not simulated results",
 }
 
 // jsonFinding is the -json output shape, one object per diagnostic.

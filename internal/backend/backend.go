@@ -174,4 +174,10 @@ type Backend interface {
 	// Observe registers a run observer. Call before Start; observers
 	// fire synchronously as the run produces events.
 	Observe(*Observer)
+	// Release hands the system's cache frames to the next backend built
+	// in this process (cache.Array.Release). Nothing may use the backend
+	// afterwards, not even Counters: its arrays are gone. runner.RunCtx
+	// owns the call for every backend it builds; a backend that is never
+	// released is simply collected.
+	Release()
 }

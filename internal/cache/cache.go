@@ -12,7 +12,17 @@
 // avoid paying for them: it made the Table 2 OLTP run 4-7% slower
 // (speedup_vs_ref 0.93-0.96 on perfbench's oltp-steady), because the
 // indirection it adds to every access costs more than the smaller
-// footprint saves. Frames therefore stay eager.
+// footprint saves. Frames therefore stay eager, and are recycled:
+// Release zeroes the sets the array's run wrote and hands the slice to
+// the next NewArray of the same frame count, so a new array costs what
+// the last run wrote, not its size (a campaign run writes a few percent
+// of its L2 sets). Install is the only write that takes a frame from
+// zero to non-zero: every other write (data, state, SetCN, Touch, the
+// invalidations) goes to a line Lookup returned, which Install filled.
+// So a per-set bitmap that Install marks names every set Release must
+// zero. The released slices wait in a sync.Pool per frame count, which
+// lets the runtime reclaim them after two collections in which no array
+// took them, so a process that stops simulating does not keep them.
 //
 // A line's CN is written only here, by Install and SetCN, and each write
 // that gives a valid line a non-null CN appends (address, CN) to the
@@ -29,6 +39,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"safetynet/internal/msg"
 )
@@ -107,6 +119,9 @@ type Array struct {
 	// journal lists, oldest first, each non-null CN a valid line took
 	// since the last recovery, less those Validate pruned.
 	journal []cnNote
+	// written marks, one bit per set, each set Install wrote: the sets
+	// Release must zero.
+	written []uint64
 }
 
 // NewArray builds an array with the given geometry. blockBytes must be a
@@ -118,31 +133,83 @@ func NewArray(sets, ways, blockBytes int) *Array {
 	if blockBytes <= 0 || blockBytes&(blockBytes-1) != 0 {
 		panic(fmt.Sprintf("cache: block size %d not a power of two", blockBytes))
 	}
-	bits := uint(0)
-	for 1<<bits != blockBytes {
-		bits++
+	a := &Array{
+		ways: ways, sets: uint64(sets), blockBits: uint(bits.TrailingZeros(uint(blockBytes))),
+		lines:   newFrames(sets * ways),
+		written: make([]uint64, (sets+63)/64),
 	}
-	a := &Array{ways: ways, sets: uint64(sets), blockBits: bits, lines: make([]Line, sets*ways)}
 	if sets&(sets-1) == 0 {
 		a.pow2, a.setMask = true, uint64(sets-1)
 	}
 	return a
 }
 
+// framePools holds, per frame count, the zeroed frame slices released
+// arrays handed back, each as a *[]Line.
+var framePools = struct {
+	sync.Mutex
+	byCount map[int]*sync.Pool
+}{byCount: map[int]*sync.Pool{}}
+
+// framePool returns the pool of released slices of n frames.
+func framePool(n int) *sync.Pool {
+	framePools.Lock()
+	defer framePools.Unlock()
+	p := framePools.byCount[n]
+	if p == nil {
+		p = new(sync.Pool)
+		framePools.byCount[n] = p
+	}
+	return p
+}
+
+// newFrames returns n zero frames: a released slice when the pool holds
+// one, otherwise a new one.
+func newFrames(n int) []Line {
+	if f, ok := framePool(n).Get().(*[]Line); ok {
+		return *f
+	}
+	return make([]Line, n)
+}
+
+// Release zeroes the sets Install wrote and hands the frames to the next
+// NewArray of the same frame count. Nothing may use the array
+// afterwards: its frames are gone, so a Lookup panics instead of reading
+// another run's lines. A second Release does nothing, so one slice never
+// reaches two arrays.
+func (a *Array) Release() {
+	if a.lines == nil {
+		return
+	}
+	for w, marks := range a.written {
+		for marks != 0 {
+			s := w*64 + bits.TrailingZeros64(marks)
+			marks &= marks - 1
+			clear(a.lines[s*a.ways : (s+1)*a.ways])
+		}
+	}
+	f := a.lines
+	a.lines, a.written, a.journal = nil, nil, nil
+	framePool(len(f)).Put(&f)
+}
+
 // Sets and Ways return the geometry.
 func (a *Array) Sets() int { return int(a.sets) }
 func (a *Array) Ways() int { return a.ways }
 
-// set returns the frames of the set addr maps to: block number modulo
-// the set count.
-func (a *Array) set(addr uint64) []Line {
+// setIndex returns the set addr maps to: block number modulo the set
+// count.
+func (a *Array) setIndex(addr uint64) uint64 {
 	b := addr >> a.blockBits
 	if a.pow2 {
-		b &= a.setMask
-	} else {
-		b %= a.sets
+		return b & a.setMask
 	}
-	s := int(b) * a.ways
+	return b % a.sets
+}
+
+// set returns the frames of the set addr maps to.
+func (a *Array) set(addr uint64) []Line {
+	s := int(a.setIndex(addr)) * a.ways
 	return a.lines[s : s+a.ways]
 }
 
@@ -185,17 +252,18 @@ func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 	return victim
 }
 
-// Install claims frame l for addr with the given contents, returning the
-// previous occupant (meaningful only if it was valid). The caller decides
-// what to do with a dirty victim before calling Install.
-func (a *Array) Install(l *Line, addr uint64, st State, cn msg.CN, data uint64) Line {
-	old := *l
+// Install claims frame l for addr with the given contents. l must be a
+// frame of addr's set, as Lookup and Victim return, since Install marks
+// that set for Release. The caller decides what to do with a dirty
+// victim before calling Install.
+func (a *Array) Install(l *Line, addr uint64, st State, cn msg.CN, data uint64) {
 	a.tick++
 	*l = Line{Addr: addr, State: st, cn: cn, Data: data, lru: a.tick}
+	s := a.setIndex(addr)
+	a.written[s/64] |= 1 << (s % 64)
 	if st != Invalid {
 		a.note(addr, cn)
 	}
-	return old
 }
 
 // SetCN changes the CN of the valid line l in place: a store, an

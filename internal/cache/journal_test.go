@@ -7,10 +7,81 @@ import (
 )
 
 // journalOps runs one FuzzCNJournal input. The first byte picks the
-// geometry: 1-4 sets of 1-4 ways. Each later pair of bytes is one
-// operation, applied to a journaled array and to its twin alike: the op
-// byte's low three bits choose it and its high bits one of 16 block
-// addresses; the argument byte supplies a CN, a state or a step.
+// geometry: 1-4 sets of 1-4 ways. The rest are the operations (see
+// applyOps), run on a journaled array and on its twin. Then it releases
+// the array, which must leave every frame zero, must do nothing a second
+// time, and must leave a Lookup to panic. Last it replays the operations
+// on the transposed geometry, which has the same frame count, so the
+// pool may hand it the released frames: it must end frame for frame
+// where an array whose frames never came from the pool ends. Under -race
+// the pool drops some of what it is given, so the test checks results,
+// never that a slice was reused.
+func journalOps(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	sets, ways := 1+int(data[0]&3), 1+int(data[0]>>2&3)
+	a, twin := NewArray(sets, ways, 64), NewArray(sets, ways, 64)
+	applyOps(t, a, twin, data[1:])
+	releaseZero(t, a)
+	a.Release()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Lookup on a released array did not panic")
+			}
+		}()
+		a.Lookup(0)
+	}()
+
+	b := NewArray(ways, sets, 64)
+	// A second Release that gave the pool the frames again would let
+	// this array share them with b.
+	other := NewArray(sets, ways, 64)
+	if &other.lines[0] == &b.lines[0] {
+		t.Fatal("two live arrays share one frame slice")
+	}
+	fresh := unpooled(ways, sets)
+	applyOps(t, b, fresh, data[1:])
+	for f := range b.lines {
+		if b.lines[f] != fresh.lines[f] {
+			t.Fatalf("replay on %dx%d: frame %d = %+v, an unpooled array holds %+v",
+				ways, sets, f, b.lines[f], fresh.lines[f])
+		}
+	}
+	for _, arr := range []*Array{twin, b, fresh, other} {
+		releaseZero(t, arr)
+	}
+}
+
+// unpooled builds an array whose frames never came from the pool.
+func unpooled(sets, ways int) *Array {
+	a := NewArray(sets, ways, 64)
+	a.lines = make([]Line, len(a.lines))
+	return a
+}
+
+// releaseZero releases a and checks that every frame it held is zero.
+// No test in this package runs in parallel, so no other array takes the
+// frames from the pool before the check.
+func releaseZero(t *testing.T, a *Array) {
+	t.Helper()
+	frames := a.lines
+	a.Release()
+	for f := range frames {
+		if frames[f] != (Line{}) {
+			t.Fatalf("Release left frame %d = %+v", f, frames[f])
+		}
+	}
+	if a.lines != nil {
+		t.Fatal("a released array kept its frames")
+	}
+}
+
+// applyOps applies the operations in ops to a journaled array and to its
+// twin alike. Each pair of bytes is one operation: the op byte's low
+// three bits choose it and its high bits one of 16 block addresses; the
+// argument byte supplies a CN, a state or a step.
 //
 //   - install: claim addr's victim frame (or re-claim its own frame)
 //     with a state and a CN;
@@ -27,16 +98,12 @@ import (
 // CNs range from two below the floor to three above it, Null included
 // while the floor is low, so lines hold CNs on both sides of every
 // recovery point.
-func journalOps(t *testing.T, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	sets, ways := 1+int(data[0]&3), 1+int(data[0]>>2&3)
-	a, twin := NewArray(sets, ways, 64), NewArray(sets, ways, 64)
+func applyOps(t *testing.T, a, twin *Array, ops []byte) {
+	t.Helper()
 	floor := msg.CN(1)
 	cnOf := func(b byte) msg.CN { return msg.CN(max(int(floor)+int(b%6)-2, 0)) }
-	for i := 1; i+1 < len(data); i += 2 {
-		op, arg := data[i], data[i+1]
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i], ops[i+1]
 		addr := uint64(op>>3&15) * 64
 		switch op & 7 {
 		case 0, 1:
@@ -87,8 +154,9 @@ func journalOps(t *testing.T, data []byte) {
 
 // FuzzCNJournal checks that a recovery through the CN journal
 // invalidates exactly the frames a scan of every frame invalidates (see
-// journalOps for the operations). The hand-made seeds each need the
-// journal to record, keep or re-read one CN write:
+// applyOps for the operations), and that Release hands on frames a later
+// array cannot tell from new ones (see journalOps). The hand-made seeds
+// each need the journal to record, keep or re-read one CN write:
 //   - a CN given in place and never validated;
 //   - a CN one above the floor surviving a validation at the floor;
 //   - a frame invalidated by a recovery and refilled with the same

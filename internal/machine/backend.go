@@ -33,6 +33,14 @@ func (m *Machine) Observe(o *backend.Observer) { m.obs = append(m.obs, o) }
 // L2 returns the L2 array of the given node.
 func (m *Machine) L2(node int) *cache.Array { return m.Nodes[node].CC.L2() }
 
+// Release hands every node's L1 and L2 frames to the next machine's
+// arrays; nothing may use the machine afterwards.
+func (m *Machine) Release() {
+	for _, n := range m.Nodes {
+		n.CC.Release()
+	}
+}
+
 // Counters returns the cumulative statistics, detail fields included.
 func (m *Machine) Counters() backend.Counters {
 	ns := m.Net.Stats()

@@ -205,6 +205,13 @@ func (cc *CacheController) CLB() *core.CLB { return cc.clb }
 // L2 exposes the L2 array for invariant checking.
 func (cc *CacheController) L2() *cache.Array { return cc.l2 }
 
+// Release hands the L1 and L2 frames to the next arrays of their sizes;
+// nothing may use the controller afterwards.
+func (cc *CacheController) Release() {
+	cc.l1.Release()
+	cc.l2.Release()
+}
+
 // OutstandingTxns returns the number of in-flight transactions (MSHRs and
 // writebacks).
 func (cc *CacheController) OutstandingTxns() int { return len(cc.mshrs) + len(cc.wbs) }

@@ -72,7 +72,9 @@ type DirController struct {
 
 	mem     map[uint64]uint64
 	entries map[uint64]*dirEntry
-	clb     *core.CLB
+	// chunk holds the entries not yet handed out (see entry).
+	chunk []dirEntry
+	clb   *core.CLB
 
 	ccn msg.CN
 	// busy counts the transactions awaiting AckDone by start CN.
@@ -178,10 +180,22 @@ func (dc *DirController) DirectWriteback(addr, data uint64) {
 	e.owner = MemOwner
 }
 
+// entryChunk is how many directory entries entry allocates at a time.
+const entryChunk = 256
+
+// entry returns addr's directory entry, creating it on first touch. New
+// entries come from a chunk of entryChunk, so a run makes one allocation
+// per chunk instead of one per block; an entry never moves, because
+// memReply.gets points into it.
 func (dc *DirController) entry(addr uint64) *dirEntry {
 	e, ok := dc.entries[addr]
 	if !ok {
-		e = &dirEntry{owner: MemOwner}
+		if len(dc.chunk) == 0 {
+			dc.chunk = make([]dirEntry, entryChunk)
+		}
+		e = &dc.chunk[0]
+		dc.chunk = dc.chunk[1:]
+		e.owner = MemOwner
 		dc.entries[addr] = e
 	}
 	return e

@@ -137,7 +137,8 @@ func Run(rc RunConfig) RunResult {
 // meaningless result; otherwise the error is nil. Every measurement
 // comes from two backend.Counters readings, at the window's start and
 // end, so the detail fields stay zero on a backend that leaves them
-// zero (the snoop backend).
+// zero (the snoop backend). The backend it builds is released on every
+// return, so the next run in the process reuses its cache frames.
 func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 	prof, err := workload.ByName(rc.Workload)
 	if err != nil {
@@ -148,6 +149,9 @@ func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{Crashed: true, CrashCause: "invalid configuration: " + err.Error()}, nil
 	}
+	// RunCtx owns the release because every caller runs through it: the
+	// worker pool, and callers with goroutines of their own.
+	defer be.Release()
 	if err := rc.Fault.Arm(be.FaultTarget()); err != nil {
 		// Surface an invalid plan as a crashed run rather than panicking:
 		// small-but-legal sizings can produce degenerate plans, and a

@@ -9,6 +9,7 @@ import (
 	"safetynet/internal/backend"
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
+	"safetynet/internal/workload"
 )
 
 // TestWorkersSanitization: the one shared sanitization path — zero and
@@ -149,5 +150,78 @@ func TestRunAllStreamCtxCancellation(t *testing.T) {
 		if fired == 0 || fired == len(rcs) {
 			t.Fatalf("workers=%d: %d callbacks fired; cancellation should stop the pool partway", workers, fired)
 		}
+	}
+}
+
+// reuseRuns lists eight configurations twice each: both protocols, two
+// L2 geometries with one frame count (256 KB in 4 and in 8 ways), and a
+// fault-free and a drop-every plan. A run of either geometry may draw
+// frames that a run of the other released.
+func reuseRuns() []RunConfig {
+	var rcs []RunConfig
+	for _, proto := range []string{config.ProtocolDirectory, config.ProtocolSnoop} {
+		for _, ways := range []int{4, 8} {
+			for _, plan := range []fault.Plan{nil, {fault.DropEvery{Start: 60_000, Period: 60_000}}} {
+				p := config.Default()
+				p.Protocol, p.L2Bytes, p.L2Ways = proto, 256<<10, ways
+				p.CheckpointIntervalCycles, p.LatencyPerturbation = 50_000, 4
+				p.Seed = uint64(1 + len(rcs))
+				rcs = append(rcs, RunConfig{
+					Params: p.Normalize(), Workload: "oltp",
+					Warmup: 20_000, Measure: 100_000, Fault: plan,
+				})
+			}
+		}
+	}
+	return append(rcs, rcs...)
+}
+
+// TestFrameReuseAcrossWorkers: runs built on frames that earlier runs
+// released, on one worker or on four at once, give the same results,
+// and a repeated configuration repeats its result. The identity manifest
+// (testdata/identity.sh) checks reused frames against results computed
+// from new memory.
+func TestFrameReuseAcrossWorkers(t *testing.T) {
+	rcs := reuseRuns()
+	serial := RunAll(rcs, 1)
+	half := len(rcs) / 2
+	for i, r := range serial[:half] {
+		if r.Crashed || r.Instrs == 0 {
+			t.Fatalf("run %d made no progress: %+v", i, r)
+		}
+		if rcs[i].Fault != nil && r.Recoveries == 0 {
+			t.Fatalf("run %d: the drop-every plan caused no recovery", i)
+		}
+		if !reflect.DeepEqual(r, serial[half+i]) {
+			t.Fatalf("run %d and its repeat differ:\n%+v\n%+v", i, r, serial[half+i])
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		if got := RunAll(rcs, 4); !reflect.DeepEqual(serial, got) {
+			t.Fatalf("pass %d: RunAll at 4 workers diverged from 1 worker", pass)
+		}
+	}
+}
+
+// BenchmarkNewBackend builds and starts one backend of the availability
+// matrix (the Table 2 machine with perturbed latencies), then releases
+// it as RunCtx does, so every iteration after the first builds on the
+// frames the one before released.
+func BenchmarkNewBackend(b *testing.B) {
+	for _, proto := range []string{config.ProtocolDirectory, config.ProtocolSnoop} {
+		b.Run(proto, func(b *testing.B) {
+			p := config.Default()
+			p.Protocol, p.LatencyPerturbation = proto, 4
+			prof := workload.OLTP()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				be, err := NewBackend(p, prof)
+				if err != nil {
+					b.Fatal(err)
+				}
+				be.Start()
+				be.Release()
+			}
+		})
 	}
 }

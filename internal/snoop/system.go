@@ -117,6 +117,14 @@ func (s *System) Nodes() []*Node { return s.nodes }
 // L2 returns the L2 array of the given node.
 func (s *System) L2(node int) *cache.Array { return s.nodes[node].l2 }
 
+// Release hands every node's L2 frames to the next system's arrays;
+// nothing may use the system afterwards.
+func (s *System) Release() {
+	for _, n := range s.nodes {
+		n.l2.Release()
+	}
+}
+
 // home interleaves block homes across the memory banks at the configured
 // block granularity.
 func (s *System) home(addr uint64) int {
