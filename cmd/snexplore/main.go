@@ -3,8 +3,8 @@
 // objective functions extracted from run results, and a search
 // strategy — exhaustive, successive halving, or a seeded bandit — that
 // decides which arms earn runs, pruning doomed arms early (a crashed
-// run cancels its arm's outstanding runs mid-flight). The result is a
-// Pareto-frontier report over the evaluated arms.
+// run disqualifies its arm). The result is a Pareto-frontier report
+// over the evaluated arms.
 //
 //	snexplore examples/explorations/clb-vs-interval.json
 //	snexplore -j 8 -format json examples/explorations/clb-vs-interval.json

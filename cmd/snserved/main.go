@@ -1,8 +1,8 @@
 // Command snserved is the campaign-serving daemon: an HTTP/JSON API
 // over a persistent, resumable job queue. Each campaign runs in process
 // on a worker pool -j wide, and every completed run is checkpointed to
-// one of up to -j shard logs, so a killed-and-restarted daemon, at any
-// -j, resumes mid-campaign and still serves the byte-identical
+// the job's record log, so a killed-and-restarted daemon, at any -j,
+// resumes mid-campaign and still serves the byte-identical
 // expansion-order report a local sncampaign run would print. A larger
 // campaign runs on a larger host.
 //
@@ -39,8 +39,8 @@ func run() int {
 	var (
 		addr  = flag.String("addr", ":8321", "listen address")
 		store = flag.String("store", "snserved-store", "persistent job-store directory")
-		par   = flag.Int("j", 0, "worker-pool width and shard logs per executing job (0 = one per CPU)")
-		ckpt  = flag.Int("checkpoint-every", 1, "completed runs between checkpoint syncs per shard")
+		par   = flag.Int("j", 0, "worker-pool width (0 = one per CPU)")
+		ckpt  = flag.Int("checkpoint-every", 1, "completed runs between checkpoint syncs of a job's record log")
 		queue = flag.Int("queue", 64, "maximum queued jobs before submissions get 503")
 	)
 	flag.Parse()

@@ -10,7 +10,7 @@
 # The fetched report is byte-identical to what a local
 # `sncampaign <campaign>` run prints to stdout — kill and restart the
 # daemon mid-campaign and that stays true: the job resumes from its
-# shard checkpoints.
+# checkpoint log.
 set -eu
 
 ADDR="${1:-http://localhost:8321}"

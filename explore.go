@@ -19,7 +19,7 @@ import (
 // discipline as scenarios and campaigns, and the Pareto-frontier report
 // is deterministic for a fixed exploration seed: byte-identical at any
 // worker count, because pruned and crashed arms contribute no samples
-// at all (cancellation saves wall-clock, never changes data).
+// at all.
 type Exploration = explore.Exploration
 
 // ExploreStrategy selects and parameterizes the search; see

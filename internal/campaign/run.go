@@ -81,7 +81,7 @@ func (c *Campaign) Execute(o Options) (*Report, error) {
 	}
 	total := len(rcs)
 	done := 0
-	res, err := runner.RunAllStreamCtx(ctx, rcs, o.Workers, func(i int, rr runner.RunResult) {
+	res, err := runner.RunAll(ctx, rcs, o.Workers, func(i int, rr runner.RunResult) {
 		if o.OnResult != nil {
 			done++
 			o.OnResult(done, total, runs[i], rr)

@@ -17,9 +17,13 @@ type Clock struct {
 	interval sim.Time
 	skew     []sim.Time
 	onEdge   []func()
-	paused   func() bool
-	edges    uint64
-	started  bool
+	// edge[n] is node n's edge event, bound once by Start so that an
+	// edge allocates nothing; next[n] is the time it fires next.
+	edge    []sim.Event
+	next    []sim.Time
+	paused  func() bool
+	edges   uint64
+	started bool
 }
 
 // NewClock builds a clock ticking every interval on eng. skew[n] is node
@@ -62,23 +66,31 @@ func (c *Clock) Start() {
 		panic("core: clock started twice")
 	}
 	c.started = true
+	c.edge = make([]sim.Event, len(c.onEdge))
+	c.next = make([]sim.Time, len(c.onEdge))
 	for n := range c.onEdge {
-		c.armNode(n, c.interval+c.skew[n])
+		c.edge[n] = func() { c.fire(n) }
+		c.next[n] = c.interval + c.skew[n]
+		c.arm(n)
 	}
 }
 
-// armNode schedules node n's next edge in n's own context, so every
-// node's edges order as that node's events.
-func (c *Clock) armNode(n int, at sim.Time) {
-	prev := c.eng.SetOwner(n)
-	c.eng.Schedule(at, func() {
-		if c.paused == nil || !c.paused() {
-			c.edges++
-			if c.onEdge[n] != nil {
-				c.onEdge[n]()
-			}
+// fire delivers node n's edge unless paused, then arms the next one.
+func (c *Clock) fire(n int) {
+	if c.paused == nil || !c.paused() {
+		c.edges++
+		if c.onEdge[n] != nil {
+			c.onEdge[n]()
 		}
-		c.armNode(n, at+c.interval)
-	})
+	}
+	c.next[n] += c.interval
+	c.arm(n)
+}
+
+// arm schedules node n's next edge in n's own context, so every node's
+// edges order as that node's events.
+func (c *Clock) arm(n int) {
+	prev := c.eng.SetOwner(n)
+	c.eng.Schedule(c.next[n], c.edge[n])
 	c.eng.SetOwner(prev)
 }

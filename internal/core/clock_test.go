@@ -94,7 +94,7 @@ func TestClockValidation(t *testing.T) {
 }
 
 func TestRegRing(t *testing.T) {
-	r := NewRegRing()
+	var r RegRing[string]
 	r.Add(2, "a")
 	r.Add(3, "b")
 	r.Add(4, "c")

@@ -19,15 +19,10 @@
 //     exploring with probability epsilon from a SplitMix64 stream
 //     seeded by the exploration seed.
 //
-// Execution fans over the shared worker pool (internal/runner) with
-// per-arm early cancellation: the first crashed run disqualifies its
-// whole arm and cancels the arm's outstanding runs mid-flight. A
-// disqualified arm contributes no samples at all — which of its runs
-// happened to finish before the cancellation is scheduling-dependent,
-// so discarding them all is what keeps the report byte-identical at
-// any worker count. The executed-run counts reported are the scheduled
-// counts, equally deterministic; cancellation is a wall-clock saving,
-// never a data source.
+// Execution fans over the shared worker pool (internal/runner). Once an
+// arm's scheduled runs finish, a crash among them disqualifies the arm,
+// and a disqualified arm contributes no samples at all, so the report
+// is byte-identical at any worker count.
 //
 // The output is a Pareto-frontier report (text/JSON/CSV) over the
 // evaluated arms, with per-axis breakdowns, deterministic given the

@@ -47,8 +47,8 @@ type Arm struct {
 	// Runs is the number of replications whose samples the arm's
 	// objectives average over (0 for pruned and crashed arms).
 	Runs int `json:"runs"`
-	// Crashed marks a disqualified arm: one of its runs crashed, the
-	// rest were canceled, and none of its samples count.
+	// Crashed marks a disqualified arm: one of its runs crashed, so
+	// none of its samples count.
 	Crashed bool `json:"crashed,omitempty"`
 	// Pruned marks an arm the strategy dropped before full evaluation.
 	Pruned bool `json:"pruned,omitempty"`
@@ -91,9 +91,8 @@ type Report struct {
 	Description string          `json:"description,omitempty"`
 	Strategy    string          `json:"strategy"`
 	Objectives  []ObjectiveInfo `json:"objectives"`
-	// Arms is the space's arm count; ExecutedRuns the scheduled run
-	// total (cancellation saves wall-clock, not scheduled runs);
-	// ExhaustiveRuns what the full grid would schedule.
+	// Arms is the space's arm count; ExecutedRuns the runs the strategy
+	// executed; ExhaustiveRuns what the full grid would execute.
 	Arms           int `json:"arms"`
 	EvaluatedArms  int `json:"evaluated_arms"`
 	PrunedArms     int `json:"pruned_arms"`

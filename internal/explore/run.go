@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"safetynet/internal/campaign"
@@ -39,7 +40,7 @@ type executor struct {
 	ctx       context.Context
 	opts      Options
 	nSeeds    int
-	scheduled int // runs scheduled so far (deterministic; not reduced by cancellation)
+	scheduled int // runs scheduled so far
 }
 
 // budget resolves a round's horizon: the strategy budget clamped by the
@@ -71,53 +72,44 @@ type armEval struct {
 }
 
 // eval runs seeds replications of each listed arm at the given budget
-// on the shared pool, with per-arm crash cancellation: an arm's first
-// crashed run disqualifies the arm, cancels its outstanding runs, and
-// discards every sample it produced (completed-before-cancel sets are
-// scheduling-dependent; all-or-nothing keeps the report deterministic).
+// on the shared pool. An arm with a crashed run is disqualified after
+// the fact and contributes no samples; every other arm's objectives sum
+// in seed order, so the result is the same at any worker count.
 func (x *executor) eval(armIdxs []int, seeds int, budget uint64) ([]armEval, error) {
 	runs, err := x.expand(x.budget(budget))
 	if err != nil {
 		return nil, err
 	}
-	rcs := make([]runner.RunConfig, 0, len(armIdxs)*seeds)
-	group := make([]int, 0, len(armIdxs)*seeds)
 	runAt := make([]campaign.Run, 0, len(armIdxs)*seeds)
-	for gi, a := range armIdxs {
-		for s := 0; s < seeds; s++ {
-			runAt = append(runAt, runs[a*x.nSeeds+s])
-			group = append(group, gi)
-		}
+	for _, a := range armIdxs {
+		runAt = append(runAt, runs[a*x.nSeeds:a*x.nSeeds+seeds]...)
 	}
-	rcs = append(rcs, campaign.RunConfigs(runAt, nil)...)
+	rcs := campaign.RunConfigs(runAt, nil)
 	x.scheduled += len(rcs)
 
-	res, canceled, err := runner.RunGroupsCtx(x.ctx, rcs, group, x.opts.Workers,
-		func(i int, r runner.RunResult) bool {
-			if x.opts.OnRun != nil {
-				x.opts.OnRun(runAt[i], r)
-			}
-			return r.Crashed
-		})
+	var onDone func(int, runner.RunResult)
+	if x.opts.OnRun != nil {
+		onDone = func(i int, r runner.RunResult) { x.opts.OnRun(runAt[i], r) }
+	}
+	res, err := runner.RunAll(x.ctx, rcs, x.opts.Workers, onDone)
 	if err != nil {
 		return nil, err
 	}
 	evals := make([]armEval, len(armIdxs))
 	for gi := range armIdxs {
-		if canceled[gi] {
+		armRes := res[gi*seeds : (gi+1)*seeds]
+		if slices.ContainsFunc(armRes, func(r runner.RunResult) bool { return r.Crashed }) {
 			evals[gi] = armEval{crashed: true}
 			continue
 		}
-		sums := make([]float64, len(x.objs))
-		for s := 0; s < seeds; s++ {
-			r := res[gi*seeds+s]
+		natural := make([]float64, len(x.objs))
+		for _, r := range armRes {
 			for oi, obj := range x.objs {
-				sums[oi] += obj.Extract(r)
+				natural[oi] += obj.Extract(r)
 			}
 		}
-		natural := make([]float64, len(x.objs))
-		for oi := range sums {
-			natural[oi] = sums[oi] / float64(seeds)
+		for oi := range natural {
+			natural[oi] /= float64(seeds)
 		}
 		evals[gi] = armEval{natural: natural, runs: seeds}
 	}
@@ -346,8 +338,7 @@ func (x *executor) bandit(all []int) (map[int]armEval, []Round, error) {
 		return v
 	}
 
-	// Initialization: every arm once, in parallel on the pool (each arm
-	// its own group, so a crash cancels only its own single run).
+	// Initialization: every arm once, in parallel on the pool.
 	initArms := all
 	if budget < len(all) {
 		initArms = all[:budget]

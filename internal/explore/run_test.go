@@ -106,8 +106,7 @@ func TestHalvingFewerRunsBitIdenticalFinalists(t *testing.T) {
 
 // TestCrashedArmDisqualified: a crashing arm is disqualified — no
 // samples, no rank — without disturbing the healthy arms, and the
-// report stays byte-identical across worker counts even though which
-// of the arm's runs get canceled mid-flight is scheduling-dependent.
+// report stays byte-identical across worker counts.
 func TestCrashedArmDisqualified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -69,7 +70,9 @@ func RunPoints(pts []Point, parallelism int) []runner.RunResult {
 	for i := range pts {
 		rcs[i] = pts[i].Run
 	}
-	return runner.RunAll(rcs, parallelism)
+	// RunAll fails only when its context is canceled; this one never is.
+	res, _ := runner.RunAll(context.Background(), rcs, parallelism, nil)
+	return res
 }
 
 // ---------------------------------------------------------------------

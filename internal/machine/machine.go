@@ -31,7 +31,7 @@ type Node struct {
 	Proc *proc.Processor
 	Out  *iodev.OutputBuffer
 	In   *iodev.InputLog
-	Ring *core.RegRing
+	Ring core.RegRing[proc.Snapshot]
 
 	m           *Machine
 	rpcn        msg.CN
@@ -108,7 +108,6 @@ func New(p config.Params, profile workload.Profile) *Machine {
 		gen := workload.NewSynthetic(profile, n, p.Seed)
 		node.Out = iodev.NewOutputBuffer()
 		node.Proc = proc.New(n, eng, p, node.CC, gen, node.Out)
-		node.Ring = core.NewRegRing()
 		node.Ring.Add(1, node.Proc.Snapshot())
 		node.CC.OnFault = m.faultReporter(n)
 		node.CC.OnReadyChange = node.evalReady
@@ -402,7 +401,7 @@ func (n *Node) onRecover(rpcn msg.CN) {
 		panic(fmt.Sprintf("machine: node %d has no register checkpoint %d", n.ID, rpcn))
 	}
 	before := n.Proc.Instrs()
-	n.Proc.Restore(snap.(proc.Snapshot))
+	n.Proc.Restore(snap)
 	n.m.InstrsRolledBack += before - n.Proc.Instrs()
 	n.Ring.DropAbove(rpcn)
 	n.Out.Recover(rpcn)

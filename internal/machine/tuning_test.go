@@ -43,38 +43,9 @@ func TestTuneWorkloads(t *testing.T) {
 			}
 			return s
 		}
-		missBy := map[string]uint64{}
-		classify := func(addr uint64) string {
-			if addr < uint64(prof.SharedBlocks)*64 {
-				shb := uint64(prof.SharedHotBlocks) * 64
-				swb := uint64(prof.SharedWarmBlocks) * 64
-				switch {
-				case addr < shb:
-					return "sh-hot"
-				case addr < shb+swb:
-					return "sh-warm"
-				}
-				return "sh-cold"
-			}
-			base := addr &^ ((uint64(1) << 33) - 1)
-			off := addr - base
-			hb := uint64(prof.PrivateHotBlocks) * 64
-			wb := uint64(prof.PrivateWarmBlocks) * 64
-			switch {
-			case off < hb:
-				return "pr-hot"
-			case off < hb+wb:
-				return "pr-warm"
-			}
-			return "pr-cold"
-		}
-		for _, n := range m.Nodes {
-			n.CC.OnMiss = func(addr uint64, isStore bool) { missBy[classify(addr)]++ }
-		}
 		a := take()
 		m.Run(warm + meas)
 		b := take()
-		t.Logf("%s missBy: %v", name, missBy)
 		d := snap{
 			instrs: b.instrs - a.instrs, loads: b.loads - a.loads,
 			stores: b.stores - a.stores, misses: b.misses - a.misses,

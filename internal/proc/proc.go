@@ -18,7 +18,7 @@ import (
 
 // Snapshot is the processor's architectural state at a checkpoint.
 type Snapshot struct {
-	Gen    any
+	Gen    workload.State
 	Instrs uint64
 	Carry  int
 }
@@ -40,7 +40,7 @@ type Processor struct {
 	eng  *sim.Engine
 	p    config.Params
 	cc   *protocol.CacheController
-	gen  workload.Generator
+	gen  *workload.Synthetic
 	out  *iodev.OutputBuffer
 
 	instrs uint64
@@ -75,7 +75,7 @@ type epochCallbacks struct {
 
 // New builds a processor. out may be nil when the workload performs no
 // I/O.
-func New(node int, eng *sim.Engine, p config.Params, cc *protocol.CacheController, gen workload.Generator, out *iodev.OutputBuffer) *Processor {
+func New(node int, eng *sim.Engine, p config.Params, cc *protocol.CacheController, gen *workload.Synthetic, out *iodev.OutputBuffer) *Processor {
 	pr := &Processor{node: node, eng: eng, p: p, cc: cc, gen: gen, out: out}
 	pr.bindEpoch()
 	return pr

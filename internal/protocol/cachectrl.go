@@ -158,8 +158,6 @@ type CacheController struct {
 	OnFault func(cause string)
 	// OnReadyChange fires when ReadyCkpt may have increased.
 	OnReadyChange func()
-	// OnMiss, when set, observes every transactional access (debug).
-	OnMiss func(addr uint64, isStore bool)
 }
 
 // NewCacheController builds the controller with empty caches.
@@ -293,9 +291,6 @@ func (cc *CacheController) Load(addr uint64, done func(uint64)) {
 		return
 	}
 	cc.stats.Misses++
-	if cc.OnMiss != nil {
-		cc.OnMiss(addr, false)
-	}
 	cc.startTxn(addr, false, 0, done, nil)
 }
 
@@ -326,16 +321,10 @@ func (cc *CacheController) storeInner(addr uint64, val uint64, done func()) {
 	if l2 != nil {
 		// S or O: upgrade.
 		cc.stats.Upgrades++
-		if cc.OnMiss != nil {
-			cc.OnMiss(addr, true)
-		}
 		cc.startTxn(addr, true, val, nil, done)
 		return
 	}
 	cc.stats.Misses++
-	if cc.OnMiss != nil {
-		cc.OnMiss(addr, true)
-	}
 	cc.startTxn(addr, true, val, nil, done)
 }
 

@@ -2,16 +2,18 @@
 // the repository: it builds one simulated backend per run description,
 // measures the run's window deltas, and fans independent runs across a
 // worker pool without changing any result. The experiment registry
-// (internal/harness) and the campaign engine (internal/campaign) both
-// sit on top of it, so parallelism semantics — worker-count
-// sanitization, deterministic result order, streaming completion — are
-// defined exactly once.
+// (internal/harness), the campaign engine (internal/campaign), the
+// exploration engine (internal/explore) and the campaign daemon
+// (internal/serve) all enter the pool through RunAll, so parallelism
+// semantics — worker-count sanitization, deterministic result order,
+// streaming completion, cancellation — are defined exactly once.
 package runner
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"safetynet/internal/backend"
 	"safetynet/internal/cache"
@@ -227,9 +229,9 @@ func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 
 // Workers is the single worker-count sanitization path every sweep
 // shares: zero and negative counts mean "one worker per available CPU"
-// (GOMAXPROCS), anything positive is taken literally. harness.Options
-// and campaign.Options both funnel through it, so "0 means use the
-// machine" cannot drift between layers.
+// (GOMAXPROCS), anything positive is taken literally. Options and
+// campaign.Options both funnel through it, so "0 means use the machine"
+// cannot drift between layers.
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -237,38 +239,52 @@ func Workers(n int) int {
 	return n
 }
 
-// RunAll executes every run and returns results in input order. Each
-// run owns its own deterministic engine, machine, and RNG, so runs are
-// independent and the result for a given run is identical whether it
-// executed serially or on a worker pool. The worker count is sanitized
-// through Workers.
-func RunAll(rcs []RunConfig, workers int) []RunResult {
-	return RunAllStream(rcs, workers, nil)
-}
-
-// RunAllStream is RunAll with a completion callback: onDone fires once
-// per run, in completion order (not input order), as soon as that run's
-// result exists. Calls are serialized, so the callback may write shared
-// progress state without locking. The returned slice is still in input
-// order regardless of scheduling.
-func RunAllStream(rcs []RunConfig, workers int, onDone func(i int, r RunResult)) []RunResult {
-	res, _ := RunAllStreamCtx(context.Background(), rcs, workers, onDone)
-	return res
-}
-
-// RunAllStreamCtx is RunAllStream under a context: a canceled context
-// stops dispatching queued runs and abandons in-flight ones at the next
-// stride check (see RunCtx), then returns the context's error with the
-// partial results (canceled runs hold the zero RunResult and fire no
-// callback). With a background context it is exactly RunAllStream. It
-// is RunGroupsCtx with every run in one group that is never pruned.
-func RunAllStreamCtx(ctx context.Context, rcs []RunConfig, workers int, onDone func(i int, r RunResult)) ([]RunResult, error) {
-	res, _, err := RunGroupsCtx(ctx, rcs, make([]int, len(rcs)), workers,
-		func(i int, r RunResult) bool {
-			if onDone != nil {
-				onDone(i, r)
+// RunAll executes every run on the package's one worker pool and
+// returns the results in input order. Each run owns its own
+// deterministic engine, machine, and RNG, so runs are independent and a
+// run's result is identical at any worker count; the count is sanitized
+// through Workers. onDone, when non-nil, fires once per completed run,
+// in completion order (not input order), on the calling goroutine, so
+// the callback may write shared state without locking.
+//
+// A canceled context stops dispatching queued runs and abandons
+// in-flight ones at the next stride check (see RunCtx); RunAll then
+// returns the context's error, and every run that did not complete
+// holds the zero RunResult and fired no callback.
+func RunAll(ctx context.Context, rcs []RunConfig, workers int, onDone func(i int, r RunResult)) ([]RunResult, error) {
+	res := make([]RunResult, len(rcs))
+	idx := make(chan int)
+	go func() {
+		defer close(idx)
+		for i := 0; i < len(rcs) && ctx.Err() == nil; i++ {
+			select {
+			case idx <- i:
+			case <-ctx.Done():
 			}
-			return false
-		})
-	return res, err
+		}
+	}()
+	done := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(Workers(workers), len(rcs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				if r, err := RunCtx(ctx, rcs[i]); err == nil { // else canceled mid-run
+					res[i] = r
+					done <- i
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for i := range done {
+		if onDone != nil {
+			onDone(i, res[i])
+		}
+	}
+	return res, ctx.Err()
 }

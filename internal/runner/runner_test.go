@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -42,31 +43,44 @@ func testRuns(n int) []RunConfig {
 	return rcs
 }
 
+// runAll runs every configuration to completion on the pool.
+func runAll(t *testing.T, rcs []RunConfig, workers int) []RunResult {
+	t.Helper()
+	res, err := RunAll(context.Background(), rcs, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestRunAllDeterministicAcrossWorkerCounts: results arrive in input
 // order and are bit-identical at any parallelism, including the
 // sanitized "0 means all CPUs" path.
 func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	rcs := testRuns(4)
-	serial := RunAll(rcs, 1)
+	serial := runAll(t, rcs, 1)
 	for _, workers := range []int{0, 2, 8} {
-		if got := RunAll(rcs, workers); !reflect.DeepEqual(serial, got) {
+		if got := runAll(t, rcs, workers); !reflect.DeepEqual(serial, got) {
 			t.Fatalf("RunAll(workers=%d) diverged from serial", workers)
 		}
 	}
 }
 
-// TestRunAllStreamCompletion: the completion callback fires exactly once
-// per run with that run's finished result, and the returned slice is
-// still input-ordered.
-func TestRunAllStreamCompletion(t *testing.T) {
+// TestRunAllCompletion: the completion callback fires exactly once per
+// run with that run's finished result, and the returned slice is still
+// input-ordered.
+func TestRunAllCompletion(t *testing.T) {
 	rcs := testRuns(5)
 	seen := map[int]RunResult{}
-	res := RunAllStream(rcs, 3, func(i int, r RunResult) {
+	res, err := RunAll(context.Background(), rcs, 3, func(i int, r RunResult) {
 		if _, dup := seen[i]; dup {
 			t.Errorf("run %d completed twice", i)
 		}
 		seen[i] = r
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != len(rcs) {
 		t.Fatalf("callback fired %d times, want %d", len(seen), len(rcs))
 	}
@@ -127,15 +141,30 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 	}
 }
 
-// TestRunAllStreamCtxCancellation: canceling the pool context stops
-// dispatch, abandons in-flight runs, fires no callback for them, and
-// surfaces context.Canceled — on both the serial and the sharded path.
-func TestRunAllStreamCtxCancellation(t *testing.T) {
+// TestRunAllCancellation: canceling the pool context stops dispatch,
+// abandons in-flight runs, fires no callback for them, and surfaces
+// context.Canceled, on one worker and on several; a context canceled
+// before the call runs nothing at all.
+func TestRunAllCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunAll(ctx, testRuns(4), 2, func(i int, r RunResult) {
+		t.Errorf("pre-canceled pool completed run %d", i)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled: err = %v, want context.Canceled", err)
+	}
+	for i, r := range res {
+		if !reflect.DeepEqual(r, RunResult{}) {
+			t.Fatalf("pre-canceled: run %d holds a result: %+v", i, r)
+		}
+	}
+
 	for _, workers := range []int{1, 3} {
 		rcs := testRuns(6)
 		ctx, cancel := context.WithCancel(context.Background())
 		fired := 0
-		_, err := RunAllStreamCtx(ctx, rcs, workers, func(i int, r RunResult) {
+		_, err := RunAll(ctx, rcs, workers, func(i int, r RunResult) {
 			fired++
 			if fired == 1 {
 				cancel() // cancel as soon as the first run completes
@@ -144,7 +173,7 @@ func TestRunAllStreamCtxCancellation(t *testing.T) {
 				t.Errorf("workers=%d: completed run %d reported a crash: %s", workers, i, r.CrashCause)
 			}
 		})
-		if err != context.Canceled {
+		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 		if fired == 0 || fired == len(rcs) {
@@ -183,7 +212,7 @@ func reuseRuns() []RunConfig {
 // from new memory.
 func TestFrameReuseAcrossWorkers(t *testing.T) {
 	rcs := reuseRuns()
-	serial := RunAll(rcs, 1)
+	serial := runAll(t, rcs, 1)
 	half := len(rcs) / 2
 	for i, r := range serial[:half] {
 		if r.Crashed || r.Instrs == 0 {
@@ -197,7 +226,7 @@ func TestFrameReuseAcrossWorkers(t *testing.T) {
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
-		if got := RunAll(rcs, 4); !reflect.DeepEqual(serial, got) {
+		if got := runAll(t, rcs, 4); !reflect.DeepEqual(serial, got) {
 			t.Fatalf("pass %d: RunAll at 4 workers diverged from 1 worker", pass)
 		}
 	}

@@ -11,18 +11,13 @@ import (
 	"safetynet/internal/runner"
 )
 
-// Job is one submitted campaign's runtime state: the persisted meta,
-// the event hub, and the per-shard progress counters the metrics
-// endpoint exports. The store is the source of truth; Job is the
-// in-memory view one daemon lifetime keeps.
+// Job is one submitted campaign's runtime state: the persisted meta and
+// the event hub. The store is the source of truth; Job is the in-memory
+// view one daemon lifetime keeps.
 type Job struct {
 	mu   sync.Mutex
 	meta Meta
 	hub  *hub
-	// shardDone/shardTotal are per-shard progress while running (nil
-	// otherwise).
-	shardDone  []int
-	shardTotal []int
 	// reports caches encoded reports by format once the job is done
 	// (they are immutable from then on).
 	reports map[string][]byte
@@ -49,12 +44,12 @@ func (j *Job) setMeta(m Meta) {
 	j.mu.Unlock()
 }
 
-// ShardProgress returns copies of the per-shard done/total counters
-// (nil when the job is not running).
-func (j *Job) ShardProgress() (done, total []int) {
+// hasHistory reports whether the hub carries the job's checkpointed
+// history, so its count is the job's done count.
+func (j *Job) hasHistory() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]int(nil), j.shardDone...), append([]int(nil), j.shardTotal...)
+	return j.replayed
 }
 
 // effective returns the campaign the job actually executes: the
@@ -110,9 +105,9 @@ func completionEvent(run campaign.Run, res runner.RunResult, total int) Event {
 
 // execute runs one job to completion (or resumption-point), the heart
 // of the daemon: expand deterministically, skip every run already in
-// the shard logs, and run the rest on the worker pool campaign.Execute
-// uses. Each completion is appended to its shard's checkpoint log
-// before it is announced on the event stream, and the full
+// the checkpoint logs, and run the rest on the worker pool
+// campaign.Execute uses. Each completion is appended to the job's
+// record log before it is announced on the event stream, and the full
 // expansion-order result set reduces into the report. A store failure
 // cancels the pool and fails the job. A canceled context returns
 // ctx.Err() with the job left running on disk — the state Open
@@ -140,70 +135,40 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	}
 	j.setMeta(m)
 
-	// Run i goes to shard log i mod shards. Records are keyed by index
-	// and LoadRecords reads every shard log, so a lifetime at any shard
-	// count resumes what an earlier one left.
 	rcs := campaign.RunConfigs(runs, nil)
-	shards := max(1, min(runner.Workers(s.opts.Workers), len(rcs)))
-	shardDone := make([]int, shards)
-	shardTotal := make([]int, shards)
 	var pending []int
+	var todo []runner.RunConfig
 	for i := range rcs {
-		k := i % shards
-		shardTotal[k]++
-		if _, ok := recs[i]; ok {
-			shardDone[k]++
-		} else {
+		if _, ok := recs[i]; !ok {
 			pending = append(pending, i)
+			todo = append(todo, rcs[i])
 		}
 	}
-	j.mu.Lock()
-	j.shardDone, j.shardTotal = shardDone, shardTotal
-	j.mu.Unlock()
-
-	todo := make([]runner.RunConfig, len(pending))
-	for k, i := range pending {
-		todo[k] = rcs[i]
+	log, err := s.store.OpenRecordLog(m.ID, s.opts.CheckpointEvery)
+	if err != nil {
+		return s.failJob(j, err)
 	}
-	logs := make([]*ShardLog, shards)
 	var storeErr error
 	poolCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// The pool serializes the callback, so it owns logs, recs and
-	// storeErr without locking.
-	_, runErr := runner.RunAllStreamCtx(poolCtx, todo, shards, func(k int, res runner.RunResult) {
+	// RunAll calls the callback on this goroutine, so it owns log, recs
+	// and storeErr without locking.
+	_, runErr := runner.RunAll(poolCtx, todo, s.opts.Workers, func(k int, res runner.RunResult) {
 		if storeErr != nil {
 			return
 		}
 		i := pending[k]
-		shard := i % shards
-		if logs[shard] == nil {
-			logs[shard], storeErr = s.store.OpenShardLog(m.ID, shard, s.opts.CheckpointEvery)
-		}
-		if storeErr == nil {
-			storeErr = logs[shard].Append(Record{Index: i, Result: res})
-		}
-		if storeErr != nil {
+		if storeErr = log.Append(Record{Index: i, Result: res}); storeErr != nil {
 			cancel()
 			return
 		}
 		recs[i] = res
-		j.mu.Lock()
-		j.shardDone[shard]++
-		j.mu.Unlock()
 		s.noteRunDone()
 		j.hub.publish(completionEvent(runs[i], res, len(runs)))
 	})
-	// Flush the checkpoint logs before anything else: a meta that says
+	// Flush the checkpoint log before anything else: a meta that says
 	// StateDone must never outrun the records it summarizes.
-	var closeErr error
-	for _, log := range logs {
-		if log != nil {
-			if err := log.Close(); err != nil && closeErr == nil {
-				closeErr = err
-			}
-		}
-	}
+	closeErr := log.Close()
 	switch {
 	case storeErr != nil:
 		return s.failJob(j, storeErr)
@@ -226,10 +191,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	if err := s.store.SaveMeta(m); err != nil {
 		return s.failJob(j, err)
 	}
-	j.mu.Lock()
-	j.meta = m
-	j.shardDone, j.shardTotal = nil, nil
-	j.mu.Unlock()
+	j.setMeta(m)
 	j.hub.finish(endFrame(m))
 	return nil
 }
@@ -243,10 +205,7 @@ func (s *Server) failJob(j *Job, err error) error {
 	if serr := s.store.SaveMeta(m); serr != nil {
 		s.logf("job %s: persisting failure: %v", m.ID, serr)
 	}
-	j.mu.Lock()
-	j.meta = m
-	j.shardDone, j.shardTotal = nil, nil
-	j.mu.Unlock()
+	j.setMeta(m)
 	j.hub.finish(endFrame(m))
 	return err
 }

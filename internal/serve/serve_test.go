@@ -119,9 +119,9 @@ func encodeCampaign(t *testing.T, c *campaign.Campaign) []byte {
 }
 
 // assertOneRecordPerIndex is the no-duplicated-work invariant: every
-// expansion index checkpointed exactly once, across all shard logs and
-// daemon lifetimes, on lines that all parse (a torn tail that was
-// appended over would not).
+// expansion index checkpointed exactly once, across all of the job's
+// logs and daemon lifetimes, on lines that all parse (a torn tail that
+// was appended over would not).
 func assertOneRecordPerIndex(t *testing.T, dir, id string, total int) {
 	t.Helper()
 	perIndex := map[int]int{}
@@ -130,7 +130,7 @@ func assertOneRecordPerIndex(t *testing.T, dir, id string, total int) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if !strings.HasPrefix(e.Name(), "shard-") {
+		if !strings.HasSuffix(e.Name(), ".log") {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "jobs", id, e.Name()))
@@ -160,7 +160,7 @@ func assertOneRecordPerIndex(t *testing.T, dir, id string, total int) {
 
 // TestKillRestartResumeByteIdentical is the acceptance property:
 // submit, kill the daemon mid-campaign, restart on the same store,
-// resume from the shard checkpoints without re-running checkpointed
+// resume from the checkpoints without re-running checkpointed
 // runs, and serve a report byte-identical to an uninterrupted local
 // single-worker execution — in every format.
 func TestKillRestartResumeByteIdentical(t *testing.T) {
@@ -232,7 +232,7 @@ func TestKillRestartResumeByteIdentical(t *testing.T) {
 	}
 
 	// No checkpointed run was re-executed: every expansion index has
-	// exactly one record line across all shard logs.
+	// exactly one record line in the job's logs.
 	assertOneRecordPerIndex(t, dir, st.ID, 8)
 	t.Logf("killed at %d/8 checkpointed runs, resumed the remaining %d", checkpointed, 8-checkpointed)
 
@@ -324,7 +324,7 @@ func TestWorkerFleetDrainsQueuedCampaigns(t *testing.T) {
 	}
 }
 
-// TestTornTailWorkerResume: a shard log ending in the half-written line
+// TestTornTailWorkerResume: a record log ending in the half-written line
 // a kill -9 leaves behind is repaired on resume — the torn tail is
 // trimmed, the intact records are not re-executed, and the resumed
 // pool's appends land on fresh lines, so the final report is
@@ -341,14 +341,14 @@ func TestTornTailWorkerResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pre-seed shard 0 (of 2: indices 0, 2, 4, 6) with the real results
-	// of its first two runs, then tear the log mid-append.
+	// Pre-seed the record log with the real results of runs 0 and 2,
+	// then tear the log mid-append.
 	runs, err := c.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rcs := campaign.RunConfigs(runs, nil)
-	log, err := store.OpenShardLog(m.ID, 0, 1)
+	log, err := store.OpenRecordLog(m.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestTornTailWorkerResume(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "jobs", m.ID, "shard-0000.log")
+	path := filepath.Join(dir, "jobs", m.ID, "records.log")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -397,6 +397,66 @@ func TestTornTailWorkerResume(t *testing.T) {
 	}
 	if want := localReport(t, c, "text"); !bytes.Equal(served, want) {
 		t.Fatalf("report differs after torn-tail resume:\n--- served ---\n%s\n--- local ---\n%s", served, want)
+	}
+}
+
+// TestShardedStoreResumes: a queued job whose records an earlier daemon
+// left in shard-NNNN.log files (run i in shard i mod shards) resumes
+// under this daemon: it runs only the unrecorded indices, every index
+// ends with exactly one record across all logs, and the served report
+// matches the local one.
+func TestShardedStoreResumes(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCampaign()
+	m, err := store.Create(encodeCampaign(t, c), Meta{Name: c.Name, Runs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := c.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcs := campaign.RunConfigs(runs, nil)
+	shards := map[string][]byte{}
+	for _, i := range []int{0, 1, 3, 4} {
+		res, err := runner.RunCtx(context.Background(), rcs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(Record{Index: i, Result: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("shard-%04d.log", i%2)
+		shards[name] = append(append(shards[name], line...), '\n')
+	}
+	for name, data := range shards {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", m.ID, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d := startDaemon(t, dir, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	fin, err := d.cl.Wait(ctx, m.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != StateDone || fin.Done != 8 {
+		t.Fatalf("final status = %+v", fin)
+	}
+	assertOneRecordPerIndex(t, dir, m.ID, 8)
+	served, err := d.cl.Report(ctx, m.ID, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localReport(t, c, "json"); !bytes.Equal(served, want) {
+		t.Fatalf("report differs after resuming a sharded store:\n--- served ---\n%s\n--- local ---\n%s", served, want)
 	}
 }
 
@@ -470,7 +530,7 @@ func TestSSEReplayOrderingConcurrentSubscribers(t *testing.T) {
 	}
 }
 
-// TestStoreTornTailTolerated: a shard log whose final line was cut by
+// TestStoreTornTailTolerated: a record log whose final line was cut by
 // a crash loads cleanly — the intact prefix survives, the torn record
 // is simply not checkpointed.
 func TestStoreTornTailTolerated(t *testing.T) {
@@ -484,7 +544,7 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := store.OpenShardLog(m.ID, 0, 1)
+	log, err := store.OpenRecordLog(m.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +557,7 @@ func TestStoreTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the tail: append half a record, no newline.
-	path := filepath.Join(dir, "jobs", m.ID, "shard-0000.log")
+	path := filepath.Join(dir, "jobs", m.ID, "records.log")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -521,9 +581,9 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	}
 }
 
-// TestShardLogTornTailTrimmedOnReopen exercises the repair directly: a
-// reopened log with a torn tail truncates it, and subsequent appends
-// parse cleanly alongside the intact prefix.
+// TestShardLogTornTailTrimmedOnReopen exercises the record log's repair
+// directly: a reopened log with a torn tail truncates it, and subsequent
+// appends parse cleanly alongside the intact prefix.
 func TestShardLogTornTailTrimmedOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir)
@@ -534,7 +594,7 @@ func TestShardLogTornTailTrimmedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := store.OpenShardLog(m.ID, 0, 1)
+	log, err := store.OpenRecordLog(m.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +604,7 @@ func TestShardLogTornTailTrimmedOnReopen(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "jobs", m.ID, "shard-0000.log")
+	path := filepath.Join(dir, "jobs", m.ID, "records.log")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +614,7 @@ func TestShardLogTornTailTrimmedOnReopen(t *testing.T) {
 	}
 	f.Close()
 
-	log, err = store.OpenShardLog(m.ID, 0, 1)
+	log, err = store.OpenRecordLog(m.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,11 @@ import (
 type Options struct {
 	// StoreDir is the persistent job-store directory.
 	StoreDir string
-	// Workers is both the worker-pool width and the shard count of
-	// each executing job (0 = one per CPU, the shared runner.Workers
-	// sanitization).
+	// Workers is the worker-pool width (0 = one per CPU, the shared
+	// runner.Workers sanitization).
 	Workers int
 	// CheckpointEvery is the number of completed runs between
-	// checkpoint syncs of each shard log; <1 means every completion.
+	// checkpoint syncs of a job's record log; <1 means every completion.
 	CheckpointEvery int
 	// MaxQueue bounds jobs waiting to execute; submissions past it get
 	// 503. <1 defaults to 64.
@@ -60,8 +59,6 @@ type Server struct {
 	// scheduler without bounding the queue to a channel's capacity.
 	queue []string
 	wake  chan struct{}
-	// executing is the ID of the currently running job ("" when idle).
-	executing string
 
 	// runsDone counts completions this lifetime; doneTimes is the ring
 	// of recent completion instants behind the runs-per-second gauge.
@@ -154,7 +151,6 @@ func (s *Server) schedule(ctx context.Context) {
 			id := s.queue[0]
 			s.queue = s.queue[1:]
 			j = s.jobs[id]
-			s.executing = id
 		}
 		s.mu.Unlock()
 		if j == nil {
@@ -168,9 +164,6 @@ func (s *Server) schedule(ctx context.Context) {
 		m := j.Meta()
 		s.logf("job %s: executing (%d runs)", m.ID, m.Runs)
 		err := s.execute(ctx, j)
-		s.mu.Lock()
-		s.executing = ""
-		s.mu.Unlock()
 		switch {
 		case err == nil:
 			s.logf("job %s: done", m.ID)
@@ -239,25 +232,17 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 // HTTP API
 // ---------------------------------------------------------------------
 
-// ShardStatus is one shard's progress within a running job.
-type ShardStatus struct {
-	Shard int `json:"shard"`
-	Done  int `json:"done"`
-	Total int `json:"total"`
-}
-
 // JobStatus is the status document of GET /campaigns/{id} (and the
 // rows of GET /campaigns).
 type JobStatus struct {
-	ID             string        `json:"id"`
-	Name           string        `json:"name,omitempty"`
-	State          string        `json:"state"`
-	Runs           int           `json:"runs"`
-	Done           int           `json:"done"`
-	Crashes        int           `json:"crashes,omitempty"`
-	ExpectFailures int           `json:"expect_failures,omitempty"`
-	Error          string        `json:"error,omitempty"`
-	Shards         []ShardStatus `json:"shards,omitempty"`
+	ID             string `json:"id"`
+	Name           string `json:"name,omitempty"`
+	State          string `json:"state"`
+	Runs           int    `json:"runs"`
+	Done           int    `json:"done"`
+	Crashes        int    `json:"crashes,omitempty"`
+	ExpectFailures int    `json:"expect_failures,omitempty"`
+	Error          string `json:"error,omitempty"`
 }
 
 func (s *Server) status(j *Job) JobStatus {
@@ -266,21 +251,16 @@ func (s *Server) status(j *Job) JobStatus {
 		ID: m.ID, Name: m.Name, State: m.State, Runs: m.Runs,
 		Crashes: m.Crashes, ExpectFailures: m.ExpectFailures, Error: m.Error,
 	}
-	switch m.State {
-	case StateDone:
+	switch {
+	case m.State == StateDone:
 		st.Done = m.Runs
+	case j.hasHistory():
+		st.Done = j.hub.done()
 	default:
-		done, total := j.ShardProgress()
-		for k := range done {
-			st.Done += done[k]
-			st.Shards = append(st.Shards, ShardStatus{Shard: k, Done: done[k], Total: total[k]})
-		}
-		if st.Shards == nil {
-			// Not yet picked up by the scheduler this lifetime; the
-			// checkpoint logs still know how far it got.
-			if recs, err := s.store.LoadRecords(m.ID); err == nil {
-				st.Done = len(recs)
-			}
+		// Not yet picked up by the scheduler this lifetime; the
+		// checkpoint logs still know how far it got.
+		if recs, err := s.store.LoadRecords(m.ID); err == nil {
+			st.Done = len(recs)
 		}
 	}
 	return st
@@ -294,7 +274,7 @@ func (s *Server) status(j *Job) JobStatus {
 //	GET  /campaigns/{id}/report?format=  report: text (default), json, csv
 //	GET  /campaigns/{id}/events          SSE completion stream (?from=N replays)
 //	GET  /healthz                        liveness
-//	GET  /metrics                        queue depth, throughput, shards
+//	GET  /metrics                        queue depth, jobs by state, throughput
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", s.handleSubmit)
@@ -512,14 +492,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	depth := len(s.queue)
-	executing := s.executing
 	byState := map[string]int{StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0}
-	var running *Job
 	for _, j := range s.jobs {
 		byState[j.Meta().State]++
-	}
-	if executing != "" {
-		running = s.jobs[executing]
 	}
 	s.mu.Unlock()
 	s.rateMu.Lock()
@@ -541,18 +516,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP snserved_runs_per_second Completions averaged over the trailing %s.\n", rateWindow)
 	fmt.Fprintf(w, "# TYPE snserved_runs_per_second gauge\n")
 	fmt.Fprintf(w, "snserved_runs_per_second %g\n", s.runsPerSecond())
-	if running != nil {
-		id := running.Meta().ID
-		done, total := running.ShardProgress()
-		fmt.Fprintf(w, "# HELP snserved_shard_done Completed runs per shard of the executing job.\n")
-		fmt.Fprintf(w, "# TYPE snserved_shard_done gauge\n")
-		for k := range done {
-			fmt.Fprintf(w, "snserved_shard_done{job=%q,shard=\"%d\"} %d\n", id, k, done[k])
-		}
-		fmt.Fprintf(w, "# HELP snserved_shard_total Assigned runs per shard of the executing job.\n")
-		fmt.Fprintf(w, "# TYPE snserved_shard_total gauge\n")
-		for k := range total {
-			fmt.Fprintf(w, "snserved_shard_total{job=%q,shard=\"%d\"} %d\n", id, k, total[k])
-		}
-	}
 }

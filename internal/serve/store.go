@@ -1,11 +1,12 @@
 // Package serve turns the campaign engine into a long-running service:
 // an HTTP/JSON API over a persistent, resumable job queue. A submitted
 // campaign becomes a write-ahead directory — the canonical campaign
-// JSON, a small job-state file, and per-shard completion checkpoints in
-// append-only JSONL — so a killed-and-restarted daemon resumes from the
-// last checkpoint and still produces the byte-identical expansion-order
-// report the local sncampaign pool would. The persistence reuses the strict canonical-encode discipline
-// of internal/scenario and internal/campaign: what is on disk is what
+// JSON, a small job-state file, and one append-only JSONL log of
+// completion checkpoints — so a killed-and-restarted daemon resumes from
+// the last checkpoint and still produces the byte-identical
+// expansion-order report the local sncampaign pool would. The
+// persistence reuses the strict canonical-encode discipline of
+// internal/scenario and internal/campaign: what is on disk is what
 // Parse accepts, and the report is a pure function of the campaign plus
 // the recorded results.
 //
@@ -66,10 +67,10 @@ type Meta struct {
 }
 
 // Record is one checkpointed run completion: the run's expansion index
-// plus its measured result, one canonical JSON object per shard-log
-// line. Expansion order is deterministic, so the index alone names the
-// run; the report reduces records by index regardless of which shard
-// (or which daemon lifetime) produced them.
+// plus its measured result, one canonical JSON object per log line.
+// Expansion order is deterministic, so the index alone names the run;
+// the report reduces records by index regardless of which log or which
+// daemon lifetime produced them.
 type Record struct {
 	Index  int              `json:"index"`
 	Result runner.RunResult `json:"result"`
@@ -77,7 +78,9 @@ type Record struct {
 
 // Store is the persistent job directory: jobs/<id>/ holds campaign.json
 // (written and synced before the job becomes visible), job.json (the
-// Meta), and shard-NNNN.log checkpoint files.
+// Meta), and records.log, the checkpoint log. A store written by an
+// earlier daemon may also hold its records in shard-NNNN.log files;
+// LoadRecords reads every *.log, so such a job resumes.
 type Store struct {
 	root string
 }
@@ -203,10 +206,10 @@ func (s *Store) LoadCampaign(id string) (*campaign.Campaign, error) {
 	return c, nil
 }
 
-// LoadRecords reads every shard checkpoint log of one job into an
+// LoadRecords reads every checkpoint log of one job into an
 // index-keyed map. A truncated final line — the append a crash cut
-// short — ends that shard's log without error: everything before it was
-// fully written, and the cut-off run simply re-executes on resume.
+// short — ends that log without error: everything before it was fully
+// written, and the cut-off run simply re-executes on resume.
 func (s *Store) LoadRecords(id string) (map[int]runner.RunResult, error) {
 	ents, err := os.ReadDir(s.jobDir(id))
 	if err != nil {
@@ -215,7 +218,7 @@ func (s *Store) LoadRecords(id string) (map[int]runner.RunResult, error) {
 	recs := map[int]runner.RunResult{}
 	for _, e := range ents {
 		name := e.Name()
-		if !strings.HasPrefix(name, "shard-") || !strings.HasSuffix(name, ".log") {
+		if !strings.HasSuffix(name, ".log") {
 			continue
 		}
 		f, err := os.Open(filepath.Join(s.jobDir(id), name))
@@ -239,29 +242,28 @@ func (s *Store) LoadRecords(id string) (map[int]runner.RunResult, error) {
 	return recs, nil
 }
 
-// ShardLog is one shard's append-only checkpoint file. Append writes
-// one Record per line and syncs every checkpointEvery appends, so at
-// most checkpointEvery-1 completed runs can need re-execution after a
-// hard machine crash (a plain process kill loses nothing that was
-// written at all).
-type ShardLog struct {
+// RecordLog is a job's append-only checkpoint log. Append writes one
+// Record per line and syncs every checkpointEvery appends, so at most
+// checkpointEvery-1 completed runs can need re-execution after a hard
+// machine crash (a plain process kill loses nothing that was written at
+// all).
+type RecordLog struct {
 	f         *os.File
 	w         *bufio.Writer
 	every     int
 	sinceSync int
 }
 
-// OpenShardLog opens (appending) the job's checkpoint log for one
-// shard. checkpointEvery < 1 is treated as 1: sync on every append. A
-// torn tail — the newline-less half-record a crash cut short — is
-// truncated away first, so the next append starts a fresh line instead
-// of concatenating onto the fragment and corrupting both records.
-func (s *Store) OpenShardLog(id string, shard, checkpointEvery int) (*ShardLog, error) {
+// OpenRecordLog opens (appending) the job's checkpoint log.
+// checkpointEvery < 1 is treated as 1: sync on every append. A torn
+// tail — the newline-less half-record a crash cut short — is truncated
+// away first, so the next append starts a fresh line instead of
+// concatenating onto the fragment and corrupting both records.
+func (s *Store) OpenRecordLog(id string, checkpointEvery int) (*RecordLog, error) {
 	if checkpointEvery < 1 {
 		checkpointEvery = 1
 	}
-	path := filepath.Join(s.jobDir(id), fmt.Sprintf("shard-%04d.log", shard))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(s.jobDir(id), "records.log"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +280,7 @@ func (s *Store) OpenShardLog(id string, shard, checkpointEvery int) (*ShardLog, 
 		f.Close()
 		return nil, err
 	}
-	return &ShardLog{f: f, w: bufio.NewWriter(f), every: checkpointEvery}, nil
+	return &RecordLog{f: f, w: bufio.NewWriter(f), every: checkpointEvery}, nil
 }
 
 // completeLines returns the byte length of f's newline-terminated
@@ -308,7 +310,7 @@ func completeLines(f *os.File) (int64, error) {
 }
 
 // Append checkpoints one completion.
-func (l *ShardLog) Append(r Record) error {
+func (l *RecordLog) Append(r Record) error {
 	line, err := json.Marshal(r)
 	if err != nil {
 		return err
@@ -324,7 +326,7 @@ func (l *ShardLog) Append(r Record) error {
 }
 
 // checkpoint flushes buffered appends through to stable storage.
-func (l *ShardLog) checkpoint() error {
+func (l *RecordLog) checkpoint() error {
 	l.sinceSync = 0
 	if err := l.w.Flush(); err != nil {
 		return err
@@ -333,7 +335,7 @@ func (l *ShardLog) checkpoint() error {
 }
 
 // Close checkpoints any unsynced tail and releases the file.
-func (l *ShardLog) Close() error {
+func (l *RecordLog) Close() error {
 	err := l.checkpoint()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

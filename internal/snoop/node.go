@@ -80,8 +80,8 @@ type Node struct {
 	defs    []deferred
 	txnPool sim.FreeList[txn]
 
-	gen    workload.Generator
-	ring   *core.RegRing
+	gen    *workload.Synthetic
+	ring   core.RegRing[nodeSnap]
 	instrs uint64
 
 	running  bool
@@ -117,7 +117,7 @@ type nodeCallbacks struct {
 }
 
 type nodeSnap struct {
-	gen    any
+	gen    workload.State
 	instrs uint64
 }
 
@@ -133,7 +133,6 @@ func newNode(id int, sys *System, prof workload.Profile) *Node {
 		memCLB: core.NewCLB(sys.p.CLBBytes/2, entryBytes),
 		wbs:    make(map[uint64]wbBuf),
 		gen:    workload.NewSynthetic(prof, id, sys.p.Seed),
-		ring:   core.NewRegRing(),
 		ccn:    1,
 	}
 	n.ring.Add(1, nodeSnap{gen: n.gen.Snapshot(), instrs: 0})
@@ -517,10 +516,9 @@ func (n *Node) recoverTo(rpcn msg.CN) {
 	if !ok {
 		panic(fmt.Sprintf("snoop: node %d missing register checkpoint %d", n.id, rpcn))
 	}
-	s := snap.(nodeSnap)
-	n.gen.Restore(s.gen)
-	n.sys.instrsRolledBack += n.instrs - s.instrs
-	n.instrs = s.instrs
+	n.gen.Restore(snap.gen)
+	n.sys.instrsRolledBack += n.instrs - snap.instrs
+	n.instrs = snap.instrs
 	n.ring.DropAbove(rpcn)
 	n.ccn = rpcn
 }

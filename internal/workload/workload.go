@@ -38,14 +38,6 @@ type Op struct {
 	IOVal uint64
 }
 
-// Generator produces a deterministic operation stream whose state can be
-// checkpointed and restored.
-type Generator interface {
-	Next() Op
-	Snapshot() any
-	Restore(any)
-}
-
 // Profile parameterises a synthetic workload.
 type Profile struct {
 	Name string
@@ -147,8 +139,9 @@ func MigratoryBase() uint64 { return migratoryBase }
 // PrivateBase returns the base address of a node's private region.
 func PrivateBase(node int) uint64 { return privateStride * uint64(node+1) }
 
-// synthState is the checkpointable generator state.
-type synthState struct {
+// State is the checkpointable generator state: a plain value, so a
+// register checkpoint holds it without allocating.
+type State struct {
 	rng       uint64
 	seq       uint64
 	ops       uint64
@@ -157,11 +150,12 @@ type synthState struct {
 	hotShift  uint64
 }
 
-// Synthetic is the standard Generator implementation.
+// Synthetic is one processor's deterministic operation stream, whose
+// State can be checkpointed and restored.
 type Synthetic struct {
 	prof  Profile
 	node  int
-	state synthState
+	state State
 	rng   sim.Rand
 }
 
@@ -180,14 +174,14 @@ func NewSynthetic(prof Profile, node int, seed uint64) *Synthetic {
 func (g *Synthetic) Profile() Profile { return g.prof }
 
 // Snapshot captures the architectural generator state.
-func (g *Synthetic) Snapshot() any {
+func (g *Synthetic) Snapshot() State {
 	g.state.rng = g.rng.Snapshot()
 	return g.state
 }
 
 // Restore rewinds to a snapshot taken earlier.
-func (g *Synthetic) Restore(s any) {
-	g.state = s.(synthState)
+func (g *Synthetic) Restore(s State) {
+	g.state = s
 	g.rng.Restore(g.state.rng)
 }
 

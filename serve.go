@@ -8,13 +8,13 @@ import (
 )
 
 // ServeOptions sizes the campaign-serving daemon: store directory,
-// worker-pool width (also the shard-log count per job), checkpoint
-// cadence, and queue bound (see cmd/snserved for the CLI front end).
+// worker-pool width, checkpoint cadence, and queue bound (see
+// cmd/snserved for the CLI front end).
 type ServeOptions = serve.Options
 
 // ServeJobStatus is one served campaign's status document: state
-// (queued/running/done/failed), progress, per-shard counters, and —
-// once finished — crash and expectation-failure counts.
+// (queued/running/done/failed), progress, and — once finished — crash
+// and expectation-failure counts.
 type ServeJobStatus = serve.JobStatus
 
 // ServeEvent is one per-run completion on a served campaign's SSE
@@ -50,7 +50,7 @@ type ServeRetryPolicy = serve.RetryPolicy
 
 // Serve runs the campaign-serving daemon on addr until ctx ends: an
 // HTTP/JSON API (submit campaigns, stream per-run completions over
-// SSE, fetch reports) over a persistent job store whose per-shard
+// SSE, fetch reports) over a persistent job store whose per-job
 // completion checkpoints make a killed-and-restarted daemon resume
 // mid-campaign — the service-level analogue of the paper's global
 // checkpoint/recovery. Reports served over HTTP are byte-identical to
