@@ -24,6 +24,15 @@
 // lets the runtime reclaim them after two collections in which no array
 // took them, so a process that stops simulating does not keep them.
 //
+// A line's replacement age is a reading of the array's clock, which
+// Install and Touch advance by one. Stamp advances the clock exactly as
+// Touch does and returns the reading without writing any line, and
+// TouchAt later raises a line's age to such a reading. A controller
+// that defers a touch this way (the directory backend's L1 keeps the L2
+// age of its hits) leaves the clock's sequence unchanged, so once every
+// deferred reading is raised into its line, each line's age is the one
+// Touch would have given it, and Victim chooses the same line.
+//
 // A line's CN is written only here, by Install and SetCN, and each write
 // that gives a valid line a non-null CN appends (address, CN) to the
 // array's CN journal. Validation prunes the entries at or below the new
@@ -92,6 +101,10 @@ type Line struct {
 	Data uint64
 	lru  uint64
 }
+
+// Age returns the line's replacement age: the clock reading of its last
+// Install, Touch or TouchAt.
+func (l *Line) Age() uint64 { return l.lru }
 
 // CN returns the SafetyNet checkpoint number of the block: the
 // checkpoint the block's current contents belong to. Null means the
@@ -213,7 +226,14 @@ func (a *Array) set(addr uint64) []Line {
 	return a.lines[s : s+a.ways]
 }
 
+// Frames returns the frames of the set addr maps to, in the order Victim
+// scans them. A caller may change only the valid ones, as it may change
+// a line Lookup returns.
+func (a *Array) Frames(addr uint64) []Line { return a.set(addr) }
+
 // Lookup returns the valid line holding addr, or nil.
+//
+//snvet:alloc-free
 func (a *Array) Lookup(addr uint64) *Line {
 	set := a.set(addr)
 	for i := range set {
@@ -225,15 +245,39 @@ func (a *Array) Lookup(addr uint64) *Line {
 }
 
 // Touch refreshes the replacement age of a line (call on every access).
+//
+//snvet:alloc-free
 func (a *Array) Touch(l *Line) {
 	a.tick++
 	l.lru = a.tick
+}
+
+// Stamp advances the replacement clock as Touch does and returns the age
+// Touch would have given the line, writing no line: the caller keeps the
+// reading and hands it to TouchAt before any Victim call that must see
+// it.
+//
+//snvet:alloc-free
+func (a *Array) Stamp() uint64 {
+	a.tick++
+	return a.tick
+}
+
+// TouchAt raises l's replacement age to age, an earlier reading of the
+// array's clock (one Stamp returned, or a line's Age), unless l's own
+// age is later.
+//
+//snvet:alloc-free
+func (a *Array) TouchAt(l *Line, age uint64) {
+	l.lru = max(l.lru, age)
 }
 
 // Victim returns the line that would be evicted to make room for addr:
 // an invalid frame if one exists, otherwise the least recently used line
 // for which evictable returns true. A nil evictable accepts every line.
 // It returns nil when no frame qualifies.
+//
+//snvet:alloc-free
 func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 	set := a.set(addr)
 	var victim *Line
@@ -256,6 +300,8 @@ func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 // frame of addr's set, as Lookup and Victim return, since Install marks
 // that set for Release. The caller decides what to do with a dirty
 // victim before calling Install.
+//
+//snvet:alloc-free
 func (a *Array) Install(l *Line, addr uint64, st State, cn msg.CN, data uint64) {
 	a.tick++
 	*l = Line{Addr: addr, State: st, cn: cn, Data: data, lru: a.tick}

@@ -339,6 +339,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("config: NonMemIPC must be positive, got %d", p.NonMemIPC)
 	case p.LinkBytesPerCycleTenths == 0:
 		return fmt.Errorf("config: link bandwidth must be positive")
+	case p.LatencyPerturbation > 0 && p.LatencyPerturbation >= p.RequestTimeoutCycles:
+		// One perturbed directory occupancy must not outlast a request's
+		// timeout, and the jitter's range, LatencyPerturbation+1, must
+		// not wrap to zero.
+		return fmt.Errorf("config: latency perturbation %d must be below the request timeout %d",
+			p.LatencyPerturbation, p.RequestTimeoutCycles)
 	}
 	if p.SafetyNetEnabled {
 		switch {

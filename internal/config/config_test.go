@@ -97,6 +97,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"no memory", func(p *Params) { p.MemoryBytesPerNode = 0 }},
 		{"zero ipc", func(p *Params) { p.NonMemIPC = 0 }},
 		{"zero bandwidth", func(p *Params) { p.LinkBytesPerCycleTenths = 0 }},
+		{"perturbation at timeout", func(p *Params) { p.LatencyPerturbation = p.RequestTimeoutCycles }},
+		{"perturbation wraps", func(p *Params) { p.LatencyPerturbation = ^uint64(0) }},
 		{"zero interval", func(p *Params) { p.CheckpointIntervalCycles = 0 }},
 		{"zero ckpts", func(p *Params) { p.MaxOutstandingCheckpoints = 0 }},
 		{"clb too small", func(p *Params) { p.CLBBytes = 8 }},

@@ -111,6 +111,26 @@ type deferred struct {
 
 // CacheController is one node's cache hierarchy plus its protocol engine
 // and (under SafetyNet) its cache-side Checkpoint Log Buffer.
+//
+// The L1 holds tags only, so each L1 frame's data word is free to tell
+// a load hit what it would otherwise ask the L2. Zero means the L2 no
+// longer holds the block: the L2 evicted it and the tag is stale, so it
+// never hits. Any other value is an L2 replacement age that the frame's
+// fill or hits took from the L2's clock (cache.Array.Stamp) and the L2
+// line has not been given. The L2 still picks the victims it would if
+// every hit touched it, because:
+//
+//	(a) a nonzero word means the L2 holds the block: fills set the word,
+//	    and installL2 zeroes the word of the block it evicts (so a block
+//	    in the writeback buffer has a zero word too);
+//	(b) a block's L2 age is the larger of its L2 line's age and its L1
+//	    word, and an L1 eviction folds the word into the line;
+//	(c) every L2 Victim call sees folded ages: installL2 folds a full
+//	    set before choosing from it (Victim takes an invalid frame if the
+//	    set has one), and Recover folds every word before the CLB unroll
+//	    chooses victims and the L1 is cleared.
+//
+// Stores, the slow load path and upgrades touch the L2 line directly.
 type CacheController struct {
 	node int
 	eng  *sim.Engine
@@ -200,7 +220,8 @@ func (cc *CacheController) Bandwidth() cache.Bandwidth { return cc.bw }
 // CLB exposes the cache-side log (nil when SafetyNet is disabled).
 func (cc *CacheController) CLB() *core.CLB { return cc.clb }
 
-// L2 exposes the L2 array for invariant checking.
+// L1 and L2 expose the arrays for invariant checking.
+func (cc *CacheController) L1() *cache.Array { return cc.l1 }
 func (cc *CacheController) L2() *cache.Array { return cc.l2 }
 
 // Release hands the L1 and L2 frames to the next arrays of their sizes;
@@ -286,7 +307,7 @@ func (cc *CacheController) Load(addr uint64, done func(uint64)) {
 		cc.stats.L2Hits++
 		cc.bw.HitCycles += cc.blockCycles()
 		cc.bw.FillCycles += cc.blockCycles() // refill the L1
-		cc.fillL1(addr)
+		cc.installL1(addr, l2.Age())
 		cc.later(sim.Time(cc.p.L2HitCycles), hit)
 		return
 	}
@@ -332,10 +353,24 @@ func (cc *CacheController) storeInner(addr uint64, val uint64, done func()) {
 // (including stores to Modified blocks) return their latency immediately
 // so the processor can batch hit runs into a single event. It returns
 // ok=false when the access needs the transactional slow path (miss,
-// upgrade, writeback race, or CLB back-pressure).
+// upgrade, writeback race, or CLB back-pressure). A load asks the L1
+// first; a hit there takes its L2 age from the L2's clock into the L1
+// frame's word and never looks at the L2.
 //
 //snvet:alloc-free
 func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (sim.Time, bool) {
+	if !isStore {
+		if l1 := cc.l1.Lookup(addr); l1 != nil {
+			if l1.Data == 0 {
+				return 0, false // a stale tag: the L2 evicted the block
+			}
+			l1.Data = cc.l2.Stamp()
+			cc.stats.Loads++
+			cc.stats.L1Hits++
+			cc.bw.HitCycles += cc.blockCycles()
+			return sim.Time(cc.p.L1HitCycles), true
+		}
+	}
 	if cc.wbs[addr] != nil {
 		return 0, false
 	}
@@ -346,15 +381,10 @@ func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (si
 	if !isStore {
 		cc.stats.Loads++
 		cc.l2.Touch(l2)
-		if cc.l1.Lookup(addr) != nil {
-			cc.stats.L1Hits++
-			cc.bw.HitCycles += cc.blockCycles()
-			return sim.Time(cc.p.L1HitCycles), true
-		}
 		cc.stats.L2Hits++
 		cc.bw.HitCycles += cc.blockCycles()
 		cc.bw.FillCycles += cc.blockCycles()
-		cc.fillL1(addr)
+		cc.installL1(addr, l2.Age())
 		return sim.Time(cc.p.L2HitCycles), true
 	}
 	if l2.State != cache.Modified {
@@ -408,20 +438,58 @@ func (cc *CacheController) storeApply(l *cache.Line, val uint64) (logLat sim.Tim
 		cc.l2.SetCN(l, core.UpdatedCN(cc.ccn))
 	}
 	l.Data = val
-	cc.fillL1(l.Addr)
+	cc.fillL1(l)
 	return logLat, true
 }
 
 const clbRetryCycles = 100
 
+// fillL1 refreshes or installs the L1 tag of the block the L2 line l2
+// holds. The frame's word keeps the later of its own age and l2's, so it
+// is nonzero and no later than the block's true age.
+//
 //snvet:alloc-free
-func (cc *CacheController) fillL1(addr uint64) {
-	if l1 := cc.l1.Lookup(addr); l1 != nil {
+func (cc *CacheController) fillL1(l2 *cache.Line) {
+	if l1 := cc.l1.Lookup(l2.Addr); l1 != nil {
 		cc.l1.Touch(l1)
+		l1.Data = max(l1.Data, l2.Age())
 		return
 	}
+	cc.installL1(l2.Addr, l2.Age())
+}
+
+// installL1 gives addr, whose tag the L1 lacks, a frame whose word is
+// the L2 age age; the L1 holds tags only, so the word is the frame's
+// whole content. The evicted frame's word folds into its block's L2
+// line.
+//
+//snvet:alloc-free
+func (cc *CacheController) installL1(addr, age uint64) {
 	v := cc.l1.Victim(addr, nil)
-	cc.l1.Install(v, addr, cache.Shared, msg.Null, 0) // L1 is a presence filter
+	if v.State != cache.Invalid && v.Data != 0 {
+		cc.l2.TouchAt(cc.l2.Lookup(v.Addr), v.Data)
+	}
+	cc.l1.Install(v, addr, cache.Shared, msg.Null, age)
+}
+
+// foldSet folds into the L2 lines of addr's set the ages their blocks'
+// L1 frames keep, so that a Victim call on the set compares true ages. A
+// set with an invalid frame needs no fold: Victim returns its first
+// invalid frame.
+//
+//snvet:alloc-free
+func (cc *CacheController) foldSet(addr uint64) {
+	set := cc.l2.Frames(addr)
+	for i := range set {
+		if set[i].State == cache.Invalid {
+			return
+		}
+	}
+	for i := range set {
+		if l1 := cc.l1.Lookup(set[i].Addr); l1 != nil {
+			cc.l2.TouchAt(&set[i], l1.Data)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -932,6 +1000,7 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 		cc.l2.Touch(l2)
 		return l2, true
 	}
+	cc.foldSet(addr)
 	v := cc.l2.Victim(addr, cc.evictableFn)
 	if v == nil {
 		// Cannot happen with a blocking processor (at most one MSHR and
@@ -947,13 +1016,20 @@ func (cc *CacheController) installL2(addr uint64, st cache.State, cn msg.CN, dat
 		}
 		v = alt
 	}
+	if v.State != cache.Invalid {
+		// v's block leaves the L2, so a tag the L1 keeps for it goes
+		// stale.
+		if l1 := cc.l1.Lookup(v.Addr); l1 != nil {
+			l1.Data = 0
+		}
+	}
 	if v.State.IsOwner() {
 		cc.startWriteback(v)
 	}
 	cc.l2.Install(v, addr, st, cn, data)
 	cc.bw.FillCycles += cc.blockCycles()
-	cc.fillL1(addr)
-	return cc.l2.Lookup(addr), true
+	cc.fillL1(v)
+	return v, true
 }
 
 // evictable reports whether an L2 frame may be replaced: no transaction
@@ -1048,6 +1124,13 @@ func (cc *CacheController) Recover(rpcn msg.CN, flushToMem func(addr, data uint6
 	cc.busy.Reset()
 	cc.epoch++
 
+	// The unroll's victim choices need the ages the L1 deferred, and
+	// InvalidateAll below drops them: fold them into the L2 first.
+	cc.l1.ForEachValid(func(l1 *cache.Line) {
+		if l1.Data != 0 {
+			cc.l2.TouchAt(cc.l2.Lookup(l1.Addr), l1.Data)
+		}
+	})
 	n := 0
 	if cc.clb != nil {
 		n = cc.clb.UnrollCache(cc.l2, rpcn, flushToMem, nil)

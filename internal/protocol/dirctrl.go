@@ -80,7 +80,10 @@ type DirController struct {
 	// busy counts the transactions awaiting AckDone by start CN.
 	busy      core.BusyQueue
 	busyUntil sim.Time
-	jitter    *sim.Rand
+	// jitter draws the LatencyPerturbation occupancy jitter from
+	// jitterBound, [0, LatencyPerturbation].
+	jitter      *sim.Rand
+	jitterBound sim.Bound
 
 	// The *Fn callbacks are bound once so that deferred dispatch, memory
 	// replies and stall retries allocate no closure per message.
@@ -108,6 +111,9 @@ func NewDirController(node int, eng *sim.Engine, nw *network.Network, p config.P
 	}
 	if dc.sn {
 		dc.clb = core.NewCLB(p.CLBBytes/2, p.CLBEntryBytes)
+	}
+	if p.LatencyPerturbation > 0 {
+		dc.jitterBound = sim.NewBound(p.LatencyPerturbation + 1)
 	}
 	dc.dispatchFn = dc.dispatch
 	dc.replyFn = dc.sendReply
@@ -246,7 +252,7 @@ func (dc *DirController) sendReply(a any) {
 
 func (dc *DirController) occupyStart(lat sim.Time) sim.Time {
 	if dc.p.LatencyPerturbation > 0 {
-		lat += sim.Time(dc.jitter.Uint64n(dc.p.LatencyPerturbation + 1))
+		lat += sim.Time(dc.jitter.Below(dc.jitterBound))
 	}
 	start := dc.eng.Now()
 	if dc.busyUntil > start {

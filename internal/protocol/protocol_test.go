@@ -16,7 +16,7 @@ import (
 // controllers wired to a real network, with the checkpoint clock and
 // service controllers replaced by manual calls.
 type rig struct {
-	t    *testing.T
+	t    testing.TB
 	eng  *sim.Engine
 	nw   *network.Network
 	p    config.Params
@@ -25,7 +25,7 @@ type rig struct {
 	home HomeFunc
 }
 
-func newRig(t *testing.T, mut func(*config.Params)) *rig {
+func newRig(t testing.TB, mut func(*config.Params)) *rig {
 	t.Helper()
 	p := config.Default()
 	p.NumNodes = 4

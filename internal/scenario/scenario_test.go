@@ -172,6 +172,7 @@ func TestParseRejects(t *testing.T) {
 		"invalid config":          `{"workload": "oltp", "measure_cycles": 1, "overrides": {"num_nodes": 0}}`,
 		"empty l1":                `{"workload": "oltp", "measure_cycles": 1000, "overrides": {"l1_bytes": 0}}`,
 		"bad protocol":            `{"workload": "oltp", "measure_cycles": 1, "overrides": {"protocol": "token"}}`,
+		"wrapping perturbation":   `{"workload": "oltp", "measure_cycles": 1000, "overrides": {"latency_perturbation": 18446744073709551615}}`,
 		"trailing data":           `{"workload": "oltp", "measure_cycles": 1} {"again": true}`,
 	}
 	for name, in := range cases {

@@ -151,3 +151,97 @@ func TestRandReplayProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// frozenUint64n is Uint64n as it stood before Below took its body: the
+// rejection limit recomputed on every draw. It is the reference that
+// Below and Uint64n must match draw for draw.
+func frozenUint64n(r *Rand, n uint64) uint64 {
+	if n == 0 {
+		panic("sim: Uint64n with zero n")
+	}
+	if n&(n-1) == 0 { // power of two: mask is exact
+		return r.Uint64() & (n - 1)
+	}
+	excess := (^uint64(0)%n + 1) % n
+	limit := ^uint64(0) - excess
+	for {
+		v := r.Uint64()
+		if v <= limit {
+			return v % n
+		}
+	}
+}
+
+// TestBelowMatchesFrozenSampler draws 10,000 values per range and seed
+// through Below, through Uint64n and through the frozen sampler, and
+// requires equal draws and equal generator states after each one. At
+// n = 2^63+1 about half the draws are rejected, so the rejection loop is
+// compared too.
+func TestBelowMatchesFrozenSampler(t *testing.T) {
+	ns := []uint64{1, 2, 3, 5, 7, 1000, 1<<32 - 1, 1<<32 + 1, 1 << 63, 1<<63 + 1, ^uint64(0)}
+	for _, n := range ns {
+		b := NewBound(n)
+		for _, seed := range []uint64{0, 1, 0xdeadbeef} {
+			ref, below, un := NewRand(seed), NewRand(seed), NewRand(seed)
+			for i := 0; i < 10_000; i++ {
+				want := frozenUint64n(ref, n)
+				if got := below.Below(b); got != want {
+					t.Fatalf("n=%d seed=%d draw %d: Below = %d, frozen sampler %d", n, seed, i, got, want)
+				}
+				if got := un.Uint64n(n); got != want {
+					t.Fatalf("n=%d seed=%d draw %d: Uint64n = %d, frozen sampler %d", n, seed, i, got, want)
+				}
+				if below.Snapshot() != ref.Snapshot() || un.Snapshot() != ref.Snapshot() {
+					t.Fatalf("n=%d seed=%d draw %d: generator states diverged", n, seed, i)
+				}
+			}
+		}
+	}
+}
+
+// TestRejectionLoopRuns confirms that n = 2^63+1 exercises the rejection
+// loop: the frozen sampler consumes about two raw draws per value.
+func TestRejectionLoopRuns(t *testing.T) {
+	r, raw := NewRand(1), NewRand(1)
+	const draws = 10_000
+	for i := 0; i < draws; i++ {
+		frozenUint64n(r, 1<<63+1)
+	}
+	n := 0
+	for raw.Snapshot() != r.Snapshot() {
+		raw.Uint64()
+		n++
+	}
+	if n < draws*18/10 || n > draws*22/10 {
+		t.Fatalf("%d raw draws for %d values, want about twice as many", n, draws)
+	}
+}
+
+func TestNewBoundZeroPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewBound(0) must panic")
+		}
+	}()
+	NewBound(0)
+}
+
+// BenchmarkUint64n and BenchmarkBelow compare a draw that builds its
+// bound with one that reuses it.
+func BenchmarkUint64n(b *testing.B) {
+	r := NewRand(1)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += r.Uint64n(40_000)
+	}
+	_ = sink
+}
+
+func BenchmarkBelow(b *testing.B) {
+	r, bound := NewRand(1), NewBound(40_000)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += r.Below(bound)
+	}
+	_ = sink
+}

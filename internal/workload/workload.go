@@ -140,14 +140,33 @@ func MigratoryBase() uint64 { return migratoryBase }
 func PrivateBase(node int) uint64 { return privateStride * uint64(node+1) }
 
 // State is the checkpointable generator state: a plain value, so a
-// register checkpoint holds it without allocating.
+// register checkpoint holds it without allocating. rotateIn counts down
+// the operations until the hot subsets next shift: it starts at the
+// profile's HotRotatePeriod, and at zero hotShift advances and the count
+// restarts, so the shifts fall on the same operations as a test of the
+// operation count modulo the period would put them.
 type State struct {
 	rng       uint64
 	seq       uint64
-	ops       uint64
+	rotateIn  uint64
 	burstLeft int
 	burstAddr uint64
 	hotShift  uint64
+}
+
+// region is an address region with the sizes of its locality tiers and
+// the bounds its draws use, built once per generator.
+type region struct {
+	base                 uint64
+	blocks, hot, warm    uint64
+	all, hotIdx, warmIdx sim.Bound
+}
+
+func newRegion(base uint64, blocks, hot, warm int) region {
+	return region{
+		base: base, blocks: uint64(blocks), hot: uint64(hot), warm: uint64(warm),
+		all: sim.NewBound(uint64(blocks)), hotIdx: sim.NewBound(uint64(hot)), warmIdx: sim.NewBound(uint64(warm)),
+	}
 }
 
 // Synthetic is one processor's deterministic operation stream, whose
@@ -157,6 +176,16 @@ type Synthetic struct {
 	node  int
 	state State
 	rng   sim.Rand
+
+	// Derived from prof once, so Next divides only where a draw needs a
+	// modulo: the instruction gap's mean and bound, the I/O probability,
+	// and the regions' bounds.
+	gapMean   int
+	gap       sim.Bound
+	ioProb    float64
+	migratory sim.Bound
+	private   region
+	shared    region
 }
 
 // NewSynthetic builds a generator for one processor.
@@ -164,9 +193,24 @@ func NewSynthetic(prof Profile, node int, seed uint64) *Synthetic {
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Synthetic{prof: prof, node: node}
+	g := &Synthetic{
+		prof: prof, node: node,
+		gapMean: 1000/prof.MemRefsPer1000 - 1,
+		private: newRegion(PrivateBase(node), prof.PrivateBlocks, prof.PrivateHotBlocks, prof.PrivateWarmBlocks),
+		shared:  newRegion(sharedBase, prof.SharedBlocks, prof.SharedHotBlocks, prof.SharedWarmBlocks),
+	}
+	if g.gapMean > 0 {
+		g.gap = sim.NewBound(uint64(g.gapMean + 1))
+	}
+	if prof.IOPer100k > 0 {
+		g.ioProb = prof.IOPer100k / 100_000 * float64(1000/prof.MemRefsPer1000+1)
+	}
+	if prof.MigratoryFrac > 0 {
+		g.migratory = sim.NewBound(uint64(prof.MigratoryBlocks))
+	}
 	g.rng = *sim.NewRand(seed ^ uint64(node)*0x9e3779b97f4a7c15)
 	g.state.rng = g.rng.Snapshot()
+	g.state.rotateIn = prof.HotRotatePeriod
 	return g
 }
 
@@ -186,10 +230,12 @@ func (g *Synthetic) Restore(s State) {
 }
 
 // Next produces the next operation.
+//
+//snvet:alloc-free
 func (g *Synthetic) Next() Op {
 	p := &g.prof
-	g.state.ops++
-	if g.state.ops%p.HotRotatePeriod == 0 {
+	if g.state.rotateIn--; g.state.rotateIn == 0 {
+		g.state.rotateIn = p.HotRotatePeriod
 		g.state.hotShift++
 	}
 
@@ -207,20 +253,19 @@ func (g *Synthetic) Next() Op {
 		return op
 	}
 
-	if p.IOPer100k > 0 && g.rng.Bool(p.IOPer100k/100_000*float64(1000/p.MemRefsPer1000+1)) {
+	if p.IOPer100k > 0 && g.rng.Bool(g.ioProb) {
 		return Op{NonMemInstrs: nonMem, IsIO: true, IOVal: g.nextVal()}
 	}
 
 	if g.rng.Bool(p.SharedFrac) {
 		if p.MigratoryFrac > 0 && g.rng.Bool(p.MigratoryFrac) {
 			// Lock-like read-modify-write burst on the contended region.
-			addr := migratoryBase + uint64(g.rng.Intn(p.MigratoryBlocks))*BlockBytes
+			addr := migratoryBase + g.rng.Below(g.migratory)*BlockBytes
 			g.state.burstLeft = p.MigratoryLen - 1
 			g.state.burstAddr = addr
 			return Op{NonMemInstrs: nonMem, Addr: addr} // first read of the burst
 		}
-		addr := g.pick(sharedBase, p.SharedBlocks, p.SharedHotBlocks, p.SharedWarmBlocks)
-		op := Op{NonMemInstrs: nonMem, Addr: addr}
+		op := Op{NonMemInstrs: nonMem, Addr: g.pick(&g.shared)}
 		if g.rng.Bool(p.SharedStoreFrac) {
 			op.IsStore = true
 			op.StoreVal = g.nextVal()
@@ -228,8 +273,7 @@ func (g *Synthetic) Next() Op {
 		return op
 	}
 
-	addr := g.pick(PrivateBase(g.node), p.PrivateBlocks, p.PrivateHotBlocks, p.PrivateWarmBlocks)
-	op := Op{NonMemInstrs: nonMem, Addr: addr}
+	op := Op{NonMemInstrs: nonMem, Addr: g.pick(&g.private)}
 	if g.rng.Bool(p.StoreFrac) {
 		op.IsStore = true
 		op.StoreVal = g.nextVal()
@@ -240,34 +284,38 @@ func (g *Synthetic) Next() Op {
 // nonMemInstrs samples the instruction gap so that references average
 // MemRefsPer1000 per 1000 instructions (gap mean = 1000/refs - 1, jittered
 // +/- 50%).
+//
+//snvet:alloc-free
 func (g *Synthetic) nonMemInstrs() int {
-	mean := 1000/g.prof.MemRefsPer1000 - 1
-	if mean <= 0 {
+	if g.gapMean <= 0 {
 		return 0
 	}
-	return mean/2 + g.rng.Intn(mean+1)
+	return g.gapMean/2 + int(g.rng.Below(g.gap))
 }
 
-// pick selects a block in [base, base+blocks*64) by locality tier: the
-// (slowly rotating) hot subset with probability HotFrac, the warm subset
-// with probability WarmFrac, else uniformly over the whole region.
-func (g *Synthetic) pick(base uint64, blocks, hotBlocks, warmBlocks int) uint64 {
+// pick selects a block of region r by locality tier: the (slowly
+// rotating) hot subset with probability HotFrac, the warm subset with
+// probability WarmFrac, else uniformly over the whole region.
+//
+//snvet:alloc-free
+func (g *Synthetic) pick(r *region) uint64 {
 	var idx uint64
-	r := g.rng.Float64()
+	x := g.rng.Float64()
 	switch {
-	case r < g.prof.HotFrac:
-		idx = (g.state.hotShift*uint64(hotBlocks)/4 + uint64(g.rng.Intn(hotBlocks))) % uint64(blocks)
-	case r < g.prof.HotFrac+g.prof.WarmFrac:
+	case x < g.prof.HotFrac:
+		idx = (g.state.hotShift*r.hot/4 + g.rng.Below(r.hotIdx)) % r.blocks
+	case x < g.prof.HotFrac+g.prof.WarmFrac:
 		// The warm subset sits just past the hot region and rotates an
 		// order of magnitude more slowly.
-		off := uint64(hotBlocks) + g.state.hotShift/8*uint64(warmBlocks)/4
-		idx = (off + uint64(g.rng.Intn(warmBlocks))) % uint64(blocks)
+		off := r.hot + g.state.hotShift/8*r.warm/4
+		idx = (off + g.rng.Below(r.warmIdx)) % r.blocks
 	default:
-		idx = uint64(g.rng.Intn(blocks))
+		idx = g.rng.Below(r.all)
 	}
-	return base + idx*BlockBytes
+	return r.base + idx*BlockBytes
 }
 
+//snvet:alloc-free
 func (g *Synthetic) nextVal() uint64 {
 	g.state.seq++
 	return uint64(g.node+1)<<48 | g.state.seq

@@ -247,3 +247,14 @@ func TestSnapshotReplayProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkSyntheticNext times one operation of the Table 2 OLTP stream.
+func BenchmarkSyntheticNext(b *testing.B) {
+	g := NewSynthetic(OLTP(), 0, 1)
+	var sink uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink += g.Next().Addr
+	}
+	_ = sink
+}
