@@ -1,8 +1,9 @@
 // Command snbench regenerates the paper's evaluation from the experiment
-// registry: every table and figure of §4, printed as text, JSON, or CSV.
+// catalog: every table and figure of §4, printed as text, JSON, or CSV.
+// The catalog is fixed; a new sweep is a campaign file for sncampaign.
 //
 //	snbench                          # full suite (several minutes)
-//	snbench -list                    # enumerate registered experiments
+//	snbench -list                    # enumerate the experiment catalog
 //	snbench -quick                   # single-run, short-window suite
 //	snbench -exp fig6                # one experiment
 //	snbench -exp fig6 -format json   # structured output
@@ -39,7 +40,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var (
 		exp        = fs.String("exp", "all", "experiment name (see -list), or all")
 		scenFile   = fs.String("scenario", "", "run one declarative scenario file and print its result")
-		list       = fs.Bool("list", false, "list registered experiments and exit")
+		list       = fs.Bool("list", false, "list the experiment catalog and exit")
 		quick      = fs.Bool("quick", false, "single-run, short-window sizing")
 		runs       = fs.Int("runs", 0, "override the number of perturbed runs per point")
 		par        = fs.Int("j", runtime.NumCPU(), "simulations run in parallel (1 = serial)")

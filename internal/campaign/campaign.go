@@ -9,18 +9,16 @@
 // bootstrap confidence intervals plus per-axis breakdowns — whose
 // encoding is byte-identical at any worker count.
 //
-// The experiment registry's fixed grids are the special case: a
+// The experiment catalog's fixed grids are the special case: a
 // campaign is the general substrate, and internal/harness expands
-// campaign definitions into its design-point grids (see the recovery
+// campaign definitions into its design-point grids (the fig8, recovery
 // and protocols experiments).
 package campaign
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/fault"
 	"safetynet/internal/scenario"
 )
@@ -250,15 +248,9 @@ func (c *Campaign) Validate() error {
 // campaigns whose deviations assemble invalid runs, so an accepted
 // campaign is runnable end to end.
 func Parse(data []byte) (*Campaign, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var c Campaign
-	if err := dec.Decode(&c); err != nil {
+	if err := scenario.DecodeStrict(data, "campaign", &c); err != nil {
 		return nil, err
-	}
-	// Reject trailing content so a file holds exactly one campaign.
-	if dec.More() {
-		return nil, fmt.Errorf("campaign: trailing data after the campaign object")
 	}
 	if _, err := c.Expand(); err != nil {
 		return nil, err
@@ -269,23 +261,7 @@ func Parse(data []byte) (*Campaign, error) {
 // Encode renders the campaign in the canonical indented form used by
 // the checked-in files and the golden tests. Parse(Encode(c))
 // reproduces c.
-func (c *Campaign) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+func (c *Campaign) Encode() ([]byte, error) { return report.JSON(c) }
 
 // Load reads and parses a campaign file.
-func Load(path string) (*Campaign, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	c, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return c, nil
-}
+func Load(path string) (*Campaign, error) { return scenario.LoadFile(path, Parse) }

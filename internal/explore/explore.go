@@ -30,12 +30,11 @@
 package explore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"safetynet/internal/campaign"
+	"safetynet/internal/campaign/report"
+	"safetynet/internal/scenario"
 )
 
 // Strategy kinds.
@@ -238,14 +237,9 @@ func (e *Exploration) validateStrategy() error {
 // unknown fields fail, trailing content fails, and the space is
 // expanded once so an accepted exploration is runnable end to end.
 func Parse(data []byte) (*Exploration, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var e Exploration
-	if err := dec.Decode(&e); err != nil {
+	if err := scenario.DecodeStrict(data, "exploration", &e); err != nil {
 		return nil, err
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("exploration: trailing data after the exploration object")
 	}
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -258,23 +252,7 @@ func Parse(data []byte) (*Exploration, error) {
 
 // Encode renders the exploration in the canonical indented form used
 // by the checked-in files. Parse(Encode(e)) reproduces e.
-func (e *Exploration) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+func (e *Exploration) Encode() ([]byte, error) { return report.JSON(e) }
 
 // Load reads and parses an exploration file.
-func Load(path string) (*Exploration, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	e, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return e, nil
-}
+func Load(path string) (*Exploration, error) { return scenario.LoadFile(path, Parse) }

@@ -71,15 +71,10 @@ func detectReduce(base config.Params, _ runner.Options, pts []Point, res []runne
 	return rep
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "detect",
-		Title:       "Detection-latency tolerance",
-		Description: "recovery behavior and throughput as fault-detection latency grows (§3.4)",
-		Order:       6,
-		Grid:        detectGrid,
-		Reduce:      detectReduce,
-	}); err != nil {
-		panic(err)
-	}
+var detect = Experiment{
+	Name:        "detect",
+	Title:       "Detection-latency tolerance",
+	Description: "recovery behavior and throughput as fault-detection latency grows (§3.4)",
+	Grid:        detectGrid,
+	Reduce:      detectReduce,
 }

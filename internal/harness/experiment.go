@@ -3,9 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"safetynet/internal/config"
 	"safetynet/internal/runner"
@@ -25,16 +24,12 @@ func (p Point) Label(key string) string { return p.Labels[key] }
 // Experiment declares one table or figure of the evaluation: a grid of
 // concrete runs expanded from the base configuration and options, and a
 // reduce step building the structured Report from the grid's results.
-// Register adds one to the catalog.
 type Experiment struct {
-	// Name is the registry key (e.g. "fig6"); Title and Description are
+	// Name is the catalog key (e.g. "fig6"); Title and Description are
 	// for humans.
 	Name        string
 	Title       string
 	Description string
-	// Order sorts the catalog listing (paper order, not name order);
-	// ties list by name.
-	Order int
 	// Grid expands the experiment into concrete runs. Nil means the
 	// experiment needs no simulation (table2 prints parameters).
 	Grid func(base config.Params, o runner.Options) []Point
@@ -75,74 +70,21 @@ func RunPoints(pts []Point, parallelism int) []runner.RunResult {
 	return res
 }
 
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
+// catalog is every table and figure of the evaluation, in paper order.
+var catalog = []Experiment{table2, fig5, fig6, fig7, fig8, recovery, detect, snoopdetect, protocols}
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Experiment{}
-)
-
-// Register adds an experiment to the package registry, reporting an
-// incomplete descriptor or a duplicate name. The built-in tables and
-// figures register from init and panic on the error (two files claimed
-// one figure); other packages register the same way.
-func Register(e Experiment) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if e.Name == "" || e.Reduce == nil {
-		return fmt.Errorf("harness: experiment needs a name and a reduce step")
-	}
-	if _, dup := registry[e.Name]; dup {
-		return fmt.Errorf("harness: duplicate experiment %q", e.Name)
-	}
-	registry[e.Name] = e
-	return nil
-}
-
-// Get returns the named experiment.
-func Get(name string) (Experiment, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
-}
-
-// Experiments returns every registered experiment in catalog order.
-func Experiments() []Experiment {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names) // ties in Order keep name order
-	out := make([]Experiment, len(names))
-	for i, name := range names {
-		out[i] = registry[name]
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Order < out[j].Order })
-	return out
-}
-
-// Names returns the registered experiment names in catalog order.
-func Names() []string {
-	exps := Experiments()
-	names := make([]string, len(exps))
-	for i, e := range exps {
-		names[i] = e.Name
-	}
-	return names
-}
+// Experiments returns the catalog in paper order.
+func Experiments() []Experiment { return slices.Clone(catalog) }
 
 // RunExperiment runs the named experiment against the base
 // configuration. Unknown names list the valid ones.
 func RunExperiment(name string, base config.Params, o runner.Options) (*Report, error) {
-	e, ok := Get(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q (have %s)",
-			name, strings.Join(Names(), ", "))
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		if e.Name == name {
+			return e.Run(base, o), nil
+		}
+		names[i] = e.Name
 	}
-	return e.Run(base, o), nil
+	return nil, fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(names, ", "))
 }

@@ -87,15 +87,10 @@ func fig5Reduce(_ config.Params, o runner.Options, pts []Point, res []runner.Run
 	return rep
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "fig5",
-		Title:       "Figure 5: Performance Evaluation of SafetyNet",
-		Description: "normalized performance of Experiments 1-3 across the five paper workloads",
-		Order:       1,
-		Grid:        fig5Grid,
-		Reduce:      fig5Reduce,
-	}); err != nil {
-		panic(err)
-	}
+var fig5 = Experiment{
+	Name:        "fig5",
+	Title:       "Figure 5: Performance Evaluation of SafetyNet",
+	Description: "normalized performance of Experiments 1-3 across the five paper workloads",
+	Grid:        fig5Grid,
+	Reduce:      fig5Reduce,
 }

@@ -89,15 +89,10 @@ func fig6Reduce(_ config.Params, _ runner.Options, pts []Point, res []runner.Run
 	return rep
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "fig6",
-		Title:       "Figure 6: Frequencies of Stores and Coherence Requests",
-		Description: "store/coherence event rates and their logged subsets vs checkpoint interval",
-		Order:       2,
-		Grid:        fig6Grid,
-		Reduce:      fig6Reduce,
-	}); err != nil {
-		panic(err)
-	}
+var fig6 = Experiment{
+	Name:        "fig6",
+	Title:       "Figure 6: Frequencies of Stores and Coherence Requests",
+	Description: "store/coherence event rates and their logged subsets vs checkpoint interval",
+	Grid:        fig6Grid,
+	Reduce:      fig6Reduce,
 }

@@ -36,17 +36,12 @@ func fig7Reduce(_ config.Params, _ runner.Options, pts []Point, res []runner.Run
 	return rep
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "fig7",
-		Title:       "Figure 7: Cache Bandwidth vs Checkpoint Interval",
-		Description: "cache-port occupancy split across hits, fills, coherence, and logging",
-		Order:       3,
-		// The fig6 interval sweep: same points, different measured
-		// quantity.
-		Grid:   fig6Grid,
-		Reduce: fig7Reduce,
-	}); err != nil {
-		panic(err)
-	}
+var fig7 = Experiment{
+	Name:        "fig7",
+	Title:       "Figure 7: Cache Bandwidth vs Checkpoint Interval",
+	Description: "cache-port occupancy split across hits, fills, coherence, and logging",
+	// The fig6 interval sweep: same points, different measured
+	// quantity.
+	Grid:   fig6Grid,
+	Reduce: fig7Reduce,
 }

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"strconv"
 
+	"safetynet/internal/campaign"
 	"safetynet/internal/config"
 	"safetynet/internal/runner"
-	"safetynet/internal/workload"
+	"safetynet/internal/scenario"
 )
 
 // Fig8Sizes are the swept CLB capacities, largest first: the paper's
@@ -19,25 +20,15 @@ func Fig8Sizes() []int {
 	return []int{1 << 20, 512 << 10, 128 << 10, 64 << 10, 48 << 10, 32 << 10}
 }
 
-// fig8Grid expands workload x CLB-size x perturbed-run points.
+// fig8Grid declares workload x CLB size x perturbed runs as a campaign.
 func fig8Grid(base config.Params, o runner.Options) []Point {
-	var pts []Point
-	for _, wl := range workload.PaperWorkloads() {
-		for _, size := range Fig8Sizes() {
-			for i := 0; i < o.Runs; i++ {
-				p := perturbed(base, o, i)
-				p.SafetyNetEnabled = true
-				p.CLBBytes = size
-				pts = append(pts, Point{
-					Labels: map[string]string{
-						"workload": wl, "clb": strconv.Itoa(size),
-					},
-					Run: runner.RunConfig{Params: p, Workload: wl, Warmup: o.Warmup, Measure: o.Measure},
-				})
-			}
-		}
+	clb := campaign.Axis{Name: "clb"}
+	for _, size := range Fig8Sizes() {
+		clb.Points = append(clb.Points, campaign.AxisPoint{
+			Label: strconv.Itoa(size), Overrides: &scenario.Overrides{CLBBytes: &size},
+		})
 	}
-	return pts
+	return campaignPoints(paperCampaign("fig8", o, workloadAxis(), clb), base)
 }
 
 // fig8Reduce reports one row per workload and one column per CLB size:
@@ -66,15 +57,10 @@ func fig8Reduce(_ config.Params, o runner.Options, pts []Point, res []runner.Run
 	return rep
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "fig8",
-		Title:       "Figure 8: Performance vs CLB Size",
-		Description: "performance degradation from CLB back-pressure as buffer capacity shrinks",
-		Order:       4,
-		Grid:        fig8Grid,
-		Reduce:      fig8Reduce,
-	}); err != nil {
-		panic(err)
-	}
+var fig8 = Experiment{
+	Name:        "fig8",
+	Title:       "Figure 8: Performance vs CLB Size",
+	Description: "performance degradation from CLB back-pressure as buffer capacity shrinks",
+	Grid:        fig8Grid,
+	Reduce:      fig8Reduce,
 }

@@ -1,13 +1,18 @@
 // Package harness regenerates the paper's evaluation (§4) through a
-// registry of declarative experiments: each table and figure is a grid
-// of design points (runner.RunConfigs) and one reduce step that builds
-// its structured Report, which renders as text and marshals to JSON and
-// CSV. Every reduce follows one crash rule: a value computed from a
-// crashed run is a crash marker (CrashedValue), never the run's zeroed
-// counters. Points run independently — every run owns its own
-// deterministic engine — so the runner fans them across a worker pool
-// without changing any result. cmd/snbench and the repository's
-// benchmarks are thin wrappers around RunExperiment.
+// fixed catalog of declarative experiments: each table and figure is a
+// grid of design points (runner.RunConfigs) and one reduce step that
+// builds its structured Report, which renders as text and marshals to
+// JSON and CSV. A grid the campaign language can express is declared as
+// a campaign (paperCampaign: fig8, recovery, protocols); the others
+// need a per-point measurement window or fault plan and are written as
+// loops. New sweeps are campaigns, run by cmd/sncampaign and
+// cmd/snserved, not catalog entries. Every reduce follows one crash
+// rule: a value computed from a crashed run is a crash marker
+// (CrashedValue), never the run's zeroed counters. Points run
+// independently — every run owns its own deterministic engine — so the
+// runner fans them across a worker pool without changing any result.
+// cmd/snbench and the repository's benchmarks are thin wrappers around
+// RunExperiment.
 //
 // The single-run executor, the worker pool, and the sweep sizing
 // (runner.Options) live one layer down, in internal/runner, which this
@@ -23,8 +28,9 @@ import (
 	"safetynet/internal/stats"
 )
 
-// perturbSeedStride spaces the perturbed-run seeds; campaign seed
-// ranges reuse it so migrated experiments expand to identical grids.
+// perturbSeedStride spaces the perturbed-run seeds; paperCampaign's
+// seed range reuses it, so a grid declared as a campaign runs the seeds
+// perturbed gives.
 const perturbSeedStride = 7919
 
 // perturbed returns the i-th perturbed copy of p: a distinct seed and a

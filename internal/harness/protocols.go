@@ -6,7 +6,6 @@ import (
 	"safetynet/internal/runner"
 	"safetynet/internal/scenario"
 	"safetynet/internal/stats"
-	"safetynet/internal/workload"
 )
 
 // protocols runs the five paper workloads on both coherence backends —
@@ -17,44 +16,16 @@ import (
 // are of the same order on both substrates even though the interconnects
 // (and hence absolute IPC) differ completely.
 
-var protocolNames = []string{config.ProtocolDirectory, config.ProtocolSnoop}
-
-// protocolsCampaign declares the experiment as a campaign: the
-// workload × protocol matrix over a protected base scenario, with the
-// perturbed-run replication expressed as a seed range.
-func protocolsCampaign(o runner.Options) *campaign.Campaign {
-	protected := true
-	perturb := uint64(4)
-	wlAxis := campaign.Axis{Name: "workload"}
-	for _, wl := range workload.PaperWorkloads() {
-		wlAxis.Points = append(wlAxis.Points, campaign.AxisPoint{Label: wl, Workload: wl})
-	}
-	protoAxis := campaign.Axis{Name: "protocol"}
-	for _, proto := range protocolNames {
-		p := proto
-		protoAxis.Points = append(protoAxis.Points, campaign.AxisPoint{
-			Label: proto, Overrides: &scenario.Overrides{Protocol: &p},
+// protocolsGrid declares workload x protocol x perturbed runs as a
+// campaign.
+func protocolsGrid(base config.Params, o runner.Options) []Point {
+	protocol := campaign.Axis{Name: "protocol"}
+	for _, proto := range config.Protocols() {
+		protocol.Points = append(protocol.Points, campaign.AxisPoint{
+			Label: proto, Overrides: &scenario.Overrides{Protocol: &proto},
 		})
 	}
-	return &campaign.Campaign{
-		Name: "protocols",
-		Base: scenario.Scenario{
-			Workload:      workload.PaperWorkloads()[0],
-			WarmupCycles:  uint64(o.Warmup),
-			MeasureCycles: uint64(o.Measure),
-			Overrides: &scenario.Overrides{
-				SafetyNetEnabled:    &protected,
-				LatencyPerturbation: &perturb,
-			},
-		},
-		Axes:  []campaign.Axis{wlAxis, protoAxis},
-		Seeds: &campaign.SeedRange{Start: o.BaseSeed, Count: o.Runs, Stride: perturbSeedStride},
-	}
-}
-
-// protocolsGrid expands workload x protocol x perturbed-run points.
-func protocolsGrid(base config.Params, o runner.Options) []Point {
-	return campaignPoints(protocolsCampaign(o), base)
+	return campaignPoints(paperCampaign("protocols", o, workloadAxis(), protocol), base)
 }
 
 // protocolsReduce reports each (workload, protocol) point's IPC and its
@@ -82,15 +53,10 @@ func protocolsReduce(_ config.Params, o runner.Options, pts []Point, res []runne
 	return rep
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "protocols",
-		Title:       "Two protocols, one harness",
-		Description: "side-by-side directory vs snooping IPC and logging overhead across the five paper workloads",
-		Order:       8,
-		Grid:        protocolsGrid,
-		Reduce:      protocolsReduce,
-	}); err != nil {
-		panic(err)
-	}
+var protocols = Experiment{
+	Name:        "protocols",
+	Title:       "Two protocols, one harness",
+	Description: "side-by-side directory vs snooping IPC and logging overhead across the five paper workloads",
+	Grid:        protocolsGrid,
+	Reduce:      protocolsReduce,
 }

@@ -5,48 +5,27 @@ import (
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
 	"safetynet/internal/runner"
-	"safetynet/internal/scenario"
 	"safetynet/internal/stats"
 )
 
 const recoveryWorkload = "oltp"
 
-// recoveryCampaign declares the experiment as a campaign: one protected
-// OLTP base scenario with two fault-plan variants — the fault-free
-// control arm and periodic transient drops. The campaign layer owns
-// expansion and labeling; the experiment keeps only its reduce step.
-func recoveryCampaign(o runner.Options) *campaign.Campaign {
-	protected := true
-	perturb := uint64(4)
+// recoveryGrid declares the experiment as a campaign: one protected
+// OLTP run with two fault-plan variants, the fault-free control arm and
+// periodic transient drops.
+func recoveryGrid(base config.Params, o runner.Options) []Point {
+	c := paperCampaign("recovery", o)
+	c.Base.Workload = recoveryWorkload
+	c.Seeds.Count = 1
 	// Clamp the derived period: integer division of a tiny measurement
 	// window would otherwise build a zero-period plan that fails at arm
 	// time.
-	period := o.Measure / 5
-	if period < 1 {
-		period = 1
+	period := max(o.Measure/5, 1)
+	c.Variants = []campaign.Variant{
+		{Name: "fault-free"},
+		{Name: "faulty", Faults: fault.Plan{fault.DropEvery{Start: o.Warmup, Period: period}}},
 	}
-	return &campaign.Campaign{
-		Name: "recovery",
-		Base: scenario.Scenario{
-			Workload:      recoveryWorkload,
-			WarmupCycles:  uint64(o.Warmup),
-			MeasureCycles: uint64(o.Measure),
-			Overrides: &scenario.Overrides{
-				SafetyNetEnabled:    &protected,
-				LatencyPerturbation: &perturb,
-			},
-		},
-		Variants: []campaign.Variant{
-			{Name: "fault-free"},
-			{Name: "faulty", Faults: fault.Plan{fault.DropEvery{Start: o.Warmup, Period: period}}},
-		},
-		Seeds: &campaign.SeedRange{Start: o.BaseSeed, Count: 1, Stride: perturbSeedStride},
-	}
-}
-
-// recoveryGrid expands the campaign into the two design points.
-func recoveryGrid(base config.Params, o runner.Options) []Point {
-	return campaignPoints(recoveryCampaign(o), base)
+	return campaignPoints(c, base)
 }
 
 // recoveryReduce quantifies the §4.2 claim that recovery is a
@@ -94,15 +73,10 @@ func recoveryReduce(_ config.Params, _ runner.Options, pts []Point, res []runner
 	}
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "recovery",
-		Title:       "Recovery latency",
-		Description: "recovery coordination latency and lost work under periodic transient faults (§4.2)",
-		Order:       5,
-		Grid:        recoveryGrid,
-		Reduce:      recoveryReduce,
-	}); err != nil {
-		panic(err)
-	}
+var recovery = Experiment{
+	Name:        "recovery",
+	Title:       "Recovery latency",
+	Description: "recovery coordination latency and lost work under periodic transient faults (§4.2)",
+	Grid:        recoveryGrid,
+	Reduce:      recoveryReduce,
 }

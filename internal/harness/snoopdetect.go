@@ -77,15 +77,10 @@ func snoopDetectReduce(_ config.Params, _ runner.Options, pts []Point, res []run
 	return rep
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "snoopdetect",
-		Title:       "Detection latency on the snooping backend",
-		Description: "detection/recovery latency sweep on the ordered snooping interconnect (fn. 1, §2.3)",
-		Order:       7,
-		Grid:        snoopDetectGrid,
-		Reduce:      snoopDetectReduce,
-	}); err != nil {
-		panic(err)
-	}
+var snoopdetect = Experiment{
+	Name:        "snoopdetect",
+	Title:       "Detection latency on the snooping backend",
+	Description: "detection/recovery latency sweep on the ordered snooping interconnect (fn. 1, §2.3)",
+	Grid:        snoopDetectGrid,
+	Reduce:      snoopDetectReduce,
 }

@@ -40,14 +40,9 @@ func estimateTwoHopMiss(p config.Params) uint64 {
 	return req + p.DirAccessCycles + p.MemAccessCycles + resp
 }
 
-func init() {
-	if err := Register(Experiment{
-		Name:        "table2",
-		Title:       "Table 2: Target System Parameters",
-		Description: "the simulated target-system parameters (no simulation runs)",
-		Order:       0,
-		Reduce:      table2Reduce,
-	}); err != nil {
-		panic(err)
-	}
+var table2 = Experiment{
+	Name:        "table2",
+	Title:       "Table 2: Target System Parameters",
+	Description: "the simulated target-system parameters (no simulation runs)",
+	Reduce:      table2Reduce,
 }

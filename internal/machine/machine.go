@@ -64,6 +64,9 @@ type Machine struct {
 	// validation back-pressure releases do not resume the processors
 	// while a Quiesce is draining (see the backend.Backend contract).
 	quiescing bool
+	// flushed holds the current recovery's writebacks, (address, data)
+	// in flush order, until unquiesce writes them home (see flushToMem).
+	flushed [][2]uint64
 
 	// Crash state of the unprotected baseline.
 	Crashed    bool
@@ -221,6 +224,10 @@ func (m *Machine) quiesce() {
 }
 
 func (m *Machine) unquiesce() {
+	for _, wb := range m.flushed {
+		m.Nodes[m.home(wb[0])].Dir.DirectWriteback(wb[0], wb[1])
+	}
+	m.flushed = m.flushed[:0]
 	m.recovering = false
 	m.Net.SetRecovering(false)
 	if m.AfterRecovery != nil {
@@ -258,11 +265,14 @@ func (m *Machine) crash(cause string) {
 	m.Eng.Stop()
 }
 
-// flushToMem absorbs a validated dirty victim displaced during recovery
-// directly into its home memory image (a recovery-time writeback; the
-// system is globally quiesced).
+// flushToMem takes a validated dirty victim displaced during recovery
+// (a recovery-time writeback; the system is globally quiesced) and
+// keeps it until unquiesce, when every node has recovered, writes it
+// into its home memory image. Written at once, it would be undone by a
+// home whose directory unrolls later and restores the logged owner, so
+// the directory would name an owner that holds nothing.
 func (m *Machine) flushToMem(addr, data uint64) {
-	m.Nodes[m.home(addr)].Dir.DirectWriteback(addr, data)
+	m.flushed = append(m.flushed, [2]uint64{addr, data})
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ import "safetynet/internal/sim"
 // simulates, the per-run warmup/measurement windows, the seed of the
 // perturbation sequence, and the worker-pool width. It is the single
 // sizing surface every run orchestrator shares — the experiment
-// registry (internal/harness), the campaign engine (internal/campaign
+// catalog (internal/harness), the campaign engine (internal/campaign
 // carries the same Workers semantics), and the exploration engine
 // (internal/explore) all funnel worker counts through Workers, so
 // "0 means one per CPU" cannot drift between layers.

@@ -1,7 +1,7 @@
 // Package runner is the execution substrate shared by every sweep in
 // the repository: it builds one simulated backend per run description,
 // measures the run's window deltas, and fans independent runs across a
-// worker pool without changing any result. The experiment registry
+// worker pool without changing any result. The experiment catalog
 // (internal/harness), the campaign engine (internal/campaign), the
 // exploration engine (internal/explore) and the campaign daemon
 // (internal/serve) all enter the pool through RunAll, so parallelism

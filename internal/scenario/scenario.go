@@ -23,6 +23,7 @@ import (
 	"os"
 	"reflect"
 
+	"safetynet/internal/campaign/report"
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
 	"safetynet/internal/sim"
@@ -233,19 +234,43 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
+// DecodeStrict decodes the one JSON object data holds into v, for the
+// three declarative file formats (scenario, campaign, exploration). An
+// unknown field fails, and so does anything after the object, so a file
+// holds exactly one; what names the format in that error.
+func DecodeStrict(data []byte, what string, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return fmt.Errorf("%s: trailing data after the %s object", what, what)
+	}
+	return nil
+}
+
+// LoadFile reads the file at path and parses it, naming the path in a
+// parse error.
+func LoadFile[T any](path string, parse func([]byte) (*T, error)) (*T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	v, err := parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return v, nil
+}
+
 // Parse decodes and validates one scenario. Decoding is strict: unknown
 // fields fail, and an unknown fault kind fails with a wrapped
 // *fault.UnknownKindError.
 func Parse(data []byte) (*Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(data, "scenario", &s); err != nil {
 		return nil, err
-	}
-	// Reject trailing content so a file holds exactly one scenario.
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: trailing data after the scenario object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -254,27 +279,12 @@ func Parse(data []byte) (*Scenario, error) {
 }
 
 // Encode renders the scenario in the canonical indented form used by the
-// checked-in files and the golden tests. Parse(Encode(s)) reproduces s.
-func (s *Scenario) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+// checked-in files and the golden tests, the same JSON encoding every
+// report uses. Parse(Encode(s)) reproduces s.
+func (s *Scenario) Encode() ([]byte, error) { return report.JSON(s) }
 
 // Load reads and parses a scenario file.
-func Load(path string) (*Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
+func Load(path string) (*Scenario, error) { return LoadFile(path, Parse) }
 
 // TotalCycles is the scenario's full horizon: warmup plus measurement.
 func (s *Scenario) TotalCycles() uint64 { return s.WarmupCycles + s.MeasureCycles }

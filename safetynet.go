@@ -36,15 +36,13 @@
 // recoveries, fault firings, and crashes without white-box access.
 //
 // The experiment harness regenerating every table and figure of the
-// paper's evaluation is exposed through a registry: Experiments() lists
-// the catalog and RunExperiment runs one entry, optionally fanning its
-// independent simulations across a worker pool, and returns a structured
-// Report that renders as text, flattens to a CSV table and marshals to
-// JSON. Every experiment is a grid of runs plus one reduce that builds
-// its Report.
-// The registry is open: RegisterExperiment adds an Experiment from any
-// package, exactly as the built-in tables and figures register;
-// cmd/snbench drives the registry.
+// paper's evaluation is a fixed catalog: Experiments() lists it and
+// RunExperiment runs one entry, optionally fanning its independent
+// simulations across a worker pool, and returns a structured Report that
+// renders as text, flattens to a CSV table and marshals to JSON. Every
+// experiment is a grid of runs plus one reduce that builds its Report;
+// cmd/snbench drives the catalog. New sweeps are campaigns
+// (LoadCampaign), run by cmd/sncampaign and cmd/snserved.
 package safetynet
 
 import (
@@ -325,7 +323,7 @@ func (s *System) Observe(o *RunObserver) { s.be.Observe(o) }
 func (s *System) Protocol() string { return s.cfg.ProtocolName() }
 
 // ---------------------------------------------------------------------
-// Experiment harness (registry of tables/figures)
+// Experiment harness (the catalog of tables and figures)
 // ---------------------------------------------------------------------
 
 // ExperimentOptions sizes an experiment run; see DefaultOptions and
@@ -353,23 +351,14 @@ type Row = harness.Row
 // crash marker.
 type Value = harness.Value
 
-// BarSpec selects a report value column for the text bar chart.
-type BarSpec = harness.BarSpec
-
-// Scalar builds a single-observation report Value.
-func Scalar(v float64) Value { return harness.Scalar(v) }
-
-// CrashedValue marks a design point whose runs crashed.
-func CrashedValue() Value { return harness.CrashedValue() }
-
-// ExperimentInfo describes one registered experiment.
+// ExperimentInfo describes one experiment of the catalog.
 type ExperimentInfo struct {
 	Name        string
 	Title       string
 	Description string
 }
 
-// Experiments lists the registered experiment catalog in paper order.
+// Experiments lists the experiment catalog in paper order.
 func Experiments() []ExperimentInfo {
 	var out []ExperimentInfo
 	for _, e := range harness.Experiments() {
@@ -378,7 +367,7 @@ func Experiments() []ExperimentInfo {
 	return out
 }
 
-// RunExperiment runs one registered experiment against the given
+// RunExperiment runs one experiment of the catalog against the given
 // configuration. Options.Workers sizes the worker pool the experiment's
 // independent simulations fan across without changing any result.
 // Unknown names report the valid ones.
@@ -386,50 +375,10 @@ func RunExperiment(name string, cfg Config, o ExperimentOptions) (*Report, error
 	return harness.RunExperiment(name, cfg, o)
 }
 
-// ---------------------------------------------------------------------
-// Registering experiments
-// ---------------------------------------------------------------------
-
 // Cycles is the simulation-time unit (1 cycle = 1 ns at the modeled
 // 1 GHz); experiment options and run windows are expressed in it.
 type Cycles = sim.Time
 
-// ExperimentPoint is one simulation of an experiment's design-point
-// grid: a labeled position along the experiment's dimensions plus the
-// concrete run it expands to.
-type ExperimentPoint = harness.Point
-
-// ExperimentRun is one concrete simulation: parameters, workload, the
-// warmup/measurement windows, and the fault plan armed before it starts.
-type ExperimentRun = runner.RunConfig
-
-// ExperimentRunResult carries everything a run measured; an
-// experiment's Reduce builds its Report from a grid of these.
+// ExperimentRunResult carries everything a run measured; campaign and
+// exploration progress callbacks receive one per completed run.
 type ExperimentRunResult = runner.RunResult
-
-// Experiment declares one table or figure: a registry Name, a Title and
-// Description for humans, an Order in the catalog (ties list by name),
-// a Grid expanding the base configuration and options into labeled runs
-// (nil for an experiment that simulates nothing), and a Reduce building
-// the Report from the grid's results, which arrive in grid order.
-type Experiment = harness.Experiment
-
-// RegisterExperiment adds an experiment to the catalog that Experiments
-// lists and RunExperiment and cmd/snbench execute — the same path every
-// built-in table and figure registers through. A missing name or reduce
-// and a duplicate name are errors:
-//
-//	err := safetynet.RegisterExperiment(safetynet.Experiment{
-//		Name:        "sweep",
-//		Title:       "My Sweep",
-//		Description: "what it measures",
-//		Order:       100,
-//		Grid: func(base safetynet.Config, o safetynet.ExperimentOptions) []safetynet.ExperimentPoint {
-//			...
-//		},
-//		Reduce: func(base safetynet.Config, o safetynet.ExperimentOptions,
-//			pts []safetynet.ExperimentPoint, res []safetynet.ExperimentRunResult) *safetynet.Report {
-//			...
-//		},
-//	})
-func RegisterExperiment(e Experiment) error { return harness.Register(e) }

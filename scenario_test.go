@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -288,74 +287,5 @@ func TestRunObserverSnoop(t *testing.T) {
 	}
 	if advances == 0 {
 		t.Fatal("no recovery-point advances observed")
-	}
-}
-
-// TestRegisterExperimentThroughFacade: an experiment registered through
-// the facade lists and runs like the built-ins.
-func TestRegisterExperimentThroughFacade(t *testing.T) {
-	exp := Experiment{
-		Name:        "facade-test",
-		Title:       "Facade Test",
-		Description: "facade registration test",
-		Order:       1000,
-		Grid: func(base Config, o ExperimentOptions) []ExperimentPoint {
-			return []ExperimentPoint{{
-				Labels: map[string]string{"point": "only"},
-				Run: ExperimentRun{
-					Params:   base,
-					Workload: "barnes",
-					Warmup:   Cycles(20_000),
-					Measure:  Cycles(100_000),
-				},
-			}}
-		},
-		Reduce: func(base Config, o ExperimentOptions, pts []ExperimentPoint, res []ExperimentRunResult) *Report {
-			rep := &Report{LabelCols: []string{"point"}, ValueCols: []string{"ipc"}}
-			for i, pt := range pts {
-				rep.Rows = append(rep.Rows, Row{
-					Labels: []string{pt.Label("point")},
-					Values: []Value{Scalar(res[i].IPC)},
-				})
-			}
-			return rep
-		},
-	}
-	if err := RegisterExperiment(exp); err != nil {
-		t.Fatal(err)
-	}
-
-	listed := false
-	for _, e := range Experiments() {
-		if e.Name == exp.Name {
-			listed = true
-		}
-	}
-	if !listed {
-		t.Fatalf("%s not in the catalog", exp.Name)
-	}
-
-	rep, err := RunExperiment(exp.Name, DefaultConfig(), QuickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 || rep.Rows[0].Values[0].Mean == 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-
-	// A second registration of a complete experiment under the same
-	// name is an error, not a panic, and so is an incomplete one.
-	if err := RegisterExperiment(exp); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate registration: err = %v", err)
-	}
-	noReduce := exp
-	noReduce.Name, noReduce.Reduce = "facade-test-no-reduce", nil
-	if err := RegisterExperiment(noReduce); err == nil {
-		t.Fatal("experiment without a reduce must fail")
-	}
-	noName := exp
-	noName.Name = ""
-	if err := RegisterExperiment(noName); err == nil {
-		t.Fatal("nameless experiment must fail")
 	}
 }
