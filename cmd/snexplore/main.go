@@ -1,10 +1,10 @@
 // Command snexplore executes one declarative exploration file: a
 // campaign-shaped search space (axis×variant arms, seed replications),
 // objective functions extracted from run results, and a search
-// strategy — exhaustive, successive halving, or a seeded bandit — that
-// decides which arms earn runs, pruning doomed arms early (a crashed
-// run disqualifies its arm). The result is a Pareto-frontier report
-// over the evaluated arms.
+// strategy (exhaustive, or successive halving, which prunes doomed arms
+// with short rounds) that decides which arms earn runs; a crashed run
+// disqualifies its arm. The result is a Pareto-frontier report over the
+// evaluated arms.
 //
 //	snexplore examples/explorations/clb-vs-interval.json
 //	snexplore -j 8 -format json examples/explorations/clb-vs-interval.json
@@ -13,8 +13,8 @@
 //	snexplore -scale-to 400000 -v file.json     # clamp horizons, narrate progress
 //
 // The report goes to stdout; progress narration goes to stderr, so for
-// a fixed exploration seed the report is byte-identical at any -j
-// (pipe stdout to diff to check) and `-format json` stdout always
+// a fixed exploration the report is byte-identical at any -j (pipe
+// stdout to diff to check) and `-format json` stdout always
 // parses. SIGINT/SIGTERM cancel in-flight runs cleanly. Exit status: 0
 // on success, 1 on a usage or load error or cancellation.
 package main
@@ -49,7 +49,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		format   = fs.String("format", "text", "report format: text, json, csv")
 		expand   = fs.Bool("expand", false, "list the search arms and objectives without simulating")
 		verbose  = fs.Bool("v", false, "print per-run completion progress to stderr")
-		strategy = fs.String("strategy", "", "override the strategy kind (exhaustive, halving, bandit)")
+		strategy = fs.String("strategy", "", "override the strategy kind ("+strings.Join(safetynet.ExploreKinds(), ", ")+")")
 		scaleTo  = fs.Uint64("scale-to", 0, "clamp every round's horizon to this cycle budget (0 = as declared)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -82,24 +82,16 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 
 	if *expand {
-		runs, err := e.Space.Expand()
+		descs, err := e.ArmDescs()
 		if err != nil {
 			fmt.Fprintf(stderr, "snexplore: %v\n", err)
 			return 1
 		}
-		seeds := 1
-		if e.Space.Seeds != nil && e.Space.Seeds.Count > 0 {
-			seeds = e.Space.Seeds.Count
-		}
-		for a := 0; a < e.Arms(); a++ {
-			desc := runs[a*seeds].Desc
-			if i := strings.Index(desc, " seed="); i >= 0 {
-				desc = desc[:i]
-			}
+		for a, desc := range descs {
 			fmt.Fprintf(stdout, "%4d  %s\n", a, desc)
 		}
 		fmt.Fprintf(stdout, "%d arms x %d seeds = %d exhaustive runs; strategy %s\n",
-			e.Arms(), seeds, e.Space.Runs(), e.Strategy.Kind)
+			e.Arms(), e.Space.Runs()/e.Arms(), e.Space.Runs(), e.Strategy.Kind)
 		fmt.Fprintf(stdout, "objectives: %s\n", strings.Join(e.Objectives, ", "))
 		return 0
 	}

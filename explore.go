@@ -7,9 +7,8 @@ import (
 // Exploration is a declarative, JSON-round-trippable design-space
 // search: a campaign-shaped space (axis×variant matrix of arms, seed
 // range of replications), one or more objective functions extracted
-// from run results, and a search strategy — "exhaustive", successive
-// "halving", or a seeded epsilon-greedy "bandit" — that decides which
-// arms earn runs:
+// from run results, and a search strategy ("exhaustive" or successive
+// "halving") that decides which arms earn runs:
 //
 //	e, err := safetynet.LoadExploration("examples/explorations/clb-vs-interval.json")
 //	rep, err := safetynet.RunExploration(e, safetynet.ExploreOptions{Workers: 8})
@@ -17,7 +16,7 @@ import (
 //
 // The encoding round-trips losslessly with the same strict canonical
 // discipline as scenarios and campaigns, and the Pareto-frontier report
-// is deterministic for a fixed exploration seed: byte-identical at any
+// is deterministic for a fixed exploration: byte-identical at any
 // worker count, because pruned and crashed arms contribute no samples
 // at all.
 type Exploration = explore.Exploration
@@ -39,8 +38,7 @@ type ExploreReport = explore.Report
 // ExploreObjective describes one entry of the objective vocabulary.
 type ExploreObjective = explore.Objective
 
-// ExploreKinds lists the search strategies ("exhaustive", "halving",
-// "bandit").
+// ExploreKinds lists the search strategies ("exhaustive", "halving").
 func ExploreKinds() []string { return explore.Kinds() }
 
 // ExploreObjectives lists the objective vocabulary (name, direction,

@@ -86,8 +86,7 @@ func TestExampleExplorationFrontierMatchesExhaustive(t *testing.T) {
 }
 
 // TestExampleExplorationDeterminism: the example's report is
-// byte-identical at 1 and 8 workers — the exploration seed is the only
-// degree of freedom.
+// byte-identical at 1 and 8 workers.
 func TestExampleExplorationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -113,7 +112,7 @@ func TestExampleExplorationDeterminism(t *testing.T) {
 // TestExploreVocabularyThroughFacade: the strategy and objective
 // vocabularies surface through the facade.
 func TestExploreVocabularyThroughFacade(t *testing.T) {
-	if got := safetynet.ExploreKinds(); len(got) != 3 {
+	if got := safetynet.ExploreKinds(); len(got) != 2 {
 		t.Fatalf("ExploreKinds = %v", got)
 	}
 	objs := safetynet.ExploreObjectives()

@@ -9,7 +9,7 @@
 // either protocol.
 //
 // The package is a leaf: it names the contract without importing either
-// implementation (harness.NewBackend constructs the concrete systems and
+// implementation (runner.NewBackend constructs the concrete systems and
 // asserts they satisfy Backend).
 package backend
 

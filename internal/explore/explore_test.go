@@ -34,7 +34,6 @@ func space() campaign.Campaign {
 func small() *Exploration {
 	return &Exploration{
 		Name:       "small",
-		Seed:       7,
 		Space:      space(),
 		Objectives: []string{"availability", "ipc"},
 		Strategy:   Strategy{Kind: KindExhaustive},
@@ -56,7 +55,7 @@ func TestArmsAndSeeds(t *testing.T) {
 }
 
 func TestVocabulary(t *testing.T) {
-	if got := Kinds(); !reflect.DeepEqual(got, []string{"exhaustive", "halving", "bandit"}) {
+	if got := Kinds(); !reflect.DeepEqual(got, []string{"exhaustive", "halving"}) {
 		t.Fatalf("Kinds = %v", got)
 	}
 	want := []string{"availability", "ipc", "recovery_latency", "log_footprint"}
@@ -153,7 +152,7 @@ func TestDominanceVector(t *testing.T) {
 }
 
 // TestValidateRejections: the structural error matrix, including
-// foreign-kind strategy parameters.
+// halving parameters on exhaustive.
 func TestValidateRejections(t *testing.T) {
 	cases := map[string]func(e *Exploration){
 		"invalid space":       func(e *Exploration) { e.Space.Base.Workload = "" },
@@ -165,15 +164,6 @@ func TestValidateRejections(t *testing.T) {
 		"exhaustive with halving params": func(e *Exploration) {
 			e.Strategy = Strategy{Kind: KindExhaustive, Eta: 2}
 		},
-		"exhaustive with bandit params": func(e *Exploration) {
-			e.Strategy = Strategy{Kind: KindExhaustive, Pulls: 3}
-		},
-		"halving with bandit params": func(e *Exploration) {
-			e.Strategy = Strategy{Kind: KindHalving, Epsilon: 0.5}
-		},
-		"bandit with halving params": func(e *Exploration) {
-			e.Strategy = Strategy{Kind: KindBandit, Finalists: 2}
-		},
 		"halving eta 1": func(e *Exploration) {
 			e.Strategy = Strategy{Kind: KindHalving, Eta: 1}
 		},
@@ -182,12 +172,6 @@ func TestValidateRejections(t *testing.T) {
 		},
 		"halving seeds_per_round beyond arm seeds": func(e *Exploration) {
 			e.Strategy = Strategy{Kind: KindHalving, SeedsPerRound: 3}
-		},
-		"bandit negative pulls": func(e *Exploration) {
-			e.Strategy = Strategy{Kind: KindBandit, Pulls: -1}
-		},
-		"bandit epsilon 1": func(e *Exploration) {
-			e.Strategy = Strategy{Kind: KindBandit, Epsilon: 1}
 		},
 	}
 	for name, mutate := range cases {
@@ -210,10 +194,6 @@ func TestStrategyDefaults(t *testing.T) {
 	s := Strategy{Kind: KindHalving}
 	if s.eta() != 2 || s.finalists() != 2 || s.seedsPerRound() != 1 {
 		t.Fatalf("halving defaults: eta %d finalists %d seeds %d", s.eta(), s.finalists(), s.seedsPerRound())
-	}
-	b := Strategy{Kind: KindBandit}
-	if b.pulls(9) != 9 || b.epsilon() != 0.1 {
-		t.Fatalf("bandit defaults: pulls %d epsilon %v", b.pulls(9), b.epsilon())
 	}
 }
 
@@ -242,18 +222,27 @@ func TestEncodeParseFixedPoint(t *testing.T) {
 	}
 }
 
-// TestParseRejections: strict decoding fails closed.
+// TestParseRejections: strict decoding fails closed, and the retired
+// bandit strategy's kind and keys (pulls, epsilon, the exploration
+// seed) no longer parse.
 func TestParseRejections(t *testing.T) {
 	valid, err := small().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	strategy := func(fields string) string {
+		return strings.Replace(string(valid), `"kind": "exhaustive"`, fields, 1)
+	}
 	cases := map[string]string{
-		"unknown top-level field": `{"seed": 1, "cheese": true}`,
+		"unknown top-level field": `{"name": "x", "cheese": true}`,
 		"trailing data":           string(valid) + `{"x": 1}`,
-		"unknown strategy field":  strings.Replace(string(valid), `"kind": "exhaustive"`, `"kind": "exhaustive", "warp": 9`, 1),
+		"unknown strategy field":  strategy(`"kind": "exhaustive", "warp": 9`),
 		"not json":                `hello`,
 		"wrong objective type":    strings.Replace(string(valid), `"availability"`, `17`, 1),
+		"bandit kind":             strategy(`"kind": "bandit"`),
+		"pulls":                   strategy(`"kind": "halving", "pulls": 3`),
+		"epsilon":                 strategy(`"kind": "halving", "epsilon": 0.5`),
+		"exploration seed":        strings.Replace(string(valid), `"name": "small",`, `"name": "small", "seed": 1,`, 1),
 	}
 	for name, data := range cases {
 		if _, err := Parse([]byte(data)); err == nil {

@@ -20,20 +20,20 @@ func FuzzLoadExploration(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"seed": 1,
+	f.Add([]byte(`{
 		"space": {"base": {"workload": "oltp", "measure_cycles": 1000}},
 		"objectives": ["ipc"],
 		"strategy": {"kind": "exhaustive"}}`))
-	f.Add([]byte(`{"seed": 2,
+	f.Add([]byte(`{
 		"space": {"base": {"workload": "jbb", "measure_cycles": 1000},
 			"axes": [{"name": "interval", "points": [{"label": "10k", "overrides": {"checkpoint_interval_cycles": 10000}}]}],
 			"seeds": {"start": 1, "count": 3}},
 		"objectives": ["availability", "log_footprint"],
 		"strategy": {"kind": "halving", "eta": 2, "finalists": 1, "seeds_per_round": 1}}`))
-	f.Add([]byte(`{"seed": 3,
+	f.Add([]byte(`{
 		"space": {"base": {"workload": "barnes", "measure_cycles": 1000}},
 		"objectives": ["recovery_latency"],
-		"strategy": {"kind": "bandit", "pulls": 2, "epsilon": 0.25}}`))
+		"strategy": {"kind": "halving", "scale_to": 500}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Parse(data)

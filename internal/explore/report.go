@@ -12,8 +12,9 @@ import (
 
 // Round is one strategy phase's deterministic run accounting.
 type Round struct {
-	// Phase is "short" (halving pruning round), "full" (full-sizing
-	// evaluation), "init" or "greedy" (bandit).
+	// Phase is "short" (a halving pruning round) or "full" (the
+	// full-sizing evaluation of the finalists, every arm under
+	// exhaustive).
 	Phase string `json:"phase"`
 	// Arms is how many arms the phase touched.
 	Arms int `json:"arms"`
@@ -84,8 +85,8 @@ type AxisBreakdown struct {
 // Report is the result of one exploration: the Pareto frontier over
 // the evaluated arms, every arm's outcome, per-axis breakdowns, and
 // the deterministic run accounting that proves the strategy's savings.
-// For a fixed exploration (including its seed) the encodings are
-// byte-identical at any worker count.
+// For a fixed exploration the encodings are byte-identical at any
+// worker count.
 type Report struct {
 	Exploration string          `json:"exploration"`
 	Description string          `json:"description,omitempty"`
@@ -166,7 +167,7 @@ func (x *executor) reduce(finals map[int]armEval, rounds []Round) (*Report, erro
 			arm.Crashed = true
 			rep.CrashedArms++
 		default:
-			arm.Runs = ev.runs
+			arm.Runs = x.nSeeds // a final evaluation runs every seed
 			arm.Objectives = ev.natural
 			evaluated = append(evaluated, a)
 			vectors = append(vectors, dominanceVector(x.objs, ev.natural))

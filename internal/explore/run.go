@@ -3,13 +3,11 @@ package explore
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
 	"safetynet/internal/campaign"
 	"safetynet/internal/runner"
-	"safetynet/internal/sim"
 	"safetynet/internal/stats"
 )
 
@@ -67,7 +65,6 @@ func (x *executor) expand(budget uint64) ([]campaign.Run, error) {
 // direction over the arm's executed replications, or disqualification.
 type armEval struct {
 	natural []float64
-	runs    int // replications contributing samples
 	crashed bool
 }
 
@@ -111,7 +108,7 @@ func (x *executor) eval(armIdxs []int, seeds int, budget uint64) ([]armEval, err
 		for oi := range natural {
 			natural[oi] /= float64(seeds)
 		}
-		evals[gi] = armEval{natural: natural, runs: seeds}
+		evals[gi] = armEval{natural: natural}
 	}
 	return evals, nil
 }
@@ -166,9 +163,9 @@ func (x *executor) rankArms(armIdxs []int, evals []armEval) []int {
 }
 
 // Execute runs the exploration and reduces it into the frontier
-// report. The report is deterministic for a fixed exploration (and its
-// seed) at any worker count; a canceled Options.Context returns its
-// error and no report.
+// report. The report is deterministic for a fixed exploration at any
+// worker count; a canceled Options.Context returns its error and no
+// report.
 func (e *Exploration) Execute(o Options) (*Report, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -190,11 +187,9 @@ func (e *Exploration) Execute(o Options) (*Report, error) {
 	var err error
 	switch e.Strategy.Kind {
 	case KindExhaustive:
-		finals, rounds, err = x.exhaustive(all)
+		finals, rounds, err = x.halving(all, len(all))
 	case KindHalving:
-		finals, rounds, err = x.halving(all)
-	case KindBandit:
-		finals, rounds, err = x.bandit(all)
+		finals, rounds, err = x.halving(all, e.Strategy.finalists())
 	default:
 		return nil, fmt.Errorf("exploration: unknown strategy kind %q", e.Strategy.Kind)
 	}
@@ -204,31 +199,18 @@ func (e *Exploration) Execute(o Options) (*Report, error) {
 	return x.reduce(finals, rounds)
 }
 
-// exhaustive evaluates every arm with every seed at full sizing.
-func (x *executor) exhaustive(all []int) (map[int]armEval, []Round, error) {
-	evals, err := x.eval(all, x.nSeeds, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	finals := make(map[int]armEval, len(all))
-	for i, a := range all {
-		finals[a] = evals[i]
-	}
-	round := Round{Phase: "full", Arms: len(all), SeedsEach: x.nSeeds,
-		ScaledTo: x.budget(0), Runs: len(all) * x.nSeeds}
-	return finals, []Round{round}, nil
-}
-
-// halving prunes with short rounds (scaled horizon, seed subset), then
-// evaluates the finalists at full sizing. The finalists' runs are
-// exactly the runs the exhaustive grid would execute for them, so
-// their reported objective vectors are bit-identical to exhaustive's.
-func (x *executor) halving(all []int) (map[int]armEval, []Round, error) {
+// halving prunes with short rounds (scaled horizon, seed subset) until
+// at most finalists arms remain, then evaluates those on every seed at
+// full sizing. The finalists' runs are exactly the runs the exhaustive
+// grid executes for them, so their reported objective vectors are
+// bit-identical to exhaustive's; with every arm a finalist, no short
+// round runs and the final round is the exhaustive grid.
+func (x *executor) halving(all []int, finalists int) (map[int]armEval, []Round, error) {
 	s := &x.e.Strategy
 	finals := make(map[int]armEval)
 	alive := all
 	var rounds []Round
-	for len(alive) > s.finalists() {
+	for len(alive) > finalists {
 		evals, err := x.eval(alive, s.seedsPerRound(), s.ScaleTo)
 		if err != nil {
 			return nil, nil, err
@@ -248,8 +230,8 @@ func (x *executor) halving(all []int) (map[int]armEval, []Round, error) {
 			okEvals = append(okEvals, evals[i])
 		}
 		keep := (len(ok) + s.eta() - 1) / s.eta()
-		if keep < s.finalists() {
-			keep = s.finalists()
+		if keep < finalists {
+			keep = finalists
 		}
 		if keep > len(ok) {
 			keep = len(ok)
@@ -273,141 +255,6 @@ func (x *executor) halving(all []int) (map[int]armEval, []Round, error) {
 		}
 		rounds = append(rounds, Round{Phase: "full", Arms: len(alive), SeedsEach: x.nSeeds,
 			ScaledTo: x.budget(0), Runs: len(alive) * x.nSeeds})
-	}
-	return finals, rounds, nil
-}
-
-// bandit spends a fixed pull budget one replication at a time:
-// initialize every arm once (in parallel), then epsilon-greedy on the
-// primary objective from a SplitMix64 stream seeded by the exploration
-// seed. Arms report the mean over however many replications they
-// earned.
-func (x *executor) bandit(all []int) (map[int]armEval, []Round, error) {
-	s := &x.e.Strategy
-	runs, err := x.expand(x.budget(0))
-	if err != nil {
-		return nil, nil, err
-	}
-	budget := s.pulls(len(all))
-	if budget > len(all)*x.nSeeds {
-		budget = len(all) * x.nSeeds // no seed runs twice
-	}
-
-	type armState struct {
-		sums    []float64
-		pulls   int
-		crashed bool
-	}
-	states := make([]armState, len(all))
-	for i := range states {
-		states[i].sums = make([]float64, len(x.objs))
-	}
-	// pull runs one replication of arm a (its next unused seed).
-	pull := func(a int) error {
-		st := &states[a]
-		run := runs[a*x.nSeeds+st.pulls]
-		rc := campaign.RunConfigs([]campaign.Run{run}, nil)[0]
-		x.scheduled++
-		r, err := runner.RunCtx(x.ctx, rc)
-		if err != nil {
-			return err
-		}
-		if x.opts.OnRun != nil {
-			x.opts.OnRun(run, r)
-		}
-		if r.Crashed {
-			st.crashed = true
-			return nil
-		}
-		for oi, obj := range x.objs {
-			st.sums[oi] += obj.Extract(r)
-		}
-		st.pulls++
-		return nil
-	}
-	// mean primary reward in dominance direction.
-	reward := func(a int) float64 {
-		st := &states[a]
-		if st.pulls == 0 {
-			return math.Inf(-1)
-		}
-		v := st.sums[0] / float64(st.pulls)
-		if !x.objs[0].Maximize {
-			v = -v
-		}
-		return v
-	}
-
-	// Initialization: every arm once, in parallel on the pool.
-	initArms := all
-	if budget < len(all) {
-		initArms = all[:budget]
-	}
-	evals, err := x.eval(initArms, 1, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, a := range initArms {
-		if evals[i].crashed {
-			states[a].crashed = true
-			continue
-		}
-		copy(states[a].sums, evals[i].natural)
-		states[a].pulls = 1
-	}
-	spent := len(initArms)
-	rounds := []Round{{Phase: "init", Arms: len(initArms), SeedsEach: 1,
-		ScaledTo: x.budget(0), Runs: len(initArms)}}
-
-	rng := sim.NewRand(x.e.Seed)
-	greedy := Round{Phase: "greedy", SeedsEach: 1, ScaledTo: x.budget(0)}
-	for ; spent < budget; spent++ {
-		var eligible []int
-		for _, a := range all {
-			if !states[a].crashed && states[a].pulls < x.nSeeds {
-				eligible = append(eligible, a)
-			}
-		}
-		if len(eligible) == 0 {
-			break
-		}
-		// One draw per pull, consumed whether or not it explores, so the
-		// stream position depends only on the pull index.
-		draw := float64(rng.Uint64()>>11) / float64(1<<53)
-		var a int
-		if draw < s.epsilon() {
-			a = eligible[rng.Intn(len(eligible))]
-		} else {
-			a = eligible[0]
-			for _, c := range eligible[1:] {
-				if reward(c) > reward(a) {
-					a = c
-				}
-			}
-		}
-		if err := pull(a); err != nil {
-			return nil, nil, err
-		}
-		greedy.Runs++
-		greedy.Arms = len(all)
-	}
-	rounds = append(rounds, greedy)
-
-	finals := make(map[int]armEval, len(all))
-	for _, a := range all {
-		st := &states[a]
-		if st.crashed {
-			finals[a] = armEval{crashed: true}
-			continue
-		}
-		if st.pulls == 0 {
-			continue // never evaluated (budget below arm count): pruned
-		}
-		natural := make([]float64, len(x.objs))
-		for oi := range natural {
-			natural[oi] = st.sums[oi] / float64(st.pulls)
-		}
-		finals[a] = armEval{natural: natural, runs: st.pulls}
 	}
 	return finals, rounds, nil
 }

@@ -149,36 +149,6 @@ func TestCrashedArmDisqualified(t *testing.T) {
 	}
 }
 
-// TestBanditSeedDeterminism: the bandit's exploration draws come from
-// the exploration seed alone — same seed, same report; the pull budget
-// caps scheduled runs.
-func TestBanditSeedDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test")
-	}
-	mk := func(seed uint64) *Exploration {
-		e := small()
-		e.Seed = seed
-		e.Strategy = Strategy{Kind: KindBandit, Pulls: 3, Epsilon: 0.5}
-		return e
-	}
-	repA, a := execJSON(t, mk(7), Options{Workers: 4})
-	_, b := execJSON(t, mk(7), Options{Workers: 1})
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same seed, different reports:\n%s\nvs\n%s", a, b)
-	}
-	if repA.ExecutedRuns != 3 {
-		t.Fatalf("pull budget not respected: executed %d, want 3", repA.ExecutedRuns)
-	}
-	total := 0
-	for _, arm := range repA.AllArms {
-		total += arm.Runs
-	}
-	if total != 3 {
-		t.Fatalf("sample accounting: %d replications across arms, want 3", total)
-	}
-}
-
 // TestGlobalScaleToClampsEveryRound: Options.ScaleTo tightens every
 // round's horizon, including full-sizing ones.
 func TestGlobalScaleToClampsEveryRound(t *testing.T) {

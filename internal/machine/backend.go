@@ -9,7 +9,7 @@ import (
 )
 
 // This file adapts Machine to the protocol-neutral backend.Backend
-// contract shared with the snooping system; harness.NewBackend asserts
+// contract shared with the snooping system; runner.NewBackend asserts
 // the interface is satisfied.
 
 // Now returns the current simulation time.

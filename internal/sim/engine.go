@@ -585,10 +585,11 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// Drain discards every pending event. SafetyNet recovery uses this to model
-// draining the interconnect and discarding in-flight transaction state;
-// callers must immediately reschedule the periodic machinery (checkpoint
-// clock, processor restart) afterwards.
+// Drain discards every pending event; a caller must reschedule any
+// periodic machinery afterwards. Only tests call it, FuzzEngineOps among
+// them. SafetyNet recovery does not drain the engine: the directory
+// machine discards in-flight messages by bumping the network epoch, and
+// the snooping bus by bumping its bus and data epochs.
 func (e *Engine) Drain() {
 	if e.wheelCount > 0 {
 		for bi := range e.buckets {

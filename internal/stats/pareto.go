@@ -37,26 +37,6 @@ func Dominates(a, b []float64) bool {
 	return strict
 }
 
-// ParetoFront returns the indices of the nondominated points, in input
-// order. Duplicate vectors are all kept (none dominates its copy), so
-// equally-good configurations all surface in the frontier.
-func ParetoFront(points [][]float64) []int {
-	front := make([]int, 0, len(points))
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i != j && Dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, i)
-		}
-	}
-	return front
-}
-
 // CrowdingDistances returns the NSGA-II crowding distance of each
 // point, intended for points within a single nondominated front: for
 // every objective the points are sorted by value, the two boundary

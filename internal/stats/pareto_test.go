@@ -30,32 +30,6 @@ func TestDominates(t *testing.T) {
 	}
 }
 
-func TestParetoFront(t *testing.T) {
-	// Classic two-objective trade-off plus one dominated interior point
-	// and one duplicate of a frontier point.
-	pts := [][]float64{
-		{1, 4}, // frontier
-		{2, 3}, // frontier
-		{1, 3}, // dominated by {2,3} and {1,4}... ({1,4} dominates: 1>=1, 4>3)
-		{4, 1}, // frontier
-		{2, 3}, // duplicate of index 1: kept
-	}
-	got := ParetoFront(pts)
-	want := []int{0, 1, 3, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ParetoFront = %v, want %v", got, want)
-	}
-}
-
-func TestParetoFrontEmptyAndSingleton(t *testing.T) {
-	if got := ParetoFront(nil); len(got) != 0 {
-		t.Fatalf("ParetoFront(nil) = %v", got)
-	}
-	if got := ParetoFront([][]float64{{7}}); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("singleton front = %v", got)
-	}
-}
-
 func TestNondominatedRanks(t *testing.T) {
 	pts := [][]float64{
 		{3, 3}, // rank 0

@@ -223,23 +223,6 @@ func (s *Sample) Summarize() Summary {
 	}
 }
 
-// Overlaps reports whether two samples' one-standard-deviation error bars
-// overlap — the paper's working notion of "statistically similar"
-// performance.
-func Overlaps(a, b *Sample) bool {
-	aLo, aHi := a.Mean()-a.Stddev(), a.Mean()+a.Stddev()
-	bLo, bHi := b.Mean()-b.Stddev(), b.Mean()+b.Stddev()
-	return aLo <= bHi && bLo <= aHi
-}
-
-// Pct formats num/den as a percentage, or "n/a" for a zero denominator.
-func Pct(num, den uint64) string {
-	if den == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2f%%", 100*float64(num)/float64(den))
-}
-
 // SafeDiv returns a/b, or 0 when b is zero.
 func SafeDiv(a, b float64) float64 {
 	if b == 0 {

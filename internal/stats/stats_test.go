@@ -35,25 +35,6 @@ func TestEmptySampleSafe(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
-	a, b, c := &Sample{}, &Sample{}, &Sample{}
-	for _, v := range []float64{0.99, 1.00, 1.01} {
-		a.Add(v)
-	}
-	for _, v := range []float64{1.00, 1.01, 1.02} {
-		b.Add(v)
-	}
-	for _, v := range []float64{2.0, 2.01, 2.02} {
-		c.Add(v)
-	}
-	if !Overlaps(a, b) {
-		t.Fatal("close samples must overlap")
-	}
-	if Overlaps(a, c) {
-		t.Fatal("distant samples must not overlap")
-	}
-}
-
 func TestBar(t *testing.T) {
 	if got := Bar(0.5, 1.0, 10); got != "#####" {
 		t.Fatalf("Bar = %q", got)
@@ -233,18 +214,6 @@ func TestSummarizeNaNFree(t *testing.T) {
 	sum := s.Summarize()
 	if sum.N != 1 || sum.Mean != 3 || sum.Median != 3 || sum.CILo != 3 || sum.CIHi != 3 {
 		t.Fatalf("single-observation summary = %+v", sum)
-	}
-}
-
-func TestPct(t *testing.T) {
-	if got := Pct(1, 0); got != "n/a" {
-		t.Fatalf("Pct(1,0) = %q", got)
-	}
-	if got := Pct(1, 4); got != "25.00%" {
-		t.Fatalf("Pct(1,4) = %q", got)
-	}
-	if got := Pct(0, 3); got != "0.00%" {
-		t.Fatalf("Pct(0,3) = %q", got)
 	}
 }
 
